@@ -10,7 +10,3 @@ def as_generator(seed) -> np.random.Generator:
         return seed
     return np.random.default_rng(seed)
 
-
-def spawn_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
-    """Derive ``n`` independent child seed sequences from an integer seed."""
-    return np.random.SeedSequence(seed).spawn(n)

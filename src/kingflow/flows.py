@@ -37,9 +37,10 @@ from .kernels import (
     EMPIRICAL_NTK,
     RBF_SCALAR,
     KernelSpec,
+    _gaussian_gram,
     median_heuristic,
 )
-from .manifold import FeatureMap, feature_mean, fisher_estimate
+from .manifold import FeatureMap, feature_mean, feature_moments
 from .particles import ParticleSet
 
 KING = "king"
@@ -48,14 +49,24 @@ WGF = "wgf"
 MMD_FLOW = "mmd_flow"
 FLOW_METHODS = (KING, NTKING, WGF, MMD_FLOW)
 
+# Kernel kinds each drift method accepts; custom matrix kernels pass either.
+_DRIFT_KERNEL_KINDS = {
+    KING: (RBF_SCALAR,),
+    NTKING: (EMPIRICAL_NTK, DIAGONALIZED_SCALAR),
+}
+
 
 @dataclass(frozen=True)
 class DriftSolution:
-    """Solved drift system; evaluate anywhere with ``eval_drift``."""
+    """Solved drift system; evaluate anywhere with ``eval_drift``.
+
+    ``jacobian`` holds the feature Jacobians at the anchors, shape
+    ``(n, feature_dim, dim)``.
+    """
 
     gamma_factor: np.ndarray
     coeff: np.ndarray
-    feature_map: FeatureMap
+    jacobian: np.ndarray
     kernel: KernelSpec | object
     anchors: ParticleSet
     ridge: float
@@ -73,6 +84,13 @@ class FlowConfig:
     freeze_bandwidth: bool = False
 
     def __post_init__(self):
+        for name in ("step", "ridge", "jitter"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        for name in ("iterations", "log_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.iterations < 1:
@@ -87,22 +105,13 @@ class FlowConfig:
 
 # -- kernel quadratic forms ---------------------------------------------------
 
-def _scalar_gram(bandwidth: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    sq = (
-        np.sum(xs**2, axis=1)[:, None]
-        + np.sum(ys**2, axis=1)[None, :]
-        - 2.0 * xs @ ys.T
-    )
-    return np.exp(-np.maximum(sq, 0.0) / (2.0 * bandwidth**2))
-
-
 def _gram_quadratic(kernel, pts: np.ndarray, jac: np.ndarray) -> np.ndarray:
     """``(1/n^2) sum_ij J_i K(x_i, x_j) J_j^T`` for any supported kernel."""
     n = pts.shape[0]
     if isinstance(kernel, KernelSpec):
         if kernel.kind == RBF_SCALAR:
             s2 = kernel.bandwidth**2
-            gram = _scalar_gram(kernel.bandwidth, pts, pts)
+            gram = _gaussian_gram(kernel.bandwidth, pts, pts)
             weighted = np.einsum("ij,jad->iad", gram, jac, optimize=True)
             term_eye = np.einsum("iad,ibd->ab", jac, weighted, optimize=True)
             diffs = pts[:, None, :] - pts[None, :, :]
@@ -112,7 +121,7 @@ def _gram_quadratic(kernel, pts: np.ndarray, jac: np.ndarray) -> np.ndarray:
             )
             return (term_eye / s2 - term_outer / s2**2) / n**2
         if kernel.kind == DIAGONALIZED_SCALAR:
-            gram = _scalar_gram(kernel.bandwidth, pts, pts)
+            gram = _gaussian_gram(kernel.bandwidth, pts, pts)
             weighted = np.einsum("ij,jad->iad", gram, jac, optimize=True)
             return np.einsum("iad,ibd->ab", jac, weighted, optimize=True) / n**2
         if kernel.kind == EMPIRICAL_NTK:
@@ -144,7 +153,7 @@ def _apply_kernel(kernel, queries: np.ndarray, anchors: np.ndarray, vels: np.nda
             part_outer = np.einsum("qi,qi,qid->qd", gram, inner, diffs, optimize=True) / s2**2
             return (part_eye - part_outer) / n
         if kernel.kind == DIAGONALIZED_SCALAR:
-            gram = _scalar_gram(kernel.bandwidth, queries, anchors)
+            gram = _gaussian_gram(kernel.bandwidth, queries, anchors)
             return gram @ vels / n
         if kernel.kind == EMPIRICAL_NTK:
             ntk = kernel.ntk
@@ -169,13 +178,18 @@ def _resolve_bandwidth(kernel, particles: ParticleSet, targets: ParticleSet | No
 
 
 def _solve_drift(
+    method: str,
     fmap: FeatureMap,
     kernel,
     particles: ParticleSet,
     targets: ParticleSet | None,
     ridge: float,
     jitter: float,
+    target_mean: np.ndarray | None,
 ) -> DriftSolution:
+    allowed = _DRIFT_KERNEL_KINDS[method]
+    if isinstance(kernel, KernelSpec) and kernel.kind not in allowed:
+        raise ValueError(f"{method} drift expects {' or '.join(allowed)}, got {kernel.kind}")
     if ridge <= 0:
         raise ValueError("ridge must be positive")
     if targets is not None and targets.dim != particles.dim:
@@ -183,10 +197,10 @@ def _solve_drift(
             f"dimension mismatch: targets {targets.dim}, particles {particles.dim}"
         )
     kernel = _resolve_bandwidth(kernel, particles, targets)
-    fisher = fisher_estimate(fmap, particles, jitter)
-    gap = -feature_mean(fmap, particles)
-    if targets is not None:
-        gap = gap + feature_mean(fmap, targets)
+    model_mean, fisher = feature_moments(fmap, particles, jitter)
+    if target_mean is None and targets is not None:
+        target_mean = feature_mean(fmap, targets)
+    gap = -model_mean if target_mean is None else -model_mean + target_mean
     jac = fmap.jacobian(particles.points)
     system = ridge * fisher.matrix + _gram_quadratic(kernel, particles.points, jac)
     try:
@@ -197,7 +211,7 @@ def _solve_drift(
     return DriftSolution(
         gamma_factor=lower,
         coeff=coeff,
-        feature_map=fmap,
+        jacobian=jac,
         kernel=kernel,
         anchors=particles,
         ridge=ridge,
@@ -211,11 +225,15 @@ def solve_king_drift(
     targets: ParticleSet | None,
     ridge: float,
     jitter: float = 1e-6,
+    *,
+    target_mean: np.ndarray | None = None,
 ) -> DriftSolution:
-    """Drift through the mixed-derivative Gaussian kernel (or a custom matrix kernel)."""
-    if isinstance(kernel, KernelSpec) and kernel.kind != RBF_SCALAR:
-        raise ValueError(f"king drift expects an {RBF_SCALAR} kernel, got {kernel.kind}")
-    return _solve_drift(fmap, kernel, particles, targets, ridge, jitter)
+    """Drift through the mixed-derivative Gaussian kernel (or a custom matrix kernel).
+
+    ``target_mean`` is the target feature mean when the caller already has
+    it; by default it is computed from ``targets``.
+    """
+    return _solve_drift(KING, fmap, kernel, particles, targets, ridge, jitter, target_mean)
 
 
 def solve_ntking_drift(
@@ -225,16 +243,14 @@ def solve_ntking_drift(
     targets: ParticleSet | None,
     ridge: float,
     jitter: float = 1e-6,
+    *,
+    target_mean: np.ndarray | None = None,
 ) -> DriftSolution:
-    """Drift through a tangent kernel, exact or diagonalized to ``k * I``."""
-    if isinstance(kernel, KernelSpec) and kernel.kind not in (
-        EMPIRICAL_NTK,
-        DIAGONALIZED_SCALAR,
-    ):
-        raise ValueError(
-            f"ntking drift expects {EMPIRICAL_NTK} or {DIAGONALIZED_SCALAR}, got {kernel.kind}"
-        )
-    return _solve_drift(fmap, kernel, particles, targets, ridge, jitter)
+    """Drift through a tangent kernel, exact or diagonalized to ``k * I``.
+
+    ``target_mean`` is as for ``solve_king_drift``.
+    """
+    return _solve_drift(NTKING, fmap, kernel, particles, targets, ridge, jitter, target_mean)
 
 
 def eval_drift(solution: DriftSolution, queries) -> np.ndarray:
@@ -249,8 +265,7 @@ def eval_drift(solution: DriftSolution, queries) -> np.ndarray:
         raise ValueError(
             f"queries have dimension {pts.shape[1]}, anchors {solution.anchors.dim}"
         )
-    jac = solution.feature_map.jacobian(solution.anchors.points)
-    vels = np.einsum("iad,a->id", jac, solution.coeff, optimize=True)
+    vels = np.einsum("iad,a->id", solution.jacobian, solution.coeff, optimize=True)
     return _apply_kernel(solution.kernel, pts, solution.anchors.points, vels)
 
 
@@ -347,6 +362,9 @@ def run_flow(
     if method in (KING, NTKING) and config.freeze_bandwidth:
         kernel = _resolve_bandwidth(kernel, init, targets)
     bw_targets = median_heuristic(targets) if method == WGF else None
+    target_mean = (
+        feature_mean(fmap, targets) if method in (KING, NTKING) and targets is not None else None
+    )
 
     def _emit(iteration, t, particles, diagnostics):
         if observer is None:
@@ -361,7 +379,8 @@ def run_flow(
     for iteration in range(1, config.iterations + 1):
         if method in (KING, NTKING):
             solution = solve(
-                fmap, kernel, particles, targets, config.ridge, config.jitter
+                fmap, kernel, particles, targets, config.ridge, config.jitter,
+                target_mean=target_mean,
             )
             velocity = eval_drift(solution, particles)
         elif method == WGF:

@@ -9,7 +9,7 @@ from .datasets import (
     precision_support,
     rotate_dataset,
 )
-from .scenarios import ScenarioOutcome, execute_scenario, run_scenario
+from .scenarios import ScenarioOutcome, execute_scenario
 
 __all__ = [
     "GgmSpec",
@@ -21,5 +21,4 @@ __all__ = [
     "gen_scurve",
     "precision_support",
     "rotate_dataset",
-    "run_scenario",
 ]

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from ..errors import ConfigError
@@ -18,7 +18,7 @@ SCENARIOS = (
 )
 
 _TOP_KEYS = {"scenario", "seed", "methods", "flow", "manifold", "kernels", "dataset", "out_dir"}
-_FLOW_KEYS = {"step", "iterations", "ridge", "jitter", "log_every", "freeze_bandwidth"}
+_FLOW_KEYS = {f.name for f in fields(FlowConfig)}
 
 
 def take_fields(given: dict, defaults: dict, context: str) -> dict:
@@ -85,29 +85,12 @@ class RunConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "scenario" not in data:
             raise ConfigError("config is missing the 'scenario' field")
-        flow = None
-        if data.get("flow") is not None:
-            flow_dict = data["flow"]
-            if isinstance(flow_dict, FlowConfig):
-                flow_dict = {
-                    "step": flow_dict.step,
-                    "iterations": flow_dict.iterations,
-                    "ridge": flow_dict.ridge,
-                    "jitter": flow_dict.jitter,
-                    "log_every": flow_dict.log_every,
-                    "freeze_bandwidth": flow_dict.freeze_bandwidth,
-                }
-            if not isinstance(flow_dict, dict):
+        flow = data.get("flow")
+        if flow is not None and not isinstance(flow, FlowConfig):
+            if not isinstance(flow, dict):
                 raise ConfigError("'flow' must be an object")
-            unknown = set(flow_dict) - _FLOW_KEYS
-            if unknown:
-                raise ConfigError(f"unknown flow fields: {sorted(unknown)}")
-            if "step" not in flow_dict or "iterations" not in flow_dict:
+            if "step" not in flow or "iterations" not in flow:
                 raise ConfigError("'flow' needs at least 'step' and 'iterations'")
-            try:
-                flow = FlowConfig(**flow_dict)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad flow config: {exc}") from exc
         dataset = data.get("dataset") or {}
         if not isinstance(dataset, dict):
             raise ConfigError("'dataset' must be an object")
@@ -142,21 +125,11 @@ class RunConfig:
         return RunConfig.from_dict(data)
 
     def to_dict(self) -> dict:
-        flow = None
-        if self.flow is not None:
-            flow = {
-                "step": self.flow.step,
-                "iterations": self.flow.iterations,
-                "ridge": self.flow.ridge,
-                "jitter": self.flow.jitter,
-                "log_every": self.flow.log_every,
-                "freeze_bandwidth": self.flow.freeze_bandwidth,
-            }
         return {
             "scenario": self.scenario,
             "seed": self.seed,
             "methods": list(self.methods) if self.methods is not None else None,
-            "flow": flow,
+            "flow": None if self.flow is None else asdict(self.flow),
             "manifold": self.manifold,
             "kernels": self.kernels,
             "dataset": dict(self.dataset),

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +77,7 @@ def _child_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(n)
 
 
-def _default_kernel(method: str, dim: int, seed: int) -> KernelSpec:
+def _default_kernel(method: str) -> KernelSpec:
     if method == KING:
         return KernelSpec(kind=RBF_SCALAR)
     return KernelSpec(kind=DIAGONALIZED_SCALAR)
@@ -86,7 +86,7 @@ def _default_kernel(method: str, dim: int, seed: int) -> KernelSpec:
 def _kernel_for(cfg: RunConfig, method: str, dim: int, seed: int) -> KernelSpec:
     override = (cfg.kernels or {}).get(method)
     if override is None:
-        return _default_kernel(method, dim, seed)
+        return _default_kernel(method)
     spec = dict(override)
     if spec.get("kind") == EMPIRICAL_NTK:
         spec.setdefault("input_dim", dim)
@@ -296,10 +296,7 @@ def _ngd_tracking(cfg: RunConfig) -> tuple[dict, list[RunLog]]:
 
     log = RunLog(label="king")
     checkpoints = []
-    tracked = FlowConfig(
-        step=flow.step, iterations=flow.iterations, ridge=flow.ridge,
-        jitter=flow.jitter, log_every=every, freeze_bandwidth=flow.freeze_bandwidth,
-    )
+    tracked = replace(flow, log_every=every)
     final = run_flow(KING, fmap, kernel, targets, init, tracked, observer=log.observer)
 
     for iteration, t, particles in log.snapshots:
@@ -396,11 +393,7 @@ def _graphical_model(cfg: RunConfig) -> tuple[dict, list[RunLog]]:
         else:
             fmap = plain_map
         kernel = _kernel_for(cfg, method, dim, cfg.seed)
-        variant_flow = FlowConfig(
-            step=flow.step, iterations=iterations, ridge=flow.ridge,
-            jitter=flow.jitter, log_every=flow.log_every,
-            freeze_bandwidth=flow.freeze_bandwidth,
-        )
+        variant_flow = replace(flow, iterations=iterations)
         log = RunLog(label=label)
         final = run_flow(method, fmap, kernel, targets, init, variant_flow, observer=log.observer)
         logs.append(log)
@@ -625,9 +618,3 @@ def execute_scenario(cfg: RunConfig) -> ScenarioOutcome:
             _write_metrics_csv(run_dir / "metrics.csv", log)
         (out / "run.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return ScenarioOutcome(config=resolved, summary=summary, logs=tuple(logs))
-
-
-def run_scenario(cfg: RunConfig) -> int:
-    """Execute a scenario and return a process exit status (0 on success)."""
-    execute_scenario(cfg)
-    return 0

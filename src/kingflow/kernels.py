@@ -161,9 +161,13 @@ def kernel_gram(spec: KernelSpec, xs, ys) -> np.ndarray:
     xs, ys = _as_points(xs), _as_points(ys)
     if xs.shape[1] != ys.shape[1]:
         raise ValueError(f"dimension mismatch: {xs.shape} vs {ys.shape}")
-    s2 = _require_bandwidth(spec) ** 2
+    return _gaussian_gram(_require_bandwidth(spec), xs, ys)
+
+
+def _gaussian_gram(bandwidth: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Gaussian Gram matrix from the expanded squared distances, clipped at zero."""
     sq = np.sum(xs**2, axis=1)[:, None] + np.sum(ys**2, axis=1)[None, :] - 2.0 * xs @ ys.T
-    return np.exp(-np.maximum(sq, 0.0) / (2.0 * s2))
+    return np.exp(-np.maximum(sq, 0.0) / (2.0 * bandwidth**2))
 
 
 def kernel_cross_grad(spec: KernelSpec, x, y) -> np.ndarray:

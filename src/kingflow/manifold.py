@@ -352,19 +352,22 @@ def feature_mean(fmap: FeatureMap, particles: ParticleSet) -> np.ndarray:
     return fmap.features(particles.points).mean(axis=0)
 
 
-def fisher_estimate(
+def feature_moments(
     fmap: FeatureMap, particles: ParticleSet, jitter: float = 1e-6
-) -> FisherMatrix:
-    """Empirical feature covariance, diagonally loaded until factorizable.
+) -> tuple[np.ndarray, FisherMatrix]:
+    """Feature mean and Fisher estimate from one evaluation of the features.
 
-    The load is ``jitter`` relative to the mean diagonal of the raw
-    covariance (absolute when the trace vanishes), escalated by factors of 10
-    on failure; past the escalation cap a ``SingularFisherError`` is raised.
+    The Fisher matrix is the empirical feature covariance, diagonally loaded
+    until factorizable.  The load is ``jitter`` relative to the mean diagonal
+    of the raw covariance (absolute when the trace vanishes), escalated by
+    factors of 10 on failure; past the escalation cap a
+    ``SingularFisherError`` is raised.
     """
     if particles.n < 2:
-        raise ValueError("fisher_estimate needs at least 2 particles")
+        raise ValueError("the Fisher estimate needs at least 2 particles")
     feats = fmap.features(particles.points)
-    centered = feats - feats.mean(axis=0)
+    mean = feats.mean(axis=0)
+    centered = feats - mean
     cov = centered.T @ centered / particles.n
     try:
         loaded, lower, applied = chol_spd(cov, jitter)
@@ -372,7 +375,17 @@ def fisher_estimate(
         raise SingularFisherError(
             f"feature covariance ({fmap.kind}) not positive definite after jitter escalation"
         ) from exc
-    return FisherMatrix(matrix=loaded, chol_lower=lower, jitter_applied=applied)
+    return mean, FisherMatrix(matrix=loaded, chol_lower=lower, jitter_applied=applied)
+
+
+def fisher_estimate(
+    fmap: FeatureMap, particles: ParticleSet, jitter: float = 1e-6
+) -> FisherMatrix:
+    """Empirical feature covariance, diagonally loaded until factorizable.
+
+    See ``feature_moments`` for the loading rule.
+    """
+    return feature_moments(fmap, particles, jitter)[1]
 
 
 def rbf_map_from_samples(

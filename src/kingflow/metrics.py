@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import chol_spd
-from .kernels import median_heuristic
+from .kernels import _gaussian_gram, median_heuristic
 from .particles import ParticleSet, as_particles
 
 
@@ -35,12 +35,7 @@ def mmd(sample_a, sample_b, bandwidth: float | None = None) -> MmdEstimate:
         raise ValueError("bandwidth must be positive")
 
     def _gram_mean(xs, ys):
-        sq = (
-            np.sum(xs**2, axis=1)[:, None]
-            + np.sum(ys**2, axis=1)[None, :]
-            - 2.0 * xs @ ys.T
-        )
-        return float(np.exp(-np.maximum(sq, 0.0) / (2.0 * bandwidth**2)).mean())
+        return float(_gaussian_gram(bandwidth, xs, ys).mean())
 
     sq_value = _gram_mean(a, a) + _gram_mean(b, b) - 2.0 * _gram_mean(a, b)
     return MmdEstimate(value=float(np.sqrt(max(sq_value, 0.0))), bandwidth=float(bandwidth))

@@ -21,7 +21,7 @@ from .manifold import (
     FisherMatrix,
     GaussianQuadraticMap,
     feature_mean,
-    fisher_estimate,
+    feature_moments,
     vech_pairs,
 )
 from .particles import ParticleSet
@@ -49,8 +49,8 @@ def natural_gradient_kl(
     """
     if targets.dim != particles.dim:
         raise ValueError(f"dimension mismatch: targets {targets.dim}, particles {particles.dim}")
-    fisher = fisher_estimate(fmap, particles, jitter)
-    gap = feature_mean(fmap, targets) - feature_mean(fmap, particles)
+    model_mean, fisher = feature_moments(fmap, particles, jitter)
+    gap = feature_mean(fmap, targets) - model_mean
     return NatGradResult(gap=gap, fisher=fisher, natural_direction=fisher.solve(gap))
 
 

@@ -18,8 +18,7 @@ import numpy as np
 from .manifold import (
     FeatureMap,
     feature_map_from_config,
-    feature_mean,
-    fisher_estimate,
+    feature_moments,
     register_feature_map,
 )
 from .ngd import NatGradResult
@@ -232,6 +231,6 @@ def stein_natural_gradient(
     Stein features have zero mean under the target, so the feature-mean gap
     is simply the negated model feature mean.
     """
-    fisher = fisher_estimate(smap, particles, jitter)
-    gap = -feature_mean(smap, particles)
+    model_mean, fisher = feature_moments(smap, particles, jitter)
+    gap = -model_mean
     return NatGradResult(gap=gap, fisher=fisher, natural_direction=fisher.solve(gap))

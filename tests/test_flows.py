@@ -66,6 +66,14 @@ def test_flow_config_defaults():
         {"ridge": -1e-3},
         {"jitter": -1e-9},
         {"log_every": 0},
+        {"step": float("nan")},
+        {"step": float("inf")},
+        {"ridge": float("nan")},
+        {"jitter": float("inf")},
+        {"iterations": 2.5},
+        {"iterations": True},
+        {"log_every": True},
+        {"log_every": 2.0},
     ],
 )
 def test_flow_config_rejects_bad_values(kwargs):
@@ -443,6 +451,40 @@ def test_run_flow_is_deterministic(rng):
     first = run_flow("king", fmap, kernel, targets, init, config)
     second = run_flow("king", fmap, kernel, targets, init, config)
     assert_array_equal(second.points, first.points)
+
+
+class CountingLinearMap(CustomLinearMap):
+    """Linear map that tallies the rows it evaluates features and Jacobians on."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "rows", {"features": 0, "jacobian": 0})
+
+    def _features(self, pts):
+        self.rows["features"] += pts.shape[0]
+        return super()._features(pts)
+
+    def _jacobian(self, pts):
+        self.rows["jacobian"] += pts.shape[0]
+        return super()._jacobian(pts)
+
+
+@pytest.mark.parametrize(
+    "method, kind", [("king", "rbf_scalar"), ("ntking", "diagonalized_scalar")]
+)
+def test_run_flow_evaluates_each_feature_quantity_once_per_iteration(rng, method, kind):
+    n, n_targets, iterations = 12, 7, 3
+    init = ParticleSet(rng.standard_normal((n, 2)))
+    targets = ParticleSet(rng.standard_normal((n_targets, 2)) + 1.0)
+    fmap = CountingLinearMap([[1.0, 0.5], [0.0, 1.0]])
+    run_flow(
+        method, fmap, KernelSpec(kind), targets, init,
+        FlowConfig(step=0.1, iterations=iterations, ridge=1e-2),
+    )
+    assert fmap.rows == {
+        "features": iterations * n + n_targets,
+        "jacobian": iterations * n,
+    }
 
 
 def test_frozen_bandwidth_matches_an_explicit_initial_heuristic(rng):

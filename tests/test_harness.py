@@ -84,6 +84,9 @@ def test_run_config_coerces_flow_dicts_in_the_constructor():
         {"scenario": "bimodal_compare", "kernels": {"svgd": {}}},
         {"scenario": "bimodal_compare", "dataset": [1]},
         {},
+        {"scenario": "bimodal_compare", "flow": {"step": float("nan"), "iterations": 5}},
+        {"scenario": "bimodal_compare", "flow": {"step": 1.0, "iterations": 2.5}},
+        {"scenario": "bimodal_compare", "flow": {"step": 1.0, "iterations": 5, "log_every": True}},
     ],
 )
 def test_run_config_rejects_malformed_input(data):
@@ -296,6 +299,11 @@ def test_cli_run_reports_config_errors(tmp_path, capsys):
     bad.write_text(json.dumps({"scenario": "bimodal_compare", "mystery": 1}))
     assert main(["run", "--config", str(bad)]) == 2
     assert "mystery" in json.loads(capsys.readouterr().err)["message"]
+    bad.write_text(
+        json.dumps({"scenario": "bimodal_compare", "flow": {"step": float("nan"), "iterations": 5}})
+    )
+    assert main(["run", "--config", str(bad)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,7 +1,7 @@
 """Feature maps, their derivatives, and Fisher estimation."""
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from kingflow import (
     CustomLinearMap,
@@ -14,6 +14,7 @@ from kingflow import (
     fisher_estimate,
     rbf_map_from_samples,
 )
+from kingflow.manifold import feature_moments
 
 
 def fd_jacobian(fmap, x, h=1e-6):
@@ -197,6 +198,14 @@ def test_fisher_needs_two_particles():
     fmap = GaussianQuadraticMap(input_dim=1)
     with pytest.raises(ValueError):
         fisher_estimate(fmap, ParticleSet(np.zeros((1, 1))))
+
+
+def test_feature_moments_return_the_feature_mean_with_the_fisher(rng):
+    fmap = RbfFeatureMap(centers=rng.standard_normal((6, 2)), bandwidth=1.0)
+    pset = ParticleSet(rng.standard_normal((30, 2)))
+    mean, fisher = feature_moments(fmap, pset, jitter=1e-6)
+    assert_array_equal(mean, feature_mean(fmap, pset))
+    assert_array_equal(fisher.matrix, fisher_estimate(fmap, pset, jitter=1e-6).matrix)
 
 
 # -- serialization and construction helpers -----------------------------------
