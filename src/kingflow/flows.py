@@ -13,8 +13,11 @@ particles.  The solved coefficient vector then defines the velocity field
 
     h(q) = (1/n) sum_i K(q, x_i) J_i^T coeff
 
-evaluated anywhere.  ``rbf_scalar`` uses the Gaussian kernel's mixed second
-derivative as the block, ``empirical_ntk`` a closed-form tangent kernel, and
+evaluated anywhere.  The kernel term of the system is that same operator
+applied to each feature's Jacobian row and contracted with the Jacobian, so
+``_apply_kernel`` holds the one formula of each kernel kind.
+``rbf_scalar`` uses the Gaussian kernel's mixed second derivative as the
+block, ``empirical_ntk`` a closed-form tangent kernel, and
 ``diagonalized_scalar`` substitutes ``k(x, y) * I``.  Any object exposing
 ``pair_blocks(xs, ys) -> (n, m, d, d)`` works as a custom matrix kernel.
 
@@ -42,6 +45,7 @@ from .kernels import (
 )
 from .manifold import FeatureMap, feature_mean, feature_moments
 from .particles import ParticleSet
+from .stein import GaussianMixtureScore
 
 KING = "king"
 NTKING = "ntking"
@@ -91,6 +95,8 @@ class FlowConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
+        if not isinstance(self.freeze_bandwidth, bool):
+            raise ValueError("freeze_bandwidth must be a bool")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.iterations < 1:
@@ -103,70 +109,55 @@ class FlowConfig:
             raise ValueError("log_every must be at least 1")
 
 
-# -- kernel quadratic forms ---------------------------------------------------
+# -- kernel application -------------------------------------------------------
 
 def _gram_quadratic(kernel, pts: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """``(1/n^2) sum_ij J_i K(x_i, x_j) J_j^T`` for any supported kernel."""
-    n = pts.shape[0]
-    if isinstance(kernel, KernelSpec):
-        if kernel.kind == RBF_SCALAR:
-            s2 = kernel.bandwidth**2
-            gram = _gaussian_gram(kernel.bandwidth, pts, pts)
-            weighted = np.einsum("ij,jad->iad", gram, jac, optimize=True)
-            term_eye = np.einsum("iad,ibd->ab", jac, weighted, optimize=True)
-            diffs = pts[:, None, :] - pts[None, :, :]
-            contracted = np.einsum("iad,ijd->ija", jac, diffs, optimize=True)
-            term_outer = -np.einsum(
-                "ij,ija,jib->ab", gram, contracted, contracted, optimize=True
-            )
-            return (term_eye / s2 - term_outer / s2**2) / n**2
-        if kernel.kind == DIAGONALIZED_SCALAR:
-            gram = _gaussian_gram(kernel.bandwidth, pts, pts)
-            weighted = np.einsum("ij,jad->iad", gram, jac, optimize=True)
-            return np.einsum("iad,ibd->ab", jac, weighted, optimize=True) / n**2
-        if kernel.kind == EMPIRICAL_NTK:
-            ntk = kernel.ntk
-            act, act_deriv = ntk.activations(pts)
-            out_layer = act @ act.T + 1.0
-            weighted = np.einsum("ij,jad->iad", out_layer, jac, optimize=True)
-            term_out = np.einsum("iad,ibd->ab", jac, weighted, optimize=True)
-            proj = np.einsum("iad,dh->iah", jac, ntk.w2, optimize=True) * act_deriv[:, None, :]
-            in_layer = pts @ pts.T + 1.0
-            weighted_in = np.einsum("ij,jah->iah", in_layer, proj, optimize=True)
-            term_in = np.einsum("iah,ibh->ab", proj, weighted_in, optimize=True)
-            return (term_out + term_in) / n**2
-        raise ValueError(f"unsupported kernel kind: {kernel.kind!r}")
-    blocks = kernel.pair_blocks(pts, pts)
-    return np.einsum("iad,ijde,jbe->ab", jac, blocks, jac, optimize=True) / n**2
+    """``(1/n^2) sum_ij J_i K(x_i, x_j) J_j^T``: the kernel applied to the Jacobian rows."""
+    fields = _apply_kernel(kernel, pts, pts, jac)
+    return np.einsum("qbd,qad->ba", jac, fields, optimize=True) / pts.shape[0]
 
 
 def _apply_kernel(kernel, queries: np.ndarray, anchors: np.ndarray, vels: np.ndarray) -> np.ndarray:
-    """``(1/n) sum_i K(q, x_i) v_i`` for each query row ``q``."""
-    n = anchors.shape[0]
-    if isinstance(kernel, KernelSpec):
-        if kernel.kind == RBF_SCALAR:
-            s2 = kernel.bandwidth**2
-            diffs = queries[:, None, :] - anchors[None, :, :]
-            gram = np.exp(-np.sum(diffs**2, axis=2) / (2.0 * s2))
-            inner = np.einsum("qid,id->qi", diffs, vels, optimize=True)
-            part_eye = np.einsum("qi,id->qd", gram, vels, optimize=True) / s2
-            part_outer = np.einsum("qi,qi,qid->qd", gram, inner, diffs, optimize=True) / s2**2
-            return (part_eye - part_outer) / n
+    """``(1/n) sum_i K(q, x_i) v_ik`` for each query row ``q`` and field ``k``.
+
+    ``vels`` holds ``k`` velocity fields on the anchors, shape ``(n, k, d)``;
+    the result has shape ``(q, k, d)``.
+    """
+    n, k, d = vels.shape
+    if not isinstance(kernel, KernelSpec):
+        blocks = kernel.pair_blocks(queries, anchors)
+        return np.einsum("qide,ike->qkd", blocks, vels, optimize=True) / n
+    if kernel.kind in (RBF_SCALAR, DIAGONALIZED_SCALAR):
+        # The Gaussian kernel is translation invariant; centring on the anchor
+        # mean keeps the expanded products below free of cancellation far from
+        # the origin.
+        centre = anchors.mean(axis=0)
+        queries, anchors = queries - centre, anchors - centre
+        gram = _gaussian_gram(kernel.bandwidth, queries, anchors)
+        eye = (gram @ vels.reshape(n, k * d)).reshape(-1, k, d)
         if kernel.kind == DIAGONALIZED_SCALAR:
-            gram = _gaussian_gram(kernel.bandwidth, queries, anchors)
-            return gram @ vels / n
-        if kernel.kind == EMPIRICAL_NTK:
-            ntk = kernel.ntk
-            act_q, deriv_q = ntk.activations(queries)
-            act_a, deriv_a = ntk.activations(anchors)
-            out_layer = act_q @ act_a.T + 1.0
-            in_layer = queries @ anchors.T + 1.0
-            projected = vels @ ntk.w2  # (n, h)
-            hidden = deriv_q * (in_layer @ (deriv_a * projected))
-            return (out_layer @ vels + hidden @ ntk.w2.T) / n
-        raise ValueError(f"unsupported kernel kind: {kernel.kind!r}")
-    blocks = kernel.pair_blocks(queries, anchors)
-    return np.einsum("qide,ie->qd", blocks, vels, optimize=True) / n
+            return eye / n
+        # rbf_scalar: k(q, x) (I / s^2 - (q - x)(q - x)^T / s^4)
+        s2 = kernel.bandwidth**2
+        by_field = vels.transpose(1, 0, 2)  # (k, n, d)
+        # weighted[q, k, i] = k(q, x_i) (q - x_i) . v_ik
+        weighted = (queries @ by_field.reshape(k * n, d).T).reshape(-1, k, n)
+        weighted -= np.einsum("id,kid->ki", anchors, by_field, optimize=True)
+        weighted *= gram[:, None, :]
+        outer = queries[:, None, :] * weighted.sum(axis=2)[:, :, None]
+        outer -= (weighted.reshape(-1, n) @ anchors).reshape(-1, k, d)
+        return (eye / s2 - outer / s2**2) / n
+    if kernel.kind == EMPIRICAL_NTK:
+        ntk = kernel.ntk
+        act_q, deriv_q = ntk.activations(queries)
+        act_a, deriv_a = ntk.activations(anchors)
+        out_layer = act_q @ act_a.T + 1.0
+        in_layer = queries @ anchors.T + 1.0
+        projected = deriv_a[:, None, :] * (vels @ ntk.w2)  # (n, k, h)
+        hidden = (in_layer @ projected.reshape(n, -1)).reshape(-1, k, deriv_q.shape[1])
+        out = (out_layer @ vels.reshape(n, k * d)).reshape(-1, k, d)
+        return (out + (deriv_q[:, None, :] * hidden) @ ntk.w2.T) / n
+    raise ValueError(f"unsupported kernel kind: {kernel.kind!r}")
 
 
 def _resolve_bandwidth(kernel, particles: ParticleSet, targets: ParticleSet | None):
@@ -266,20 +257,10 @@ def eval_drift(solution: DriftSolution, queries) -> np.ndarray:
             f"queries have dimension {pts.shape[1]}, anchors {solution.anchors.dim}"
         )
     vels = np.einsum("iad,a->id", solution.jacobian, solution.coeff, optimize=True)
-    return _apply_kernel(solution.kernel, pts, solution.anchors.points, vels)
+    return _apply_kernel(solution.kernel, pts, solution.anchors.points, vels[:, None, :])[:, 0]
 
 
 # -- baseline velocity fields -------------------------------------------------
-
-def _kde_score(queries: np.ndarray, data: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Gradient of the log of a Gaussian kernel density estimate."""
-    diffs = data[None, :, :] - queries[:, None, :]  # (m, n, d)
-    logits = -np.sum(diffs**2, axis=2) / (2.0 * bandwidth**2)
-    logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    weights /= weights.sum(axis=1, keepdims=True)
-    return np.einsum("qn,qnd->qd", weights, diffs, optimize=True) / bandwidth**2
-
 
 def wgf_velocity(
     targets: ParticleSet,
@@ -290,14 +271,15 @@ def wgf_velocity(
     """Reverse-KL Wasserstein gradient flow velocity from two KDE scores.
 
     The velocity at each particle is the target KDE score minus the particle
-    KDE score; unset bandwidths fall back to per-set median heuristics.
+    KDE score, each the score of a Gaussian mixture centred on the samples;
+    unset bandwidths fall back to per-set median heuristics.
     """
     if targets.dim != particles.dim:
         raise ValueError(f"dimension mismatch: targets {targets.dim}, particles {particles.dim}")
     bw_t = bandwidth_targets if bandwidth_targets is not None else median_heuristic(targets)
     bw_p = bandwidth_particles if bandwidth_particles is not None else median_heuristic(particles)
-    score_t = _kde_score(particles.points, targets.points, bw_t)
-    score_p = _kde_score(particles.points, particles.points, bw_p)
+    score_t = GaussianMixtureScore(targets.points, bw_t).score(particles.points)
+    score_p = GaussianMixtureScore(particles.points, bw_p).score(particles.points)
     return score_t - score_p
 
 

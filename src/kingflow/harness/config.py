@@ -55,14 +55,15 @@ class RunConfig:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario: {self.scenario!r} (expected one of {SCENARIOS})")
         if isinstance(self.flow, dict):
-            flow_dict = self.flow
-            unknown = set(flow_dict) - _FLOW_KEYS
+            unknown = set(self.flow) - _FLOW_KEYS
             if unknown:
                 raise ConfigError(f"unknown flow fields: {sorted(unknown)}")
             try:
-                object.__setattr__(self, "flow", FlowConfig(**flow_dict))
+                object.__setattr__(self, "flow", FlowConfig(**self.flow))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad flow config: {exc}") from exc
+        elif self.flow is not None and not isinstance(self.flow, FlowConfig):
+            raise ConfigError(f"'flow' must be an object, got {type(self.flow).__name__}")
         if self.methods is not None:
             methods = tuple(self.methods)
             for m in methods:
@@ -85,12 +86,6 @@ class RunConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "scenario" not in data:
             raise ConfigError("config is missing the 'scenario' field")
-        flow = data.get("flow")
-        if flow is not None and not isinstance(flow, FlowConfig):
-            if not isinstance(flow, dict):
-                raise ConfigError("'flow' must be an object")
-            if "step" not in flow or "iterations" not in flow:
-                raise ConfigError("'flow' needs at least 'step' and 'iterations'")
         dataset = data.get("dataset") or {}
         if not isinstance(dataset, dict):
             raise ConfigError("'dataset' must be an object")
@@ -102,7 +97,7 @@ class RunConfig:
                 scenario=data["scenario"],
                 seed=seed,
                 methods=data.get("methods"),
-                flow=flow,
+                flow=data.get("flow"),
                 manifold=data.get("manifold"),
                 kernels=data.get("kernels"),
                 dataset=dataset,

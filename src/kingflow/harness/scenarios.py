@@ -508,12 +508,7 @@ def _stein_sampling(cfg: RunConfig) -> tuple[dict, list[RunLog]]:
     eval_targets = ParticleSet(score.sample(int(ds["n_eval"]), seeds[1]))
 
     base_cfg = ds["base"]
-    if base_cfg.get("kind") == "rbf_recipe":
-        base = _materialize_manifold(base_cfg, init, None, seeds[2], base_cfg)
-    elif base_cfg.get("kind") == "gaussian_quadratic":
-        base = GaussianQuadraticMap(input_dim=dim)
-    else:
-        base = feature_map_from_config(base_cfg)
+    base = _materialize_manifold(base_cfg, init, None, seeds[2], base_cfg)
     smap = SteinFeatureMap(base=base, target=score, mode=ds["mode"])
 
     flow = cfg.flow or FlowConfig(step=0.5, iterations=100)
@@ -524,8 +519,7 @@ def _stein_sampling(cfg: RunConfig) -> tuple[dict, list[RunLog]]:
     # localized kernels let the finite Stein moment system stall at skewed
     # spurious equilibria well away from the target mean.
     if (cfg.kernels or {}).get(method) is None:
-        kind = RBF_SCALAR if method == KING else DIAGONALIZED_SCALAR
-        kernel = KernelSpec(kind, bandwidth=20.0)
+        kernel = _default_kernel(method).with_bandwidth(20.0)
     else:
         kernel = _kernel_for(cfg, method, dim, cfg.seed)
     metric = _mmd_metric(eval_targets)

@@ -3,6 +3,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from kingflow import (
@@ -18,6 +20,7 @@ from kingflow import (
     feature_mean,
     fisher_estimate,
     kernel_cross_grad,
+    kernel_value,
     median_heuristic,
     mmd_flow_velocity,
     ntk_gram_blocks,
@@ -26,7 +29,7 @@ from kingflow import (
     solve_ntking_drift,
     wgf_velocity,
 )
-from kingflow.flows import FLOW_METHODS
+from kingflow.flows import FLOW_METHODS, _apply_kernel, _gram_quadratic
 
 
 class FeatureKernel:
@@ -74,6 +77,7 @@ def test_flow_config_defaults():
         {"iterations": True},
         {"log_every": True},
         {"log_every": 2.0},
+        {"freeze_bandwidth": "false"},
     ],
 )
 def test_flow_config_rejects_bad_values(kwargs):
@@ -267,6 +271,77 @@ def test_tangent_kernel_system_is_positive_definite(rng):
     system = ridge * fisher.matrix + quad
     assert np.linalg.eigvalsh(system).min() > 0.0
     assert_allclose(solution.gamma_factor @ solution.gamma_factor.T, system, rtol=1e-8)
+
+
+# -- kernel application against the reference blocks ----------------------------------
+
+class SkewKernel:
+    """Custom matrix kernel ``exp(-|x - y|^2 / 2) A + x y^T`` with non-symmetric blocks."""
+
+    def __init__(self, mix):
+        self.mix = mix
+
+    def pair_blocks(self, xs, ys):
+        sq = ((xs[:, None, :] - ys[None, :, :]) ** 2).sum(axis=2)
+        outer = xs[:, None, :, None] * ys[None, :, None, :]
+        return np.exp(-sq / 2.0)[:, :, None, None] * self.mix + outer
+
+
+def reference_blocks(kernel, xs, ys):
+    """Pairwise blocks ``(len(xs), len(ys), d, d)`` from the reference evaluators."""
+    if not isinstance(kernel, KernelSpec):
+        return kernel.pair_blocks(xs, ys)
+    if kernel.kind == "rbf_scalar":
+        return np.array([[kernel_cross_grad(kernel, x, y) for y in ys] for x in xs])
+    if kernel.kind == "diagonalized_scalar":
+        gram = np.array([[kernel_value(kernel, x, y) for y in ys] for x in xs])
+        return gram[:, :, None, None] * np.eye(xs.shape[1])
+    return ntk_gram_blocks(kernel.ntk, xs, ys)
+
+
+@st.composite
+def kernel_cases(draw, kind):
+    n = draw(st.integers(2, 7))
+    n_queries = draw(st.integers(2, 5))
+    n_fields = draw(st.integers(2, 4))
+    dim = draw(st.integers(1, 3))
+    bandwidth = draw(st.floats(0.2, 5.0))
+    offset = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    anchors = offset + bandwidth * rng.standard_normal((n, dim))
+    queries = offset + bandwidth * rng.standard_normal((n_queries, dim))
+    vels = rng.standard_normal((n, n_fields, dim))
+    if kind == "empirical_ntk":
+        hidden = draw(st.integers(1, 8))
+        ntk = NtkSpec(input_dim=dim, hidden_width=hidden, seed=int(rng.integers(1000)))
+        kernel = KernelSpec(kind, ntk=ntk)
+    elif kind == "custom":
+        kernel = SkewKernel(rng.standard_normal((dim, dim)))
+    else:
+        kernel = KernelSpec(kind, bandwidth=bandwidth)
+    return kernel, anchors, queries, vels
+
+
+def assert_matches_reference(actual, expected):
+    assert_allclose(actual, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
+
+
+KERNEL_CASE_KINDS = ("rbf_scalar", "diagonalized_scalar", "empirical_ntk", "custom")
+
+
+@pytest.mark.parametrize("kind", KERNEL_CASE_KINDS)
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_kernel_application_matches_the_reference_blocks(kind, data):
+    kernel, anchors, queries, vels = data.draw(kernel_cases(kind))
+    n = anchors.shape[0]
+    blocks = reference_blocks(kernel, queries, anchors)
+    expected = np.einsum("qide,ike->qkd", blocks, vels) / n
+    assert_matches_reference(_apply_kernel(kernel, queries, anchors, vels), expected)
+
+    self_blocks = reference_blocks(kernel, anchors, anchors)
+    expected_quad = np.einsum("iad,ijde,jbe->ab", vels, self_blocks, vels) / n**2
+    assert_matches_reference(_gram_quadratic(kernel, anchors, vels), expected_quad)
 
 
 # -- baseline velocities -------------------------------------------------------------

@@ -87,11 +87,20 @@ def test_run_config_coerces_flow_dicts_in_the_constructor():
         {"scenario": "bimodal_compare", "flow": {"step": float("nan"), "iterations": 5}},
         {"scenario": "bimodal_compare", "flow": {"step": 1.0, "iterations": 2.5}},
         {"scenario": "bimodal_compare", "flow": {"step": 1.0, "iterations": 5, "log_every": True}},
+        {
+            "scenario": "bimodal_compare",
+            "flow": {"step": 1.0, "iterations": 5, "freeze_bandwidth": "false"},
+        },
     ],
 )
 def test_run_config_rejects_malformed_input(data):
     with pytest.raises(ConfigError):
         RunConfig.from_dict(data)
+
+
+def test_run_config_constructor_rejects_a_non_object_flow():
+    with pytest.raises(ConfigError):
+        RunConfig(scenario="bimodal_compare", flow=[1.0, 5])
 
 
 def test_run_config_replace_overrides_fields():
@@ -301,6 +310,16 @@ def test_cli_run_reports_config_errors(tmp_path, capsys):
     assert "mystery" in json.loads(capsys.readouterr().err)["message"]
     bad.write_text(
         json.dumps({"scenario": "bimodal_compare", "flow": {"step": float("nan"), "iterations": 5}})
+    )
+    assert main(["run", "--config", str(bad)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    bad.write_text(
+        json.dumps(
+            {
+                "scenario": "stein_sampling",
+                "dataset": {"base": {"kind": "rbf_features", "bandwidth": 1.0}},
+            }
+        )
     )
     assert main(["run", "--config", str(bad)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
