@@ -1,4 +1,8 @@
-"""Shared positive-definite linear algebra helpers."""
+"""Positive-definite linear algebra and the sample covariance it factors.
+
+Every input that must be positive definite goes through the strict
+``spd_factor``; only the Fisher estimate is diagonally loaded (``chol_spd``).
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -19,8 +23,9 @@ def chol_spd(mat: np.ndarray, jitter: float) -> tuple[np.ndarray, np.ndarray, fl
     Returns ``(loaded, lower, jitter_applied)`` where ``loaded`` is the matrix
     that was actually factorized and ``jitter_applied`` the absolute amount
     added to each diagonal entry.  Raises ``np.linalg.LinAlgError`` if the
-    matrix stays non-positive-definite at the cap; callers wrap this in their
-    domain-specific error type.
+    matrix stays non-positive-definite at the cap.  Its one caller is
+    ``manifold.FisherMatrix.from_covariance``, which records the load in
+    ``FisherMatrix.jitter_applied``.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -46,6 +51,25 @@ def chol_spd(mat: np.ndarray, jitter: float) -> tuple[np.ndarray, np.ndarray, fl
             factor = min(factor, JITTER_CAP)
 
 
+def spd_factor(mat, error: Exception) -> np.ndarray:
+    """Lower Cholesky factor of the symmetrized ``mat``, with no diagonal load.
+
+    Raises ``error`` when the symmetrized matrix is not positive definite.
+    """
+    mat = np.asarray(mat, dtype=np.float64)
+    try:
+        return np.linalg.cholesky(0.5 * (mat + mat.T))
+    except np.linalg.LinAlgError as exc:
+        raise error from exc
+
+
+def spd_inverse(mat, error: Exception) -> np.ndarray:
+    """Symmetric inverse of ``mat`` from ``spd_factor``, which raises ``error``."""
+    lower = spd_factor(mat, error)
+    inv = chol_solve(lower, np.eye(lower.shape[0]))
+    return 0.5 * (inv + inv.T)
+
+
 def chol_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``L L^T x = b`` given the lower Cholesky factor ``L``."""
     return scipy.linalg.cho_solve((lower, True), b)
@@ -53,9 +77,15 @@ def chol_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def is_spd(mat: np.ndarray) -> bool:
     """True when the symmetrized matrix admits a Cholesky factorization."""
-    sym = 0.5 * (mat + mat.T)
     try:
-        np.linalg.cholesky(sym)
-        return True
+        spd_factor(mat, np.linalg.LinAlgError())
     except np.linalg.LinAlgError:
         return False
+    return True
+
+
+def mean_and_covariance(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row mean and the (1/n)-normalized covariance of an ``(n, k)`` array."""
+    mean = rows.mean(axis=0)
+    centered = rows - mean
+    return mean, centered.T @ centered / rows.shape[0]

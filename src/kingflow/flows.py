@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import chol_solve, chol_spd
+from ._linalg import chol_solve, spd_factor
 from .errors import DivergenceError, SolverError
 from .kernels import (
     DIAGONALIZED_SCALAR,
@@ -128,16 +128,16 @@ def _apply_kernel(kernel, queries: np.ndarray, anchors: np.ndarray, vels: np.nda
         blocks = kernel.pair_blocks(queries, anchors)
         return np.einsum("qide,ike->qkd", blocks, vels, optimize=True) / n
     if kernel.kind in (RBF_SCALAR, DIAGONALIZED_SCALAR):
-        # The Gaussian kernel is translation invariant; centring on the anchor
-        # mean keeps the expanded products below free of cancellation far from
-        # the origin.
-        centre = anchors.mean(axis=0)
-        queries, anchors = queries - centre, anchors - centre
         gram = _gaussian_gram(kernel.bandwidth, queries, anchors)
         eye = (gram @ vels.reshape(n, k * d)).reshape(-1, k, d)
         if kernel.kind == DIAGONALIZED_SCALAR:
             return eye / n
-        # rbf_scalar: k(q, x) (I / s^2 - (q - x)(q - x)^T / s^4)
+        # rbf_scalar: k(q, x) (I / s^2 - (q - x)(q - x)^T / s^4).  The kernel
+        # is translation invariant; centring on the anchor mean, as the Gram
+        # does, keeps the expanded products below free of cancellation far
+        # from the origin.
+        centre = anchors.mean(axis=0)
+        queries, anchors = queries - centre, anchors - centre
         s2 = kernel.bandwidth**2
         by_field = vels.transpose(1, 0, 2)  # (k, n, d)
         # weighted[q, k, i] = k(q, x_i) (q - x_i) . v_ik
@@ -194,10 +194,7 @@ def _solve_drift(
     gap = -model_mean if target_mean is None else -model_mean + target_mean
     jac = fmap.jacobian(particles.points)
     system = ridge * fisher.matrix + _gram_quadratic(kernel, particles.points, jac)
-    try:
-        _, lower, _ = chol_spd(system, 0.0)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("drift system is not positive definite") from exc
+    lower = spd_factor(system, SolverError("drift system is not positive definite"))
     coeff = chol_solve(lower, gap)
     return DriftSolution(
         gamma_factor=lower,
@@ -222,7 +219,8 @@ def solve_king_drift(
     """Drift through the mixed-derivative Gaussian kernel (or a custom matrix kernel).
 
     ``target_mean`` is the target feature mean when the caller already has
-    it; by default it is computed from ``targets``.
+    it; by default it is computed from ``targets``.  A drift system that is
+    not positive definite raises ``SolverError``, with no diagonal load.
     """
     return _solve_drift(KING, fmap, kernel, particles, targets, ridge, jitter, target_mean)
 
@@ -239,7 +237,7 @@ def solve_ntking_drift(
 ) -> DriftSolution:
     """Drift through a tangent kernel, exact or diagonalized to ``k * I``.
 
-    ``target_mean`` is as for ``solve_king_drift``.
+    ``target_mean`` and the ``SolverError`` are as for ``solve_king_drift``.
     """
     return _solve_drift(NTKING, fmap, kernel, particles, targets, ridge, jitter, target_mean)
 

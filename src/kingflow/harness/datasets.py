@@ -5,8 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._linalg import chol_solve, chol_spd, is_spd
+from .._linalg import is_spd, spd_factor, spd_inverse
 from .._rng import as_generator
+from ..metrics import fit_gaussian
 from ..ngd import sample_gaussian
 from ..particles import ParticleSet, as_particles
 
@@ -104,7 +105,7 @@ class GgmSpec:
 
     @property
     def covariance(self) -> np.ndarray:
-        _, lower, _ = chol_spd(self.precision, 0.0)
+        lower = spd_factor(self.precision, ValueError("precision must be positive definite"))
         inv_lower = np.linalg.inv(lower)
         cov = inv_lower.T @ inv_lower
         return 0.5 * (cov + cov.T)
@@ -134,27 +135,15 @@ def rotate_dataset(points, degrees: float) -> ParticleSet:
 
 
 def precision_support(points, threshold: float = 0.1) -> np.ndarray:
-    """Off-diagonal support of the inverse sample covariance.
+    """Off-diagonal support of the inverse of the ``fit_gaussian`` covariance.
 
     Entry ``(i, j)`` is True when the fitted precision exceeds ``threshold``
     in absolute value; the diagonal is always False.
     """
-    pts = as_particles(points).points
-    n, d = pts.shape
-    if n <= d:
-        raise ValueError(f"need more than dim = {d} points, got {n}")
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    centered = pts - pts.mean(axis=0)
-    cov = centered.T @ centered / n
-    trace = float(np.trace(cov))
-    load = 1e-9 * (trace / d if trace > 0 else 1.0)
-    try:
-        _, lower, _ = chol_spd(cov + load * np.eye(d), 0.0)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("sample covariance is singular") from exc
-    precision = chol_solve(lower, np.eye(d))
-    precision = 0.5 * (precision + precision.T)
+    _, cov = fit_gaussian(points)
+    precision = spd_inverse(cov, ValueError("sample covariance is singular"))
     support = np.abs(precision) > threshold
     np.fill_diagonal(support, False)
     return support

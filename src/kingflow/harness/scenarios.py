@@ -83,6 +83,14 @@ def _default_kernel(method: str) -> KernelSpec:
     return KernelSpec(kind=DIAGONALIZED_SCALAR)
 
 
+def _single_method(cfg: RunConfig, allowed: tuple[str, ...]) -> str:
+    """The one method of a single-run scenario, ``ntking`` unless set."""
+    methods = cfg.methods or (NTKING,)
+    if len(methods) != 1 or methods[0] not in allowed:
+        raise ConfigError(f"{cfg.scenario} runs one of {', '.join(allowed)}, got {list(methods)}")
+    return methods[0]
+
+
 def _kernel_for(cfg: RunConfig, method: str, dim: int, seed: int) -> KernelSpec:
     override = (cfg.kernels or {}).get(method)
     if override is None:
@@ -347,6 +355,8 @@ def _graphical_model(cfg: RunConfig) -> tuple[dict, list[RunLog]]:
         },
         "dataset",
     )
+    # Only the drift methods use the feature map that sets the variants apart.
+    method = _single_method(cfg, (KING, NTKING))
     dim = int(ds["dim"])
     seeds = _child_seeds(cfg.seed, 4)
     base_graph_seed = int(seeds[0].generate_state(1)[0])
@@ -377,7 +387,6 @@ def _graphical_model(cfg: RunConfig) -> tuple[dict, list[RunLog]]:
     if ds["include_long"]:
         variants.append(("plain_long", int(ds["long_iterations"]), False))
 
-    method = (cfg.methods or (NTKING,))[0]
     summary_variants = {}
     logs = []
     for label, iterations, informed in variants:
@@ -431,6 +440,7 @@ def _covariate_shift_rotation(cfg: RunConfig) -> tuple[dict, list[RunLog]]:
         },
         "dataset",
     )
+    method = _single_method(cfg, FLOW_METHODS)
     off = float(ds["blob_offset"])
     corners = [
         np.array([off, off]), np.array([off, -off]),
@@ -448,7 +458,6 @@ def _covariate_shift_rotation(cfg: RunConfig) -> tuple[dict, list[RunLog]]:
     shifted = rotate_dataset(fresh, float(ds["degrees"]))
 
     flow = cfg.flow or FlowConfig(step=0.5, iterations=80)
-    method = (cfg.methods or (NTKING,))[0]
     fmap = None
     kernel = None
     if method in (KING, NTKING):
@@ -495,6 +504,7 @@ def _stein_sampling(cfg: RunConfig) -> tuple[dict, list[RunLog]]:
         },
         "dataset",
     )
+    method = _single_method(cfg, (KING, NTKING))
     dim = int(ds["dim"])
     seeds = _child_seeds(cfg.seed, 4)
     score = score_from_config(ds["score"])
@@ -512,9 +522,6 @@ def _stein_sampling(cfg: RunConfig) -> tuple[dict, list[RunLog]]:
     smap = SteinFeatureMap(base=base, target=score, mode=ds["mode"])
 
     flow = cfg.flow or FlowConfig(step=0.5, iterations=100)
-    method = (cfg.methods or (NTKING,))[0]
-    if method not in (KING, NTKING):
-        raise ConfigError("stein_sampling runs drift methods only")
     # A near-global kernel keeps the velocity field close to rigid motions;
     # localized kernels let the finite Stein moment system stall at skewed
     # spurious equilibria well away from the target mean.

@@ -165,7 +165,12 @@ def kernel_gram(spec: KernelSpec, xs, ys) -> np.ndarray:
 
 
 def _gaussian_gram(bandwidth: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Gaussian Gram matrix from the expanded squared distances, clipped at zero."""
+    """Gaussian Gram matrix from the expanded squared distances, clipped at zero.
+
+    Centring on the ``ys`` mean keeps the expansion accurate far from the origin.
+    """
+    centre = ys.mean(axis=0)
+    xs, ys = xs - centre, ys - centre
     sq = np.sum(xs**2, axis=1)[:, None] + np.sum(ys**2, axis=1)[None, :] - 2.0 * xs @ ys.T
     return np.exp(-np.maximum(sq, 0.0) / (2.0 * bandwidth**2))
 

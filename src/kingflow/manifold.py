@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import chol_solve, chol_spd
+from ._linalg import chol_solve, chol_spd, mean_and_covariance
 from ._rng import as_generator
 from .errors import SingularFisherError
 from .particles import ParticleSet
@@ -343,6 +343,20 @@ class FisherMatrix:
     chol_lower: np.ndarray
     jitter_applied: float
 
+    @classmethod
+    def from_covariance(cls, cov: np.ndarray, jitter: float, what: str) -> "FisherMatrix":
+        """Factor a feature covariance, diagonally loaded as ``chol_spd`` describes.
+
+        Past the escalation cap a ``SingularFisherError`` naming ``what`` is raised.
+        """
+        try:
+            loaded, lower, applied = chol_spd(cov, jitter)
+        except np.linalg.LinAlgError as exc:
+            raise SingularFisherError(
+                f"{what} is not positive definite after jitter escalation"
+            ) from exc
+        return cls(matrix=loaded, chol_lower=lower, jitter_applied=applied)
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         return chol_solve(self.chol_lower, b)
 
@@ -358,24 +372,12 @@ def feature_moments(
     """Feature mean and Fisher estimate from one evaluation of the features.
 
     The Fisher matrix is the empirical feature covariance, diagonally loaded
-    until factorizable.  The load is ``jitter`` relative to the mean diagonal
-    of the raw covariance (absolute when the trace vanishes), escalated by
-    factors of 10 on failure; past the escalation cap a
-    ``SingularFisherError`` is raised.
+    until factorizable as ``FisherMatrix.from_covariance`` describes.
     """
     if particles.n < 2:
         raise ValueError("the Fisher estimate needs at least 2 particles")
-    feats = fmap.features(particles.points)
-    mean = feats.mean(axis=0)
-    centered = feats - mean
-    cov = centered.T @ centered / particles.n
-    try:
-        loaded, lower, applied = chol_spd(cov, jitter)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFisherError(
-            f"feature covariance ({fmap.kind}) not positive definite after jitter escalation"
-        ) from exc
-    return mean, FisherMatrix(matrix=loaded, chol_lower=lower, jitter_applied=applied)
+    mean, cov = mean_and_covariance(fmap.features(particles.points))
+    return mean, FisherMatrix.from_covariance(cov, jitter, f"feature covariance ({fmap.kind})")
 
 
 def fisher_estimate(

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chol_spd
+from ._linalg import mean_and_covariance, spd_factor
 from .kernels import _gaussian_gram, median_heuristic
 from .particles import ParticleSet, as_particles
 
@@ -51,9 +51,7 @@ def fit_gaussian(sample) -> tuple[np.ndarray, np.ndarray]:
     n, d = pts.shape
     if n < d + 1:
         raise ValueError(f"need at least dim + 1 = {d + 1} points, got {n}")
-    mean = pts.mean(axis=0)
-    centered = pts - mean
-    cov = centered.T @ centered / n
+    mean, cov = mean_and_covariance(pts)
     trace = float(np.trace(cov))
     load = 1e-9 * (trace / d if trace > 0 else 1.0)
     return mean, cov + load * np.eye(d)
@@ -62,8 +60,8 @@ def fit_gaussian(sample) -> tuple[np.ndarray, np.ndarray]:
 def gaussian_w2(mean_a, cov_a, mean_b, cov_b) -> float:
     """Quadratic Wasserstein distance between two Gaussians.
 
-    Uses the closed form with symmetric matrix square roots; covariance
-    inputs must be positive definite.
+    Uses the closed form with symmetric matrix square roots.  A covariance
+    that is not positive definite raises ``ValueError``; no load is added.
     """
     mean_a = np.asarray(mean_a, dtype=np.float64).ravel()
     mean_b = np.asarray(mean_b, dtype=np.float64).ravel()
@@ -72,10 +70,7 @@ def gaussian_w2(mean_a, cov_a, mean_b, cov_b) -> float:
     if mean_a.shape != mean_b.shape or cov_a.shape != cov_b.shape:
         raise ValueError("mean/covariance shapes do not match")
     for cov in (cov_a, cov_b):
-        try:
-            chol_spd(cov, 0.0)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("covariances must be positive definite") from exc
+        spd_factor(cov, ValueError("covariances must be positive definite"))
 
     def _sqrtm_psd(mat):
         vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))

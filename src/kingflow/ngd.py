@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import chol_solve, chol_spd, is_spd
+from ._linalg import is_spd, spd_factor, spd_inverse
 from ._rng import as_generator
 from .errors import StepFailureError
 from .manifold import (
@@ -82,38 +82,33 @@ class GaussianNaturalParams:
 
 
 def gaussian_moment_to_natural(mean, cov) -> GaussianNaturalParams:
-    """Convert moment parameters (mean, covariance) to natural parameters."""
+    """Convert moment parameters (mean, covariance) to natural parameters.
+
+    A covariance that is not positive definite raises ``ValueError``; no load is added.
+    """
     mean = np.asarray(mean, dtype=np.float64).ravel()
-    cov = np.asarray(cov, dtype=np.float64)
-    try:
-        _, lower, _ = chol_spd(cov, 0.0)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance must be positive definite") from exc
-    precision = chol_solve(lower, np.eye(mean.size))
-    precision = 0.5 * (precision + precision.T)
+    precision = spd_inverse(cov, ValueError("covariance must be positive definite"))
     return GaussianNaturalParams(linear=precision @ mean, quadratic=-0.5 * precision)
 
 
 def gaussian_natural_to_moment(params: GaussianNaturalParams) -> tuple[np.ndarray, np.ndarray]:
-    """Convert natural parameters back to (mean, covariance)."""
-    precision = -2.0 * params.quadratic
-    try:
-        _, lower, _ = chol_spd(precision, 0.0)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("natural parameters are outside the Gaussian domain") from exc
-    cov = chol_solve(lower, np.eye(params.dim))
-    cov = 0.5 * (cov + cov.T)
+    """Convert natural parameters back to (mean, covariance).
+
+    Raises ``ValueError`` when ``-2 * quadratic`` is not positive definite.
+    """
+    cov = spd_inverse(
+        -2.0 * params.quadratic, ValueError("natural parameters are outside the Gaussian domain")
+    )
     return cov @ params.linear, cov
 
 
 def sample_gaussian(mean, cov, n: int, seed) -> np.ndarray:
-    """Draw ``n`` points from N(mean, cov), deterministic in the seed."""
+    """Draw ``n`` points from N(mean, cov), deterministic in the seed.
+
+    A covariance that is not positive definite raises ``ValueError``; no load is added.
+    """
     mean = np.asarray(mean, dtype=np.float64).ravel()
-    cov = np.asarray(cov, dtype=np.float64)
-    try:
-        _, lower, _ = chol_spd(cov, 0.0)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance must be positive definite") from exc
+    lower = spd_factor(cov, ValueError("covariance must be positive definite"))
     rng = as_generator(seed)
     z = rng.standard_normal((int(n), mean.size))
     return mean + z @ lower.T

@@ -22,8 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._linalg import chol_spd
-from .errors import SingularFisherError
+from ._linalg import mean_and_covariance
 from .manifold import FeatureMap, FisherMatrix, fisher_estimate
 from .ngd import NatGradResult
 from .particles import ParticleSet
@@ -106,22 +105,12 @@ def project_change_quadrature(
         pts = trajectory(float(t))
         if not isinstance(pts, ParticleSet):
             pts = ParticleSet(np.asarray(pts, dtype=np.float64), float(t))
-        feats = fmap.features(pts.points)
-        mu = feats.mean(axis=0)
-        centered = feats - mu
-        covs[k] = centered.T @ centered / pts.n
-        means[k] = mu
+        means[k], covs[k] = mean_and_covariance(fmap.features(pts.points))
         weights_cov[k] = tk.value(float(t))
         weights_mean[k] = tk.deriv(float(t))
     int_cov = np.trapezoid(weights_cov[:, None, None] * covs, x=grid, axis=0)
     int_mean = np.trapezoid(weights_mean[:, None] * means, x=grid, axis=0)
-    try:
-        loaded, lower, applied = chol_spd(int_cov, jitter)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFisherError(
-            "window-integrated feature covariance is not positive definite"
-        ) from exc
-    fisher = FisherMatrix(matrix=loaded, chol_lower=lower, jitter_applied=applied)
+    fisher = FisherMatrix.from_covariance(int_cov, jitter, "window-integrated feature covariance")
     return ProjectionResult(delta=-fisher.solve(int_mean), fisher_used=fisher)
 
 

@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
@@ -16,6 +17,7 @@ from kingflow import (
     NtkSpec,
     ParticleSet,
     RbfFeatureMap,
+    SolverError,
     eval_drift,
     feature_mean,
     fisher_estimate,
@@ -271,6 +273,41 @@ def test_tangent_kernel_system_is_positive_definite(rng):
     system = ridge * fisher.matrix + quad
     assert np.linalg.eigvalsh(system).min() > 0.0
     assert_allclose(solution.gamma_factor @ solution.gamma_factor.T, system, rtol=1e-8)
+
+
+class ConstantKernel:
+    """Custom matrix kernel ``K(x, y) = scale * I`` for every pair."""
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def pair_blocks(self, xs, ys):
+        d = xs.shape[1]
+        return np.broadcast_to(self.scale * np.eye(d), (xs.shape[0], ys.shape[0], d, d))
+
+
+def test_indefinite_drift_system_raises_solver_error(rng):
+    # A negative constant kernel subtracts a multiple of M M^T (M the mean
+    # Jacobian) from ridge * Fisher; scale it just past the point where the
+    # system turns indefinite, by far less than the old diagonal-load cap.
+    particles, targets = drift_case(rng)
+    fmap = GaussianQuadraticMap(input_dim=2)
+    ridge, jitter = 1e-2, 1e-6
+    jac = fmap.jacobian(particles.points)
+    loaded = ridge * fisher_estimate(fmap, particles, jitter).matrix
+    removed = -_gram_quadratic(ConstantKernel(-1.0), particles.points, jac)
+    critical = 1.0 / scipy.linalg.eigh(removed, loaded, eigvals_only=True).max()
+    kernel = ConstantKernel(-critical * (1.0 + 1e-3))
+    system = loaded + _gram_quadratic(kernel, particles.points, jac)
+    smallest = np.linalg.eigvalsh(system).min()
+    assert -1e-3 * np.trace(system) / system.shape[0] < smallest < 0.0
+
+    for solve in (solve_king_drift, solve_ntking_drift):
+        with pytest.raises(SolverError):
+            solve(fmap, kernel, particles, targets, ridge, jitter)
+    config = FlowConfig(step=0.1, iterations=1, ridge=ridge, jitter=jitter)
+    with pytest.raises(SolverError):
+        run_flow("king", fmap, kernel, targets, particles, config)
 
 
 # -- kernel application against the reference blocks ----------------------------------

@@ -323,6 +323,17 @@ def test_cli_run_reports_config_errors(tmp_path, capsys):
     )
     assert main(["run", "--config", str(bad)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    # single-method scenarios reject methods they would otherwise drop
+    for scenario, methods in (
+        ("covariate_shift_rotation", ["king", "ntking"]),
+        ("graphical_model", ["king", "ntking"]),
+        ("graphical_model", ["wgf"]),
+        ("graphical_model", ["mmd_flow"]),
+        ("stein_sampling", ["ntking", "king"]),
+    ):
+        bad.write_text(json.dumps({"scenario": scenario, "methods": methods}))
+        assert main(["run", "--config", str(bad)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

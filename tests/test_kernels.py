@@ -42,10 +42,13 @@ def test_kernel_value_one_bandwidth_apart():
 def test_kernel_gram_matches_entrywise_values(rng):
     spec = rbf_kernel(1.1)
     xs, ys = rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
-    gram = kernel_gram(spec, xs, ys)
-    for i in range(4):
-        for j in range(3):
-            assert gram[i, j] == pytest.approx(kernel_value(spec, xs[i], ys[j]))
+    # far from the origin too: the expanded squared distances must not cancel
+    for offset in (0.0, 1e4):
+        gram = kernel_gram(spec, xs + offset, ys + offset)
+        for i in range(4):
+            for j in range(3):
+                expected = kernel_value(spec, xs[i] + offset, ys[j] + offset)
+                assert gram[i, j] == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_kernel_gram_is_psd(rng):

@@ -48,12 +48,13 @@ def test_mmd_default_bandwidth_is_the_pooled_median(rng):
 def test_mmd_is_translation_invariant_at_fixed_bandwidth(rng):
     a = rng.standard_normal((15, 2))
     b = rng.standard_normal((12, 2)) + 1.0
-    shift = np.array([10.0, -4.0])
-    assert_allclose(
-        mmd(a + shift, b + shift, bandwidth=0.8).value,
-        mmd(a, b, bandwidth=0.8).value,
-        atol=1e-12,
-    )
+    for shift in (np.array([10.0, -4.0]), np.array([1e4, -1e4])):
+        assert_allclose(
+            mmd(a + shift, b + shift, bandwidth=0.8).value,
+            mmd(a, b, bandwidth=0.8).value,
+            rtol=1e-12,
+            atol=1e-12,
+        )
 
 
 def test_mmd_accepts_particle_sets(rng):
@@ -164,3 +165,5 @@ def test_w2_input_validation():
         gaussian_w2([0.0], [[1.0]], [0.0, 0.0], np.eye(2))
     with pytest.raises(ValueError):
         gaussian_w2([0.0, 0.0], np.diag([1.0, -1.0]), [0.0, 0.0], np.eye(2))
+    with pytest.raises(ValueError):
+        gaussian_w2([0.0, 0.0], np.eye(2), [0.0, 0.0], np.diag([1.0, -1e-4]))

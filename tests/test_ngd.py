@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 
 from kingflow import (
     CustomLinearMap,
+    GaussianNaturalParams,
     GaussianQuadraticMap,
     ParticleSet,
     StepFailureError,
@@ -93,6 +94,18 @@ def test_moment_round_trip(rng):
 def test_non_positive_definite_covariance_rejected():
     with pytest.raises(ValueError):
         gaussian_moment_to_natural(np.zeros(2), np.diag([1.0, -1.0]))
+    # singular or barely indefinite covariances raise instead of being loaded
+    for cov in (np.diag([1.0, 0.0]), np.diag([1.0, -1e-4])):
+        with pytest.raises(ValueError):
+            gaussian_moment_to_natural(np.zeros(2), cov)
+    with pytest.raises(ValueError):
+        sample_gaussian(np.zeros(2), np.diag([1.0, -1e-5]), 10, seed=0)
+
+
+def test_natural_parameters_outside_the_gaussian_domain_rejected():
+    for quadratic in (np.diag([-0.5, 0.0]), np.diag([-0.5, 1e-6])):
+        with pytest.raises(ValueError):
+            gaussian_natural_to_moment(GaussianNaturalParams(np.zeros(2), quadratic))
 
 
 def test_sample_gaussian_is_seeded_and_moment_matched():
