@@ -316,17 +316,18 @@ def run_flow(
     init: ParticleSet,
     config: FlowConfig,
     observer: Observer | None = None,
-    extra_metrics: Callable[[ParticleSet], dict] | None = None,
 ) -> ParticleSet:
     """Advance particles by forward Euler under the chosen method.
 
     The drift methods re-solve their system every iteration on the current
     particles; scalar-kernel bandwidths left unset are refreshed by the
     median heuristic each iteration unless ``config.freeze_bandwidth`` pins
-    them to the heuristic value on the initial state.  The observer, when
-    given, is called on the initial state and then every ``log_every``
-    iterations (always including the last) with iteration number, flow time,
-    the particle set, and a diagnostics dict.
+    them to the heuristic value on the initial state.  The one ``observer``
+    callback, when given, is called on the initial state with empty
+    diagnostics and then every ``log_every`` iterations (always including the
+    last) with iteration number, flow time, the particle set, and a
+    diagnostics dict holding ``drift_norm``, the mean particle speed.  Other
+    per-iteration metrics are the observer's to compute.
     """
     if method not in FLOW_METHODS:
         raise ValueError(f"unknown flow method: {method!r}")
@@ -346,15 +347,9 @@ def run_flow(
         feature_mean(fmap, targets) if method in (KING, NTKING) and targets is not None else None
     )
 
-    def _emit(iteration, t, particles, diagnostics):
-        if observer is None:
-            return
-        if extra_metrics is not None:
-            diagnostics = {**diagnostics, **extra_metrics(particles)}
-        observer(iteration, t, particles, diagnostics)
-
     particles = init
-    _emit(0, particles.t, particles, {})
+    if observer is not None:
+        observer(0, particles.t, particles, {})
     solve = solve_king_drift if method == KING else solve_ntking_drift
     for iteration in range(1, config.iterations + 1):
         if method in (KING, NTKING):
@@ -373,7 +368,8 @@ def run_flow(
                 f"particles became non-finite at iteration {iteration}", iteration
             )
         particles = ParticleSet(moved, t=particles.t + config.step)
-        if iteration % config.log_every == 0 or iteration == config.iterations:
+        logged = iteration % config.log_every == 0 or iteration == config.iterations
+        if observer is not None and logged:
             drift_norm = float(np.linalg.norm(velocity, axis=1).mean())
-            _emit(iteration, particles.t, particles, {"drift_norm": drift_norm})
+            observer(iteration, particles.t, particles, {"drift_norm": drift_norm})
     return particles

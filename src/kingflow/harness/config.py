@@ -22,14 +22,29 @@ _FLOW_KEYS = {f.name for f in fields(FlowConfig)}
 
 
 def take_fields(given: dict, defaults: dict, context: str) -> dict:
-    """Merge a user dict over defaults, rejecting keys outside the defaults."""
+    """Merge a user dict over defaults, rejecting keys outside the defaults.
+
+    A value must have its default's type, except that a float default also
+    takes an int (returned as a float) and a ``None`` default takes anything.
+    """
     if not isinstance(given, dict):
         raise ConfigError(f"{context} must be an object, got {type(given).__name__}")
     unknown = set(given) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown {context} fields: {sorted(unknown)}")
     merged = dict(defaults)
-    merged.update(given)
+    for key, value in given.items():
+        default = defaults[key]
+        if isinstance(default, float) and isinstance(value, int) and not isinstance(value, bool):
+            value = float(value)
+        if default is not None and (
+            isinstance(value, bool) != isinstance(default, bool)
+            or not isinstance(value, type(default))
+        ):
+            raise ConfigError(
+                f"{context} field {key!r} must be a {type(default).__name__}, got {value!r}"
+            )
+        merged[key] = value
     return merged
 
 

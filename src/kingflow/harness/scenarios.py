@@ -15,6 +15,7 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -53,15 +54,31 @@ _METRIC_COLUMNS = ("mmd", "drift_norm", "residual", "w2_gap", "w2_to_target")
 
 @dataclass
 class RunLog:
-    """Snapshots and diagnostics collected from one flow run."""
+    """Snapshots and diagnostics of one flow run, with ``metric(particles)`` merged in."""
 
     label: str
+    metric: Callable[[ParticleSet], dict] | None = None
     snapshots: list = field(default_factory=list)
     metrics: list = field(default_factory=list)
 
     def observer(self, iteration: int, t: float, particles: ParticleSet, diagnostics: dict):
+        if self.metric is not None:
+            diagnostics = {**diagnostics, **self.metric(particles)}
         self.snapshots.append((iteration, t, particles))
         self.metrics.append((iteration, t, dict(diagnostics)))
+
+    @property
+    def final(self) -> ParticleSet:
+        """The particles at the last iteration, which the flow always logs."""
+        return self.snapshots[-1][2]
+
+    def change(self, column: str, name: str, ratio: bool = True) -> dict:
+        """``initial_<name>`` and ``final_<name>`` of a metric column, and their ratio."""
+        first, last = self.metrics[0][2][column], self.metrics[-1][2][column]
+        ends = {f"initial_{name}": first, f"final_{name}": last}
+        if ratio:
+            ends["ratio"] = last / first if first > 0 else float("nan")
+        return ends
 
 
 @dataclass(frozen=True)
@@ -77,28 +94,29 @@ def _child_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(n)
 
 
-def _default_kernel(method: str) -> KernelSpec:
-    if method == KING:
-        return KernelSpec(kind=RBF_SCALAR)
-    return KernelSpec(kind=DIAGONALIZED_SCALAR)
+def _methods(
+    cfg: RunConfig, allowed: tuple[str, ...], default: tuple[str, ...], single: bool = False
+) -> tuple[str, ...]:
+    """The scenario's methods (``default`` unless set), checked before any flow runs."""
+    methods = cfg.methods or default
+    if (single and len(methods) != 1) or any(m not in allowed for m in methods):
+        count = "one of" if single else "only"
+        raise ConfigError(f"{cfg.scenario} runs {count} {', '.join(allowed)}, got {list(methods)}")
+    return methods
 
 
-def _single_method(cfg: RunConfig, allowed: tuple[str, ...]) -> str:
-    """The one method of a single-run scenario, ``ntking`` unless set."""
-    methods = cfg.methods or (NTKING,)
-    if len(methods) != 1 or methods[0] not in allowed:
-        raise ConfigError(f"{cfg.scenario} runs one of {', '.join(allowed)}, got {list(methods)}")
-    return methods[0]
-
-
-def _kernel_for(cfg: RunConfig, method: str, dim: int, seed: int) -> KernelSpec:
+def _kernel_for(
+    cfg: RunConfig, method: str, init: ParticleSet, bandwidth: float | None = None
+) -> KernelSpec:
+    """The kernel ``cfg`` sets for ``method``, else its default kind at ``bandwidth``."""
     override = (cfg.kernels or {}).get(method)
     if override is None:
-        return _default_kernel(method)
+        kind = RBF_SCALAR if method == KING else DIAGONALIZED_SCALAR
+        return KernelSpec(kind=kind, bandwidth=bandwidth)
     spec = dict(override)
     if spec.get("kind") == EMPIRICAL_NTK:
-        spec.setdefault("input_dim", dim)
-        spec.setdefault("seed", seed)
+        spec.setdefault("input_dim", init.dim)
+        spec.setdefault("seed", cfg.seed)
     try:
         return KernelSpec.from_config(spec)
     except (KeyError, ValueError) as exc:
@@ -106,28 +124,19 @@ def _kernel_for(cfg: RunConfig, method: str, dim: int, seed: int) -> KernelSpec:
 
 
 def _materialize_manifold(
-    manifold_cfg: dict | None,
-    init: ParticleSet,
-    targets: ParticleSet | None,
-    seed,
-    default: dict,
+    cfg: dict, init: ParticleSet, targets: ParticleSet | None, seed
 ) -> FeatureMap:
-    cfg = default if manifold_cfg is None else manifold_cfg
     kind = cfg.get("kind")
     if kind == "rbf_recipe":
+        # The recipe's fields, bar its kind, are rbf_map_from_samples keywords.
         recipe = take_fields(
             cfg,
             {"kind": "rbf_recipe", "n_centers": 50, "bandwidth": None, "bandwidth_scale": 1.0},
             "manifold",
         )
-        return rbf_map_from_samples(
-            init,
-            n_centers=int(recipe["n_centers"]),
-            bandwidth=recipe["bandwidth"],
-            bandwidth_samples=_pool(init, targets),
-            bandwidth_scale=float(recipe["bandwidth_scale"]),
-            seed=seed,
-        )
+        del recipe["kind"]
+        pool = init if targets is None else ParticleSet(np.vstack([init.points, targets.points]))
+        return rbf_map_from_samples(init, bandwidth_samples=pool, seed=seed, **recipe)
     if kind == "gaussian_quadratic":
         return GaussianQuadraticMap(input_dim=init.dim)
     try:
@@ -136,43 +145,49 @@ def _materialize_manifold(
         raise ConfigError(f"bad manifold config: {exc}") from exc
 
 
-def _pool(a: ParticleSet, b: ParticleSet | None) -> ParticleSet:
-    if b is None:
-        return a
-    return ParticleSet(np.vstack([a.points, b.points]))
+def _flow(
+    cfg: RunConfig,
+    method: str,
+    init: ParticleSet,
+    targets: ParticleSet | None,
+    flow: FlowConfig,
+    *,
+    label: str | None = None,
+    metric: Callable[[ParticleSet], dict] | None = None,
+    fmap: FeatureMap | None = None,
+    recipe: dict | None = None,
+    seed=None,
+    bandwidth: float | None = None,
+) -> RunLog:
+    """Run one flow and return its log, labelled ``method`` unless ``label`` is set.
+
+    The drift methods take ``fmap`` when given, else the manifold built from
+    ``cfg.manifold`` (``recipe`` when unset) over ``init`` and ``targets``.
+    """
+    kernel = None
+    if method in (KING, NTKING):
+        if fmap is None:
+            manifold = recipe if cfg.manifold is None else cfg.manifold
+            fmap = _materialize_manifold(manifold, init, targets, seed)
+        kernel = _kernel_for(cfg, method, init, bandwidth)
+    log = RunLog(label or method, metric)
+    run_flow(method, fmap, kernel, targets, init, flow, observer=log.observer)
+    return log
 
 
-def _mmd_metric(eval_targets: ParticleSet):
-    def metric(particles: ParticleSet) -> dict:
-        return {"mmd": mmd(eval_targets, particles).value}
-
-    return metric
+def _mmd_metric(eval_targets: ParticleSet) -> Callable[[ParticleSet], dict]:
+    return lambda particles: {"mmd": mmd(eval_targets, particles).value}
 
 
 # -- scenario implementations -------------------------------------------------
 
-def _bimodal_compare(cfg: RunConfig) -> tuple[dict, list[RunLog]]:
-    ds = take_fields(
-        cfg.dataset,
-        {
-            "dim": 5,
-            "n_targets": 100,
-            "n_particles": 100,
-            "offset": 2.0,
-            "n_eval": 200,
-        },
-        "dataset",
-    )
-    dim = int(ds["dim"])
-    offset = float(ds["offset"])
+def _bimodal_compare(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
+    methods = _methods(cfg, FLOW_METHODS, FLOW_METHODS)
+    dim, offset = ds["dim"], ds["offset"]
     seeds = _child_seeds(cfg.seed, 5)
-    targets = gen_gaussian_mixture(
-        dim, [-offset, offset], [0.5, 0.5], int(ds["n_targets"]), seeds[0]
-    )
-    init = gen_gaussian_mixture(dim, [0.0], [1.0], int(ds["n_particles"]), seeds[1])
-    eval_targets = gen_gaussian_mixture(
-        dim, [-offset, offset], [0.5, 0.5], int(ds["n_eval"]), seeds[2]
-    )
+    targets = gen_gaussian_mixture(dim, [-offset, offset], [0.5, 0.5], ds["n_targets"], seeds[0])
+    init = gen_gaussian_mixture(dim, [0.0], [1.0], ds["n_particles"], seeds[1])
+    eval_targets = gen_gaussian_mixture(dim, [-offset, offset], [0.5, 0.5], ds["n_eval"], seeds[2])
     # Drift magnitudes at step 1 are only stable on a smoothed manifold and
     # with per-method damping, so the defaults widen the feature bandwidth and
     # calibrate ridge (and the kernel-bandwidth refresh policy) per method.
@@ -180,76 +195,38 @@ def _bimodal_compare(cfg: RunConfig) -> tuple[dict, list[RunLog]]:
         KING: FlowConfig(step=1.0, iterations=100, ridge=1e-2),
         NTKING: FlowConfig(step=1.0, iterations=100, ridge=1e-1, freeze_bandwidth=True),
     }
-    methods = cfg.methods or FLOW_METHODS
-    metric = _mmd_metric(eval_targets)
-
-    summary_methods = {}
-    logs = []
-    for method in methods:
-        if cfg.flow is not None:
-            flow = cfg.flow
-        else:
-            flow = default_flow.get(method, FlowConfig(step=1.0, iterations=100))
-        fmap = None
-        kernel = None
-        if method in (KING, NTKING):
-            fmap = _materialize_manifold(
-                cfg.manifold, init, targets, seeds[3],
-                {"kind": "rbf_recipe", "bandwidth_scale": 2.0},
-            )
-            kernel = _kernel_for(cfg, method, dim, cfg.seed)
-        log = RunLog(label=method)
-        run_flow(
-            method, fmap, kernel, targets, init, flow,
-            observer=log.observer, extra_metrics=metric,
+    logs = [
+        _flow(
+            cfg, method, init, targets,
+            cfg.flow or default_flow.get(method, FlowConfig(step=1.0, iterations=100)),
+            metric=_mmd_metric(eval_targets),
+            recipe={"kind": "rbf_recipe", "bandwidth_scale": 2.0},
+            seed=seeds[3],
         )
-        logs.append(log)
-        initial_mmd = log.metrics[0][2]["mmd"]
-        final_mmd = log.metrics[-1][2]["mmd"]
-        summary_methods[method] = {
-            "initial_mmd": initial_mmd,
-            "final_mmd": final_mmd,
-            "ratio": final_mmd / initial_mmd if initial_mmd > 0 else float("nan"),
-        }
-    return {"dim": dim, "methods": summary_methods}, logs
+        for method in methods
+    ]
+    return {"dim": dim, "methods": {log.label: log.change("mmd", "mmd") for log in logs}}, logs
 
 
-def _manifold_guidance(cfg: RunConfig) -> tuple[dict, list[RunLog]]:
-    ds = take_fields(
-        cfg.dataset,
-        {
-            "n_targets": 200,
-            "n_particles": 200,
-            "offset": 2.0,
-            "n_eval": 200,
-        },
-        "dataset",
-    )
-    offset = float(ds["offset"])
+def _manifold_guidance(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
+    methods = _methods(cfg, (KING, NTKING), (KING,))
+    offset = ds["offset"]
     seeds = _child_seeds(cfg.seed, 5)
-    targets = gen_gaussian_mixture(1, [-offset, offset], [0.5, 0.5], int(ds["n_targets"]), seeds[0])
-    init = gen_gaussian_mixture(1, [0.0], [1.0], int(ds["n_particles"]), seeds[1])
-    eval_targets = gen_gaussian_mixture(1, [-offset, offset], [0.5, 0.5], int(ds["n_eval"]), seeds[2])
+    targets = gen_gaussian_mixture(1, [-offset, offset], [0.5, 0.5], ds["n_targets"], seeds[0])
+    init = gen_gaussian_mixture(1, [0.0], [1.0], ds["n_particles"], seeds[1])
+    eval_targets = gen_gaussian_mixture(1, [-offset, offset], [0.5, 0.5], ds["n_eval"], seeds[2])
     flow = cfg.flow or FlowConfig(step=0.5, iterations=100)
-    methods = cfg.methods or (KING,)
-    metric = _mmd_metric(eval_targets)
+    recipe = {"kind": "gaussian_quadratic"}
 
     summary_methods = {}
     logs = []
     for method in methods:
-        if method not in (KING, NTKING):
-            raise ConfigError("manifold_guidance runs drift methods only")
-        fmap = _materialize_manifold(
-            cfg.manifold, init, targets, seeds[3], {"kind": "gaussian_quadratic"}
-        )
-        kernel = _kernel_for(cfg, method, 1, cfg.seed)
-        log = RunLog(label=method)
-        final = run_flow(
-            method, fmap, kernel, targets, init, flow,
-            observer=log.observer, extra_metrics=metric,
+        log = _flow(
+            cfg, method, init, targets, flow,
+            metric=_mmd_metric(eval_targets), recipe=recipe, seed=seeds[3],
         )
         logs.append(log)
-        pts = final.points[:, 0]
+        pts = log.final.points[:, 0]
         positive = pts > 0
         summary_methods[method] = {
             "final_mean": float(pts.mean()),
@@ -257,160 +234,110 @@ def _manifold_guidance(cfg: RunConfig) -> tuple[dict, list[RunLog]]:
             "fraction_positive": float(positive.mean()),
             "mean_positive": float(pts[positive].mean()) if positive.any() else float("nan"),
             "mean_negative": float(pts[~positive].mean()) if (~positive).any() else float("nan"),
-            "initial_mmd": log.metrics[0][2]["mmd"],
-            "final_mmd": log.metrics[-1][2]["mmd"],
+            **log.change("mmd", "mmd", ratio=False),
         }
-    manifold_kind = (cfg.manifold or {"kind": "gaussian_quadratic"}).get("kind")
-    return {"manifold": manifold_kind, "methods": summary_methods}, logs
+    return {"manifold": (cfg.manifold or recipe).get("kind"), "methods": summary_methods}, logs
 
 
-def _ngd_tracking(cfg: RunConfig) -> tuple[dict, list[RunLog]]:
-    ds = take_fields(
-        cfg.dataset,
-        {
-            "dim": 2,
-            "n_targets": 500,
-            "n_particles": 400,
-            "mc_samples": 4096,
-            "checkpoints": 10,
-        },
-        "dataset",
-    )
-    dim = int(ds["dim"])
+def _ngd_tracking(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
+    # The exact reference descends on the Gaussian family only, which the
+    # ``king`` flow on the quadratic map tracks.
+    _methods(cfg, (KING,), (KING,), single=True)
+    dim = ds["dim"]
     seeds = _child_seeds(cfg.seed, 5)
     rng = np.random.default_rng(seeds[0])
     target_mean = rng.uniform(-1.5, 1.5, size=dim)
     shape = rng.normal(size=(dim, dim))
     target_cov = shape @ shape.T / dim + 0.5 * np.eye(dim)
-    targets = ParticleSet(sample_gaussian(target_mean, target_cov, int(ds["n_targets"]), seeds[1]))
-    init = ParticleSet(sample_gaussian(np.zeros(dim), np.eye(dim), int(ds["n_particles"]), seeds[2]))
+    targets = ParticleSet(sample_gaussian(target_mean, target_cov, ds["n_targets"], seeds[1]))
+    init = ParticleSet(sample_gaussian(np.zeros(dim), np.eye(dim), ds["n_particles"], seeds[2]))
 
     flow = cfg.flow or FlowConfig(step=0.25, iterations=60, ridge=1e-4)
-    n_checkpoints = int(ds["checkpoints"])
-    every = max(flow.iterations // n_checkpoints, 1)
-
-    fmap = GaussianQuadraticMap(input_dim=dim)
-    kernel = _kernel_for(cfg, KING, dim, cfg.seed)
+    every = max(flow.iterations // ds["checkpoints"], 1)
 
     params = gaussian_moment_to_natural(np.zeros(dim), np.eye(dim))
     param_moments = {0: gaussian_natural_to_moment(params)}
-    step_seeds = seeds[3].spawn(flow.iterations)
-    for k in range(1, flow.iterations + 1):
+    for k, step_seed in enumerate(seeds[3].spawn(flow.iterations), start=1):
         params = exact_ngd_step(
             params, targets, flow.step,
-            mc_samples=int(ds["mc_samples"]), seed=step_seeds[k - 1], jitter=flow.jitter,
+            mc_samples=ds["mc_samples"], seed=step_seed, jitter=flow.jitter,
         )
         param_moments[k] = gaussian_natural_to_moment(params)
 
-    log = RunLog(label="king")
+    log = _flow(
+        cfg, KING, init, targets, replace(flow, log_every=every),
+        fmap=GaussianQuadraticMap(input_dim=dim),
+    )
     checkpoints = []
-    tracked = replace(flow, log_every=every)
-    final = run_flow(KING, fmap, kernel, targets, init, tracked, observer=log.observer)
-
-    for iteration, t, particles in log.snapshots:
-        if iteration == 0:
-            continue
+    for (iteration, t, particles), (_, _, diag) in zip(log.snapshots[1:], log.metrics[1:]):
         mean_fit, cov_fit = fit_gaussian(particles)
         mean_ngd, cov_ngd = param_moments[iteration]
         gap = gaussian_w2(mean_fit, cov_fit, mean_ngd, cov_ngd)
         to_target = gaussian_w2(mean_fit, cov_fit, target_mean, target_cov)
+        diag.update(w2_gap=gap, w2_to_target=to_target)
         checkpoints.append(
             {"iteration": iteration, "t": t, "w2_gap": gap, "w2_to_target": to_target}
         )
 
-    mean_fit, cov_fit = fit_gaussian(final)
-    mean_ngd, cov_ngd = param_moments[flow.iterations]
+    # The last checkpoint is the final iteration, which the flow always logs.
     summary = {
         "checkpoints": checkpoints,
         "max_w2_gap": max(c["w2_gap"] for c in checkpoints),
-        "final_w2_particles_to_target": gaussian_w2(mean_fit, cov_fit, target_mean, target_cov),
-        "final_w2_exact_to_target": gaussian_w2(mean_ngd, cov_ngd, target_mean, target_cov),
+        "final_w2_particles_to_target": checkpoints[-1]["w2_to_target"],
+        "final_w2_exact_to_target": gaussian_w2(
+            *param_moments[flow.iterations], target_mean, target_cov
+        ),
         "target_mean": target_mean.tolist(),
         "target_cov": target_cov.tolist(),
     }
-    for entry, (iteration, t, diag) in zip(checkpoints, log.metrics[1:]):
-        diag["w2_gap"] = entry["w2_gap"]
-        diag["w2_to_target"] = entry["w2_to_target"]
     return summary, [log]
 
 
-def _graphical_model(cfg: RunConfig) -> tuple[dict, list[RunLog]]:
-    # The 10-dim desk version needs a denser graph than the full-size default
-    # edge probability: at 0.05 the handful of edges is recovered by plain RBF
-    # features just as well, and the informed-statistics contrast disappears.
-    ds = take_fields(
-        cfg.dataset,
-        {
-            "dim": 10,
-            "edge_prob": 0.25,
-            "edge_value": 0.3,
-            "n_targets": 200,
-            "n_particles": 200,
-            "threshold": 0.1,
-            "min_edges": 5,
-            "informed_iterations": 30,
-            "plain_iterations": 30,
-            "long_iterations": 300,
-            "include_long": True,
-        },
-        "dataset",
-    )
+def _graphical_model(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     # Only the drift methods use the feature map that sets the variants apart.
-    method = _single_method(cfg, (KING, NTKING))
-    dim = int(ds["dim"])
+    (method,) = _methods(cfg, (KING, NTKING), (NTKING,), single=True)
+    dim = ds["dim"]
     seeds = _child_seeds(cfg.seed, 4)
     base_graph_seed = int(seeds[0].generate_state(1)[0])
-    spec = None
     for attempt in range(200):
-        candidate = GgmSpec(
+        spec = GgmSpec(
             dim=dim,
-            edge_prob=float(ds["edge_prob"]),
-            edge_value=float(ds["edge_value"]),
+            edge_prob=ds["edge_prob"],
+            edge_value=ds["edge_value"],
             seed=base_graph_seed + attempt,
         )
-        if len(candidate.edges) >= int(ds["min_edges"]):
-            spec = candidate
+        if len(spec.edges) >= ds["min_edges"]:
             break
-    if spec is None:
+    else:
         raise ConfigError("could not sample a graph with enough edges; raise edge_prob")
 
-    targets = gen_ggm_samples(spec, int(ds["n_targets"]), seeds[1])
-    init = ParticleSet(sample_gaussian(np.zeros(dim), np.eye(dim), int(ds["n_particles"]), seeds[2]))
+    targets = gen_ggm_samples(spec, ds["n_targets"], seeds[1])
+    init = ParticleSet(sample_gaussian(np.zeros(dim), np.eye(dim), ds["n_particles"], seeds[2]))
     flow = cfg.flow or FlowConfig(step=1.0, iterations=30)
-    threshold = float(ds["threshold"])
     true_edges = set(spec.edges)
 
+    recipe = {"kind": "rbf_recipe"} if cfg.manifold is None else cfg.manifold
+    plain = _materialize_manifold(recipe, init, targets, seeds[3])
+    informed = InformedPairwiseMap(
+        centers=plain.centers, bandwidth=plain.bandwidth, pairs=tuple(spec.edges)
+    )
     variants = [
-        ("informed", int(ds["informed_iterations"]), True),
-        ("plain", int(ds["plain_iterations"]), False),
+        ("informed", ds["informed_iterations"], informed),
+        ("plain", ds["plain_iterations"], plain),
     ]
     if ds["include_long"]:
-        variants.append(("plain_long", int(ds["long_iterations"]), False))
+        variants.append(("plain_long", ds["long_iterations"], plain))
 
     summary_variants = {}
     logs = []
-    for label, iterations, informed in variants:
-        plain_map = _materialize_manifold(
-            cfg.manifold, init, targets, seeds[3], {"kind": "rbf_recipe"}
+    for label, iterations, fmap in variants:
+        log = _flow(
+            cfg, method, init, targets, replace(flow, iterations=iterations),
+            label=label, fmap=fmap,
         )
-        if informed:
-            fmap = InformedPairwiseMap(
-                centers=plain_map.centers,
-                bandwidth=plain_map.bandwidth,
-                pairs=tuple(spec.edges),
-            )
-        else:
-            fmap = plain_map
-        kernel = _kernel_for(cfg, method, dim, cfg.seed)
-        variant_flow = replace(flow, iterations=iterations)
-        log = RunLog(label=label)
-        final = run_flow(method, fmap, kernel, targets, init, variant_flow, observer=log.observer)
         logs.append(log)
-        support = precision_support(final, threshold)
-        iu = np.triu_indices(dim, k=1)
-        found = {
-            (int(i), int(j)) for i, j in zip(iu[0], iu[1]) if support[i, j]
-        }
+        support = precision_support(log.final, ds["threshold"])
+        found = {(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(support, k=1)))}
         recovered = len(found & true_edges)
         summary_variants[label] = {
             "iterations": iterations,
@@ -428,125 +355,128 @@ def _graphical_model(cfg: RunConfig) -> tuple[dict, list[RunLog]]:
     return summary, logs
 
 
-def _covariate_shift_rotation(cfg: RunConfig) -> tuple[dict, list[RunLog]]:
-    ds = take_fields(
-        cfg.dataset,
-        {
-            "n_source": 300,
-            "n_shift": 300,
-            "blob_offset": 2.0,
-            "component_sd": 0.4,
-            "degrees": 45.0,
-        },
-        "dataset",
-    )
-    method = _single_method(cfg, FLOW_METHODS)
-    off = float(ds["blob_offset"])
+def _covariate_shift_rotation(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
+    (method,) = _methods(cfg, FLOW_METHODS, (NTKING,), single=True)
+    off = ds["blob_offset"]
     corners = [
         np.array([off, off]), np.array([off, -off]),
         np.array([-off, off]), np.array([-off, -off]),
     ]
     seeds = _child_seeds(cfg.seed, 4)
     source = gen_gaussian_mixture(
-        2, corners, [0.25] * 4, int(ds["n_source"]), seeds[0],
-        component_sd=float(ds["component_sd"]),
+        2, corners, [0.25] * 4, ds["n_source"], seeds[0], component_sd=ds["component_sd"]
     )
     fresh = gen_gaussian_mixture(
-        2, corners, [0.25] * 4, int(ds["n_shift"]), seeds[1],
-        component_sd=float(ds["component_sd"]),
+        2, corners, [0.25] * 4, ds["n_shift"], seeds[1], component_sd=ds["component_sd"]
     )
-    shifted = rotate_dataset(fresh, float(ds["degrees"]))
-
-    flow = cfg.flow or FlowConfig(step=0.5, iterations=80)
-    fmap = None
-    kernel = None
-    if method in (KING, NTKING):
-        fmap = _materialize_manifold(
-            cfg.manifold, shifted, source, seeds[2], {"kind": "rbf_recipe"}
-        )
-        kernel = _kernel_for(cfg, method, 2, cfg.seed)
-
+    shifted = rotate_dataset(fresh, ds["degrees"])
     tree = cKDTree(source.points)
 
     def nn_metric(particles: ParticleSet) -> dict:
         dists, _ = tree.query(particles.points)
         return {"residual": float(dists.mean())}
 
-    log = RunLog(label=method)
-    final = run_flow(
-        method, fmap, kernel, source, shifted, flow,
-        observer=log.observer, extra_metrics=nn_metric,
+    log = _flow(
+        cfg, method, shifted, source, cfg.flow or FlowConfig(step=0.5, iterations=80),
+        metric=nn_metric, recipe={"kind": "rbf_recipe"}, seed=seeds[2],
     )
-    initial_nn = log.metrics[0][2]["residual"]
-    final_nn = log.metrics[-1][2]["residual"]
     summary = {
         "method": method,
-        "degrees": float(ds["degrees"]),
-        "initial_nn_distance": initial_nn,
-        "final_nn_distance": final_nn,
-        "ratio": final_nn / initial_nn if initial_nn > 0 else float("nan"),
+        "degrees": ds["degrees"],
+        **log.change("residual", "nn_distance"),
     }
     return summary, [log]
 
 
-def _stein_sampling(cfg: RunConfig) -> tuple[dict, list[RunLog]]:
-    ds = take_fields(
-        cfg.dataset,
-        {
-            "dim": 1,
-            "n_particles": 200,
-            "init_mean": 3.0,
-            "init_sd": 1.0,
-            "score": {"kind": "gaussian", "mean": [0.0], "variances": [1.0]},
-            "base": {"kind": "gaussian_quadratic"},
-            "mode": "paired",
-            "n_eval": 200,
-        },
-        "dataset",
-    )
-    method = _single_method(cfg, (KING, NTKING))
-    dim = int(ds["dim"])
+def _stein_sampling(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
+    (method,) = _methods(cfg, (KING, NTKING), (NTKING,), single=True)
+    dim = ds["dim"]
     seeds = _child_seeds(cfg.seed, 4)
     score = score_from_config(ds["score"])
     if score.dim != dim:
         raise ConfigError(f"score dimension {score.dim} does not match dataset dim {dim}")
     rng = np.random.default_rng(seeds[0])
-    init_mean = np.full(dim, float(ds["init_mean"]))
-    init = ParticleSet(
-        init_mean + float(ds["init_sd"]) * rng.standard_normal((int(ds["n_particles"]), dim))
-    )
-    eval_targets = ParticleSet(score.sample(int(ds["n_eval"]), seeds[1]))
-
-    base_cfg = ds["base"]
-    base = _materialize_manifold(base_cfg, init, None, seeds[2], base_cfg)
+    noise = rng.standard_normal((ds["n_particles"], dim))
+    init = ParticleSet(np.full(dim, ds["init_mean"]) + ds["init_sd"] * noise)
+    eval_targets = ParticleSet(score.sample(ds["n_eval"], seeds[1]))
+    base = _materialize_manifold(ds["base"], init, None, seeds[2])
     smap = SteinFeatureMap(base=base, target=score, mode=ds["mode"])
 
-    flow = cfg.flow or FlowConfig(step=0.5, iterations=100)
     # A near-global kernel keeps the velocity field close to rigid motions;
     # localized kernels let the finite Stein moment system stall at skewed
     # spurious equilibria well away from the target mean.
-    if (cfg.kernels or {}).get(method) is None:
-        kernel = _default_kernel(method).with_bandwidth(20.0)
-    else:
-        kernel = _kernel_for(cfg, method, dim, cfg.seed)
-    metric = _mmd_metric(eval_targets)
-
-    log = RunLog(label=method)
-    final = run_flow(
-        method, smap, kernel, None, init, flow,
-        observer=log.observer, extra_metrics=metric,
+    log = _flow(
+        cfg, method, init, None, cfg.flow or FlowConfig(step=0.5, iterations=100),
+        metric=_mmd_metric(eval_targets), fmap=smap, bandwidth=20.0,
     )
+    final = log.final.points
     summary = {
         "method": method,
         "initial_mean": init.points.mean(axis=0).tolist(),
-        "final_mean": final.points.mean(axis=0).tolist(),
-        "final_abs_mean": float(np.linalg.norm(final.points.mean(axis=0))),
-        "final_std": float(final.points.std(axis=0).mean()),
-        "initial_mmd": log.metrics[0][2]["mmd"],
-        "final_mmd": log.metrics[-1][2]["mmd"],
+        "final_mean": final.mean(axis=0).tolist(),
+        "final_abs_mean": float(np.linalg.norm(final.mean(axis=0))),
+        "final_std": float(final.std(axis=0).mean()),
+        **log.change("mmd", "mmd", ratio=False),
     }
     return summary, [log]
 
+
+# Each scenario's dataset fields with their defaults.
+_DATASET_DEFAULTS = {
+    "bimodal_compare": {
+        "dim": 5,
+        "n_targets": 100,
+        "n_particles": 100,
+        "offset": 2.0,
+        "n_eval": 200,
+    },
+    "manifold_guidance": {
+        "n_targets": 200,
+        "n_particles": 200,
+        "offset": 2.0,
+        "n_eval": 200,
+    },
+    "ngd_tracking": {
+        "dim": 2,
+        "n_targets": 500,
+        "n_particles": 400,
+        "mc_samples": 4096,
+        "checkpoints": 10,
+    },
+    # The 10-dim desk version needs a denser graph than the full-size default
+    # edge probability: at 0.05 the handful of edges is recovered by plain RBF
+    # features just as well, and the informed-statistics contrast disappears.
+    "graphical_model": {
+        "dim": 10,
+        "edge_prob": 0.25,
+        "edge_value": 0.3,
+        "n_targets": 200,
+        "n_particles": 200,
+        "threshold": 0.1,
+        "min_edges": 5,
+        "informed_iterations": 30,
+        "plain_iterations": 30,
+        "long_iterations": 300,
+        "include_long": True,
+    },
+    "covariate_shift_rotation": {
+        "n_source": 300,
+        "n_shift": 300,
+        "blob_offset": 2.0,
+        "component_sd": 0.4,
+        "degrees": 45.0,
+    },
+    "stein_sampling": {
+        "dim": 1,
+        "n_particles": 200,
+        "init_mean": 3.0,
+        "init_sd": 1.0,
+        "score": {"kind": "gaussian", "mean": [0.0], "variances": [1.0]},
+        "base": {"kind": "gaussian_quadratic"},
+        "mode": "paired",
+        "n_eval": 200,
+    },
+}
 
 _SCENARIO_FNS = {
     "bimodal_compare": _bimodal_compare,
@@ -599,7 +529,8 @@ def execute_scenario(cfg: RunConfig) -> ScenarioOutcome:
     if cfg.scenario not in _SCENARIO_FNS:
         raise ConfigError(f"unknown scenario: {cfg.scenario!r}")
     start = time.perf_counter()
-    summary, logs = _SCENARIO_FNS[cfg.scenario](cfg)
+    ds = take_fields(cfg.dataset, _DATASET_DEFAULTS[cfg.scenario], "dataset")
+    summary, logs = _SCENARIO_FNS[cfg.scenario](cfg, ds)
     elapsed = time.perf_counter() - start
     resolved = cfg.to_dict()
     record = {

@@ -86,6 +86,26 @@ def vech_pairs(dim: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(dim) for j in range(i, dim)]
 
 
+def _pair_products(pts: np.ndarray, pairs, order: int) -> np.ndarray:
+    """Values (``order=0``), gradients (1) or Hessians (2) of the products
+    ``x_i * x_j`` over ``pairs``; a pair ``(i, i)`` adds both terms to one entry.
+    """
+    n, d = pts.shape
+    rows = np.arange(len(pairs))
+    i, j = np.array(pairs, dtype=int).reshape(len(pairs), 2).T
+    if order == 0:
+        return pts[:, i] * pts[:, j]
+    if order == 1:
+        out = np.zeros((n, len(pairs), d))
+        out[:, rows, i] += pts[:, j]
+        out[:, rows, j] += pts[:, i]
+        return out
+    out = np.zeros((n, len(pairs), d, d))
+    out[:, rows, i, j] += 1.0
+    out[:, rows, j, i] += 1.0
+    return out
+
+
 @dataclass(frozen=True)
 class GaussianQuadraticMap(FeatureMap):
     """Linear plus quadratic monomials: the Gaussian family.
@@ -108,26 +128,17 @@ class GaussianQuadraticMap(FeatureMap):
         return d + d * (d + 1) // 2
 
     def _features(self, pts):
-        iu = np.triu_indices(self.input_dim)
-        prods = pts[:, :, None] * pts[:, None, :]
-        return np.concatenate([pts, prods[:, iu[0], iu[1]]], axis=1)
+        return np.concatenate([pts, _pair_products(pts, vech_pairs(self.input_dim), 0)], axis=1)
 
     def _jacobian(self, pts):
         n, d = pts.shape
-        jac = np.zeros((n, self.feature_dim, d))
-        jac[:, :d, :] = np.eye(d)
-        for row, (i, j) in enumerate(vech_pairs(d), start=d):
-            jac[:, row, i] += pts[:, j]
-            jac[:, row, j] += pts[:, i]
-        return jac
+        linear = np.broadcast_to(np.eye(d), (n, d, d))
+        return np.concatenate([linear, _pair_products(pts, vech_pairs(d), 1)], axis=1)
 
     def _hessian(self, pts):
         n, d = pts.shape
-        hess = np.zeros((n, self.feature_dim, d, d))
-        for row, (i, j) in enumerate(vech_pairs(d), start=d):
-            hess[:, row, i, j] += 1.0
-            hess[:, row, j, i] += 1.0
-        return hess
+        linear = np.zeros((n, d, d, d))
+        return np.concatenate([linear, _pair_products(pts, vech_pairs(d), 2)], axis=1)
 
     def to_config(self):
         return {"kind": self.kind, "input_dim": self.input_dim}
@@ -236,26 +247,19 @@ class InformedPairwiseMap(FeatureMap):
         return self.centers.shape[0] + len(self.pairs)
 
     def _features(self, pts):
-        rbf = self._rbf._features(pts)
-        prods = np.stack([pts[:, i] * pts[:, j] for i, j in self.pairs], axis=1) \
-            if self.pairs else np.zeros((pts.shape[0], 0))
-        return np.concatenate([rbf, prods], axis=1)
+        return np.concatenate(
+            [self._rbf._features(pts), _pair_products(pts, self.pairs, 0)], axis=1
+        )
 
     def _jacobian(self, pts):
-        n, d = pts.shape
-        jac_pairs = np.zeros((n, len(self.pairs), d))
-        for row, (i, j) in enumerate(self.pairs):
-            jac_pairs[:, row, i] += pts[:, j]
-            jac_pairs[:, row, j] += pts[:, i]
-        return np.concatenate([self._rbf._jacobian(pts), jac_pairs], axis=1)
+        return np.concatenate(
+            [self._rbf._jacobian(pts), _pair_products(pts, self.pairs, 1)], axis=1
+        )
 
     def _hessian(self, pts):
-        n, d = pts.shape
-        hess_pairs = np.zeros((n, len(self.pairs), d, d))
-        for row, (i, j) in enumerate(self.pairs):
-            hess_pairs[:, row, i, j] += 1.0
-            hess_pairs[:, row, j, i] += 1.0
-        return np.concatenate([self._rbf._hessian(pts), hess_pairs], axis=1)
+        return np.concatenate(
+            [self._rbf._hessian(pts), _pair_products(pts, self.pairs, 2)], axis=1
+        )
 
     def to_config(self):
         return {

@@ -516,14 +516,12 @@ def test_run_flow_observer_cadence(rng):
         init,
         FlowConfig(step=0.05, iterations=20, log_every=7),
         observer=observer,
-        extra_metrics=lambda pset: {"spread": float(pset.points.std())},
     )
     assert [entry[0] for entry in seen] == [0, 7, 14, 20]
     assert_allclose([entry[1] for entry in seen], [0.0, 0.35, 0.7, 1.0])
-    assert "drift_norm" not in seen[0][2] and "spread" in seen[0][2]
+    assert "drift_norm" not in seen[0][2]
     for _, _, diagnostics in seen[1:]:
         assert diagnostics["drift_norm"] >= 0.0
-        assert "spread" in diagnostics
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,10 +1,13 @@
 """Run configs, scenario execution and outputs, and the command-line interface."""
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kingflow import ConfigError, FlowConfig
+from kingflow import ConfigError, FlowConfig, run_flow
+from kingflow.harness import scenarios
 from kingflow.harness.cli import main
 from kingflow.harness.config import SCENARIOS, RunConfig, take_fields
 from kingflow.harness.scenarios import execute_scenario
@@ -26,6 +29,21 @@ def test_take_fields_merges_over_defaults():
         take_fields({"c": 1}, {"a": 1}, "dataset")
     with pytest.raises(ConfigError):
         take_fields([1, 2], {"a": 1}, "dataset")
+
+
+def test_take_fields_checks_each_value_against_its_default_type():
+    defaults = {"n": 1, "x": 1.0, "on": True, "name": "a", "sub": {}, "any": None}
+    merged = take_fields({"x": 2, "any": "free"}, defaults, "dataset")
+    assert merged["x"] == 2.0 and isinstance(merged["x"], float)
+    assert merged["any"] == "free"
+    for key, value in (
+        ("n", True), ("n", 2.0), ("n", "2"),
+        ("x", False), ("x", "2.0"),
+        ("on", "false"), ("on", 1),
+        ("name", 3), ("sub", [1]),
+    ):
+        with pytest.raises(ConfigError):
+            take_fields({key: value}, defaults, "dataset")
 
 
 def test_run_config_defaults():
@@ -142,6 +160,55 @@ def test_unknown_dataset_fields_are_rejected():
     cfg = RunConfig(scenario="bimodal_compare", dataset={"n_target": 10})
     with pytest.raises(ConfigError):
         execute_scenario(cfg)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"scenario": "graphical_model", "dataset": {"include_long": "false"}},
+        {"scenario": "graphical_model", "dataset": {"plain_iterations": 2.7}},
+        {"scenario": "bimodal_compare", "dataset": {"n_targets": 30.9}},
+        {
+            "scenario": "bimodal_compare",
+            "methods": ["king"],
+            "manifold": {"kind": "rbf_recipe", "n_centers": "50"},
+        },
+    ],
+)
+def test_dataset_fields_must_match_their_default_types(data):
+    with pytest.raises(ConfigError):
+        execute_scenario(RunConfig.from_dict(data))
+
+
+@pytest.mark.parametrize(
+    "scenario, methods",
+    [
+        ("manifold_guidance", ("king", "wgf")),
+        ("ngd_tracking", ("wgf",)),
+        ("graphical_model", ("ntking", "king")),
+        ("covariate_shift_rotation", ("king", "wgf")),
+        ("stein_sampling", ("king", "mmd_flow")),
+    ],
+)
+def test_methods_are_checked_before_any_flow_runs(monkeypatch, scenario, methods):
+    calls = []
+
+    def counting_run_flow(*args, **kwargs):
+        calls.append(args[0])
+        return run_flow(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "run_flow", counting_run_flow)
+    with pytest.raises(ConfigError):
+        execute_scenario(RunConfig(scenario=scenario, methods=methods))
+    assert calls == []
+
+
+def test_scenarios_share_one_run_path():
+    # Every scenario runs its flows through one call site, and run_flow
+    # reports to one observer callback.
+    source = Path(scenarios.__file__).read_text()
+    assert source.count("run_flow(") == 1
+    assert "extra_metrics" not in inspect.signature(run_flow).parameters
 
 
 def test_manifold_guidance_rejects_non_drift_methods():
@@ -330,6 +397,8 @@ def test_cli_run_reports_config_errors(tmp_path, capsys):
         ("graphical_model", ["wgf"]),
         ("graphical_model", ["mmd_flow"]),
         ("stein_sampling", ["ntking", "king"]),
+        ("ngd_tracking", ["wgf"]),
+        ("ngd_tracking", ["king", "ntking"]),
     ):
         bad.write_text(json.dumps({"scenario": scenario, "methods": methods}))
         assert main(["run", "--config", str(bad)]) == 2

@@ -14,7 +14,7 @@ from kingflow import (
     fisher_estimate,
     rbf_map_from_samples,
 )
-from kingflow.manifold import feature_moments
+from kingflow.manifold import feature_moments, vech_pairs
 
 
 def fd_jacobian(fmap, x, h=1e-6):
@@ -93,6 +93,34 @@ def test_informed_pairwise_appends_products(rng):
     x = np.array([2.0, -1.0, 3.0])
     assert fmap.feature_dim == 2
     assert_allclose(fmap.features(x)[-1], 6.0)
+
+
+def _loop_pair_products(pts, pairs):
+    """Per-pair loop form of the product features and their derivatives."""
+    n, d = pts.shape
+    feats = np.zeros((n, len(pairs)))
+    jac = np.zeros((n, len(pairs), d))
+    hess = np.zeros((n, len(pairs), d, d))
+    for row, (i, j) in enumerate(pairs):
+        feats[:, row] = pts[:, i] * pts[:, j]
+        jac[:, row, i] += pts[:, j]
+        jac[:, row, j] += pts[:, i]
+        hess[:, row, i, j] += 1.0
+        hess[:, row, j, i] += 1.0
+    return feats, jac, hess
+
+
+def test_pair_products_match_the_per_pair_loop_bitwise(rng):
+    pts = rng.standard_normal((6, 3)) * 10.0 ** rng.uniform(-3, 3, size=(6, 3))
+    informed_pairs = ((0, 2), (1, 1), (2, 0), (0, 2))
+    informed = InformedPairwiseMap(
+        centers=rng.standard_normal((2, 3)), bandwidth=1.0, pairs=informed_pairs
+    )
+    cases = ((GaussianQuadraticMap(input_dim=3), 3, vech_pairs(3)), (informed, 2, informed_pairs))
+    for fmap, offset, pairs in cases:
+        computed = (fmap.features(pts), fmap.jacobian(pts), fmap.hessian(pts))
+        for got, expected in zip(computed, _loop_pair_products(pts, pairs)):
+            assert_array_equal(got[:, offset:], expected)
 
 
 def test_informed_pairwise_rejects_out_of_range_pairs():
