@@ -13,18 +13,22 @@ particles.  The solved coefficient vector then defines the velocity field
 
     h(q) = (1/n) sum_i K(q, x_i) J_i^T coeff
 
-evaluated anywhere.  The kernel term of the system is that same operator
-applied to each feature's Jacobian row and contracted with the Jacobian, so
-``_apply_kernel`` holds the one formula of each kernel kind.
-``rbf_scalar`` uses the Gaussian kernel's mixed second derivative as the
-block, ``empirical_ntk`` a closed-form tangent kernel, and
-``diagonalized_scalar`` substitutes ``k(x, y) * I``.  Any object exposing
-``pair_blocks(xs, ys) -> (n, m, d, d)`` works as a custom matrix kernel.
+evaluated anywhere.  ``_apply_kernel`` holds the one velocity formula of
+each kernel kind, and the kernel term of the system is that same operator
+applied to each feature's Jacobian row and contracted with the Jacobian.
+The exception is ``rbf_scalar``: its symmetric system term has a second,
+factored form (``_rbf_gram_quadratic``) built from full-width GEMMs with the
+Gram matrix, which never forms the per-feature fields.  ``rbf_scalar`` uses
+the Gaussian kernel's mixed second derivative as the block, ``empirical_ntk``
+a closed-form tangent kernel, and ``diagonalized_scalar`` substitutes
+``k(x, y) * I``.  Any object exposing ``pair_blocks(xs, ys) -> (n, m, d, d)``
+works as a custom matrix kernel.
 
 ``run_flow`` advances particles by forward Euler, re-solving the drift (and,
 unless frozen, the bandwidth) every iteration.  Reverse-KL Wasserstein
 gradient flow and energy-distance flow are provided as kernel-free baselines
-sharing the same loop.
+sharing the same loop; both are GEMMs over pairwise distances, with no
+``(n, n, d)`` difference array.
 """
 from __future__ import annotations
 
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from ._linalg import chol_solve, spd_factor
 from .errors import DivergenceError, SolverError
@@ -113,8 +118,40 @@ class FlowConfig:
 
 def _gram_quadratic(kernel, pts: np.ndarray, jac: np.ndarray) -> np.ndarray:
     """``(1/n^2) sum_ij J_i K(x_i, x_j) J_j^T``: the kernel applied to the Jacobian rows."""
+    if isinstance(kernel, KernelSpec) and kernel.kind == RBF_SCALAR:
+        return _rbf_gram_quadratic(kernel.bandwidth, pts, jac)
     fields = _apply_kernel(kernel, pts, pts, jac)
     return np.einsum("qbd,qad->ba", jac, fields, optimize=True) / pts.shape[0]
+
+
+def _rbf_gram_quadratic(bandwidth: float, pts: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """The symmetric ``rbf_scalar`` system term from full-width GEMMs.
+
+    With ``K_ij = k_ij (I / s^2 - D_ij D_ij^T / s^4)``, ``D_ij = x_i - x_j``
+    and ``u_ia = J_ia . x_i``, the sum splits into ``E_ab = sum_ij k_ij
+    J_ia . J_jb`` and ``S = T1 + T1^T - T2 - T3``, where ``T1_ab = sum_ij
+    k_ij u_ia (x_i . J_jb)``, ``T2 = u^T G u`` and ``T3_ab = sum_ij k_ij
+    (J_ia . x_j)(x_i . J_jb)``.  Each is a product with the Gram ``G``; the
+    largest intermediate is ``(n, d, d, m)``.  Points are centred on their
+    mean, which the translation-invariant kernel allows, to keep the
+    expanded products free of cancellation far from the origin.
+    """
+    n, m, d = jac.shape
+    gram = _gaussian_gram(bandwidth, pts, pts)
+    x = pts - pts.mean(axis=0)
+    jac_t = jac.transpose(0, 2, 1)  # (n, d, m)
+    u = np.einsum("iaf,if->ia", jac, x, optimize=True)
+    g_jac = (gram @ jac_t.reshape(n, d * m)).reshape(n, d, m)
+    # z[j, e, f, b] = x_je J_jbf, so (G z)[i, e, f, b] = sum_j k_ij x_je J_jbf.
+    z = x[:, :, None, None] * jac_t[:, None, :, :]
+    g_z = (gram @ z.reshape(n, d * d * m)).reshape(n, d, d, m)
+    e = jac_t.reshape(n * d, m).T @ g_jac.reshape(n * d, m)
+    t1 = u.T @ np.einsum("if,ifb->ib", x, g_jac, optimize=True)
+    t2 = u.T @ (gram @ u)
+    # T3_ab = sum_i,e,f J_iae x_if (G z)[i, e, f, b] = sum_i,e,f z[i, f, e, a] (G z)[i, e, f, b]
+    t3 = z.transpose(0, 2, 1, 3).reshape(n * d * d, m).T @ g_z.reshape(n * d * d, m)
+    s2 = bandwidth**2
+    return (e / s2 - (t1 + t1.T - t2 - t3) / s2**2) / n**2
 
 
 def _apply_kernel(kernel, queries: np.ndarray, anchors: np.ndarray, vels: np.ndarray) -> np.ndarray:
@@ -290,17 +327,17 @@ def mmd_flow_velocity(targets: ParticleSet, particles: ParticleSet) -> np.ndarra
     if targets.dim != particles.dim:
         raise ValueError(f"dimension mismatch: targets {targets.dim}, particles {particles.dim}")
     pts, tgt = particles.points, targets.points
-    n, m = pts.shape[0], tgt.shape[0]
+    centre = pts.mean(axis=0)
 
-    def _unit_sums(diffs):
-        norms = np.linalg.norm(diffs, axis=2)
-        units = diffs / (norms[:, :, None] + 1e-12)
-        units[norms == 0] = 0.0
-        return units.sum(axis=1)
+    def _unit_sums(others):
+        # sum_j w_j (a - b_j) = a * sum_j w_j - w @ b with w_j = 1 / (|a - b_j| + 1e-12),
+        # on points centred at the particle mean
+        dists = cdist(pts, others)
+        weights = 1.0 / (dists + 1e-12)
+        weights[dists == 0] = 0.0
+        return (pts - centre) * weights.sum(axis=1)[:, None] - weights @ (others - centre)
 
-    repel = _unit_sums(pts[:, None, :] - pts[None, :, :])
-    attract = _unit_sums(pts[:, None, :] - tgt[None, :, :])
-    return repel / n - attract / m
+    return _unit_sums(pts) / pts.shape[0] - _unit_sums(tgt) / tgt.shape[0]
 
 
 # -- flow loop ----------------------------------------------------------------

@@ -28,6 +28,7 @@ from ..manifold import (
     FeatureMap,
     GaussianQuadraticMap,
     InformedPairwiseMap,
+    RbfFeatureMap,
     feature_map_from_config,
     rbf_map_from_samples,
 )
@@ -123,6 +124,13 @@ def _kernel_for(
         raise ConfigError(f"bad kernel config for {method}: {exc}") from exc
 
 
+def _kernels(
+    cfg: RunConfig, methods: tuple[str, ...], init: ParticleSet, bandwidth: float | None = None
+) -> dict[str, KernelSpec]:
+    """The kernel of each drift method in ``methods``, all built before any flow runs."""
+    return {m: _kernel_for(cfg, m, init, bandwidth) for m in methods if m in (KING, NTKING)}
+
+
 def _materialize_manifold(
     cfg: dict, init: ParticleSet, targets: ParticleSet | None, seed
 ) -> FeatureMap:
@@ -157,19 +165,17 @@ def _flow(
     fmap: FeatureMap | None = None,
     recipe: dict | None = None,
     seed=None,
-    bandwidth: float | None = None,
+    kernel: KernelSpec | None = None,
 ) -> RunLog:
     """Run one flow and return its log, labelled ``method`` unless ``label`` is set.
 
-    The drift methods take ``fmap`` when given, else the manifold built from
-    ``cfg.manifold`` (``recipe`` when unset) over ``init`` and ``targets``.
+    The drift methods take ``kernel`` (from ``_kernels``) and ``fmap`` when
+    given, else the manifold built from ``cfg.manifold`` (``recipe`` when
+    unset) over ``init`` and ``targets``.
     """
-    kernel = None
-    if method in (KING, NTKING):
-        if fmap is None:
-            manifold = recipe if cfg.manifold is None else cfg.manifold
-            fmap = _materialize_manifold(manifold, init, targets, seed)
-        kernel = _kernel_for(cfg, method, init, bandwidth)
+    if method in (KING, NTKING) and fmap is None:
+        manifold = recipe if cfg.manifold is None else cfg.manifold
+        fmap = _materialize_manifold(manifold, init, targets, seed)
     log = RunLog(label or method, metric)
     run_flow(method, fmap, kernel, targets, init, flow, observer=log.observer)
     return log
@@ -188,6 +194,7 @@ def _bimodal_compare(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     targets = gen_gaussian_mixture(dim, [-offset, offset], [0.5, 0.5], ds["n_targets"], seeds[0])
     init = gen_gaussian_mixture(dim, [0.0], [1.0], ds["n_particles"], seeds[1])
     eval_targets = gen_gaussian_mixture(dim, [-offset, offset], [0.5, 0.5], ds["n_eval"], seeds[2])
+    kernels = _kernels(cfg, methods, init)
     # Drift magnitudes at step 1 are only stable on a smoothed manifold and
     # with per-method damping, so the defaults widen the feature bandwidth and
     # calibrate ridge (and the kernel-bandwidth refresh policy) per method.
@@ -202,6 +209,7 @@ def _bimodal_compare(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
             metric=_mmd_metric(eval_targets),
             recipe={"kind": "rbf_recipe", "bandwidth_scale": 2.0},
             seed=seeds[3],
+            kernel=kernels.get(method),
         )
         for method in methods
     ]
@@ -215,6 +223,7 @@ def _manifold_guidance(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     targets = gen_gaussian_mixture(1, [-offset, offset], [0.5, 0.5], ds["n_targets"], seeds[0])
     init = gen_gaussian_mixture(1, [0.0], [1.0], ds["n_particles"], seeds[1])
     eval_targets = gen_gaussian_mixture(1, [-offset, offset], [0.5, 0.5], ds["n_eval"], seeds[2])
+    kernels = _kernels(cfg, methods, init)
     flow = cfg.flow or FlowConfig(step=0.5, iterations=100)
     recipe = {"kind": "gaussian_quadratic"}
 
@@ -224,6 +233,7 @@ def _manifold_guidance(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
         log = _flow(
             cfg, method, init, targets, flow,
             metric=_mmd_metric(eval_targets), recipe=recipe, seed=seeds[3],
+            kernel=kernels[method],
         )
         logs.append(log)
         pts = log.final.points[:, 0]
@@ -243,6 +253,8 @@ def _ngd_tracking(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     # The exact reference descends on the Gaussian family only, which the
     # ``king`` flow on the quadratic map tracks.
     _methods(cfg, (KING,), (KING,), single=True)
+    if ds["checkpoints"] < 1:
+        raise ConfigError(f"checkpoints must be at least 1, got {ds['checkpoints']}")
     dim = ds["dim"]
     seeds = _child_seeds(cfg.seed, 5)
     rng = np.random.default_rng(seeds[0])
@@ -251,6 +263,7 @@ def _ngd_tracking(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     target_cov = shape @ shape.T / dim + 0.5 * np.eye(dim)
     targets = ParticleSet(sample_gaussian(target_mean, target_cov, ds["n_targets"], seeds[1]))
     init = ParticleSet(sample_gaussian(np.zeros(dim), np.eye(dim), ds["n_particles"], seeds[2]))
+    kernels = _kernels(cfg, (KING,), init)
 
     flow = cfg.flow or FlowConfig(step=0.25, iterations=60, ridge=1e-4)
     every = max(flow.iterations // ds["checkpoints"], 1)
@@ -266,7 +279,7 @@ def _ngd_tracking(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
 
     log = _flow(
         cfg, KING, init, targets, replace(flow, log_every=every),
-        fmap=GaussianQuadraticMap(input_dim=dim),
+        fmap=GaussianQuadraticMap(input_dim=dim), kernel=kernels[KING],
     )
     checkpoints = []
     for (iteration, t, particles), (_, _, diag) in zip(log.snapshots[1:], log.metrics[1:]):
@@ -313,11 +326,15 @@ def _graphical_model(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
 
     targets = gen_ggm_samples(spec, ds["n_targets"], seeds[1])
     init = ParticleSet(sample_gaussian(np.zeros(dim), np.eye(dim), ds["n_particles"], seeds[2]))
+    kernels = _kernels(cfg, (method,), init)
     flow = cfg.flow or FlowConfig(step=1.0, iterations=30)
     true_edges = set(spec.edges)
 
     recipe = {"kind": "rbf_recipe"} if cfg.manifold is None else cfg.manifold
     plain = _materialize_manifold(recipe, init, targets, seeds[3])
+    if not isinstance(plain, RbfFeatureMap):
+        # The informed variant reuses the plain map's centres and bandwidth.
+        raise ConfigError(f"graphical_model needs an RBF manifold, got {recipe.get('kind')!r}")
     informed = InformedPairwiseMap(
         centers=plain.centers, bandwidth=plain.bandwidth, pairs=tuple(spec.edges)
     )
@@ -333,7 +350,7 @@ def _graphical_model(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     for label, iterations, fmap in variants:
         log = _flow(
             cfg, method, init, targets, replace(flow, iterations=iterations),
-            label=label, fmap=fmap,
+            label=label, fmap=fmap, kernel=kernels[method],
         )
         logs.append(log)
         support = precision_support(log.final, ds["threshold"])
@@ -371,6 +388,7 @@ def _covariate_shift_rotation(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunL
     )
     shifted = rotate_dataset(fresh, ds["degrees"])
     tree = cKDTree(source.points)
+    kernels = _kernels(cfg, (method,), shifted)
 
     def nn_metric(particles: ParticleSet) -> dict:
         dists, _ = tree.query(particles.points)
@@ -379,6 +397,7 @@ def _covariate_shift_rotation(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunL
     log = _flow(
         cfg, method, shifted, source, cfg.flow or FlowConfig(step=0.5, iterations=80),
         metric=nn_metric, recipe={"kind": "rbf_recipe"}, seed=seeds[2],
+        kernel=kernels.get(method),
     )
     summary = {
         "method": method,
@@ -401,13 +420,14 @@ def _stein_sampling(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     eval_targets = ParticleSet(score.sample(ds["n_eval"], seeds[1]))
     base = _materialize_manifold(ds["base"], init, None, seeds[2])
     smap = SteinFeatureMap(base=base, target=score, mode=ds["mode"])
+    kernels = _kernels(cfg, (method,), init, bandwidth=20.0)
 
     # A near-global kernel keeps the velocity field close to rigid motions;
     # localized kernels let the finite Stein moment system stall at skewed
     # spurious equilibria well away from the target mean.
     log = _flow(
         cfg, method, init, None, cfg.flow or FlowConfig(step=0.5, iterations=100),
-        metric=_mmd_metric(eval_targets), fmap=smap, bandwidth=20.0,
+        metric=_mmd_metric(eval_targets), fmap=smap, kernel=kernels[method],
     )
     final = log.final.points
     summary = {

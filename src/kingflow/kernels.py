@@ -165,14 +165,19 @@ def kernel_gram(spec: KernelSpec, xs, ys) -> np.ndarray:
 
 
 def _gaussian_gram(bandwidth: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Gaussian Gram matrix from the expanded squared distances, clipped at zero.
+    """Gaussian Gram matrix from the expanded squared distances."""
+    return np.exp(-_sq_distances(xs, ys) / (2.0 * bandwidth**2))
+
+
+def _sq_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Squared distances ``|x_i - y_j|^2`` from their expansion, clipped at zero.
 
     Centring on the ``ys`` mean keeps the expansion accurate far from the origin.
     """
     centre = ys.mean(axis=0)
     xs, ys = xs - centre, ys - centre
     sq = np.sum(xs**2, axis=1)[:, None] + np.sum(ys**2, axis=1)[None, :] - 2.0 * xs @ ys.T
-    return np.exp(-np.maximum(sq, 0.0) / (2.0 * bandwidth**2))
+    return np.maximum(sq, 0.0)
 
 
 def kernel_cross_grad(spec: KernelSpec, x, y) -> np.ndarray:
@@ -240,8 +245,21 @@ def median_heuristic(points_a, points_b=None) -> float:
     if pool.shape[0] < 2:
         raise ValueError("median heuristic needs at least 2 pooled points")
     dists = pdist(pool)
-    med = float(np.median(dists))
+    med = _median(dists)  # reorders dists, which the fallback below does not mind
     if med > 0:
         return med
     nonzero = dists[dists > 0]
     return float(nonzero.min()) if nonzero.size else 1.0
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a flat array, bitwise, from one partition done in place.
+
+    For an even count the lower middle value is the largest entry below the
+    partition index, and the two are averaged as ``np.median`` does.
+    """
+    half = values.size // 2
+    values.partition(half)
+    if values.size % 2:
+        return float(values[half])
+    return float((values[:half].max() + values[half]) / 2.0)

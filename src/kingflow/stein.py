@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _sq_distances
 from .manifold import (
     FeatureMap,
     feature_map_from_config,
@@ -100,8 +101,13 @@ class GaussianMixtureScore:
         return resp, diffs
 
     def score(self, pts: np.ndarray) -> np.ndarray:
-        resp, diffs = self._responsibilities(pts)
-        return np.einsum("nk,nkd->nd", resp, diffs, optimize=True) / self.sigma**2
+        """``sum_k r_k (mu_k - x) / sigma^2``, as ``(r @ means - x) / sigma^2`` on centred points."""
+        logits = -_sq_distances(pts, self.means) / (2.0 * self.sigma**2)
+        logits -= logits.max(axis=1, keepdims=True)
+        resp = np.exp(logits)
+        resp /= resp.sum(axis=1, keepdims=True)
+        centre = self.means.mean(axis=0)
+        return (resp @ (self.means - centre) - (pts - centre)) / self.sigma**2
 
     def score_jacobian(self, pts: np.ndarray) -> np.ndarray:
         """Hessian of the mixture log density at each point."""

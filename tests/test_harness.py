@@ -180,6 +180,10 @@ def test_dataset_fields_must_match_their_default_types(data):
         execute_scenario(RunConfig.from_dict(data))
 
 
+# A bad kernel override of a later method must fail before the first method runs.
+BAD_KERNEL_OVERRIDES = {"bimodal_compare": {"ntking": {"kind": "nope"}}}
+
+
 @pytest.mark.parametrize(
     "scenario, methods",
     [
@@ -188,6 +192,7 @@ def test_dataset_fields_must_match_their_default_types(data):
         ("graphical_model", ("ntking", "king")),
         ("covariate_shift_rotation", ("king", "wgf")),
         ("stein_sampling", ("king", "mmd_flow")),
+        ("bimodal_compare", ("king", "ntking")),
     ],
 )
 def test_methods_are_checked_before_any_flow_runs(monkeypatch, scenario, methods):
@@ -198,8 +203,9 @@ def test_methods_are_checked_before_any_flow_runs(monkeypatch, scenario, methods
         return run_flow(*args, **kwargs)
 
     monkeypatch.setattr(scenarios, "run_flow", counting_run_flow)
+    cfg = RunConfig(scenario=scenario, methods=methods, kernels=BAD_KERNEL_OVERRIDES.get(scenario))
     with pytest.raises(ConfigError):
-        execute_scenario(RunConfig(scenario=scenario, methods=methods))
+        execute_scenario(cfg)
     assert calls == []
 
 
@@ -401,6 +407,13 @@ def test_cli_run_reports_config_errors(tmp_path, capsys):
         ("ngd_tracking", ["king", "ntking"]),
     ):
         bad.write_text(json.dumps({"scenario": scenario, "methods": methods}))
+        assert main(["run", "--config", str(bad)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    for config in (
+        {"scenario": "ngd_tracking", "dataset": {"checkpoints": 0}},
+        {"scenario": "graphical_model", "manifold": {"kind": "gaussian_quadratic"}},
+    ):
+        bad.write_text(json.dumps(config))
         assert main(["run", "--config", str(bad)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 

@@ -1,7 +1,10 @@
 """Scalar and matrix-valued kernels plus the bandwidth heuristic."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import pdist
 
 from kingflow import (
     KernelSpec,
@@ -248,3 +251,26 @@ def test_median_heuristic_degenerate_fallbacks():
 def test_median_heuristic_needs_two_points():
     with pytest.raises(ValueError):
         median_heuristic(np.zeros((1, 2)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    n=st.integers(2, 40),
+    dim=st.integers(1, 3),
+    grid=st.sampled_from([0, 1, 3, None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_median_heuristic_equals_the_numpy_median_bitwise(n, dim, grid, seed):
+    # 2-40 points give odd and even pair counts; integer grids give tied
+    # distances, and a one-value grid makes every distance zero.
+    rng = np.random.default_rng(seed)
+    if grid is None:
+        pts = rng.standard_normal((n, dim))
+    else:
+        pts = rng.integers(0, grid + 1, size=(n, dim)).astype(float)
+    dists = pdist(pts)
+    nonzero = dists[dists > 0]
+    expected = float(np.median(dists))
+    if expected == 0.0:
+        expected = float(nonzero.min()) if nonzero.size else 1.0
+    assert median_heuristic(pts) == expected

@@ -1,6 +1,8 @@
 """Score targets and score-operator feature maps for sample-free flows."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kingflow import (
@@ -90,6 +92,38 @@ def test_mixture_score_near_a_far_mode_is_single_component():
 def test_mixture_rejects_bad_sigma():
     with pytest.raises(ValueError):
         GaussianMixtureScore(means=[[0.0]], sigma=0.0)
+
+
+@st.composite
+def mixture_cases(draw):
+    """Means and query points around a shared offset, some queries on a mean or repeated."""
+    n_means = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 3))
+    spread = draw(st.floats(1e-3, 5.0))
+    sigma = spread * draw(st.floats(0.2, 5.0))
+    offset = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    means = offset + spread * rng.standard_normal((n_means, dim))
+    pts = offset + spread * rng.standard_normal((n, dim))
+    for i in range(n):
+        source = draw(st.sampled_from(["own", "point", "mean"]))
+        if source == "point":
+            pts[i] = pts[draw(st.integers(0, i))]
+        elif source == "mean":
+            pts[i] = means[draw(st.integers(0, n_means - 1))]
+    return GaussianMixtureScore(means, sigma), pts
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(case=mixture_cases())
+def test_mixture_score_matches_the_per_component_form(case):
+    mixture, pts = case
+    resp, diffs = mixture._responsibilities(pts)
+    expected = np.einsum("nk,nkd->nd", resp, diffs) / mixture.sigma**2
+    # the per-component scores set the absolute scale of a sum that cancels
+    atol = 1e-10 * np.abs(diffs).max() / mixture.sigma**2
+    assert_allclose(mixture.score(pts), expected, rtol=1e-10, atol=atol)
 
 
 def test_mixture_score_jacobian_matches_finite_differences(rng):
