@@ -13,19 +13,27 @@ particles.  The solved coefficient vector then defines the velocity field
 
     h(q) = (1/n) sum_i K(q, x_i) J_i^T coeff
 
-evaluated anywhere.  ``_apply_kernel`` holds the one velocity formula of
-each kernel kind, and the kernel term of the system is that same operator
-applied to each feature's Jacobian row and contracted with the Jacobian.
-The exception is ``rbf_scalar``: its symmetric system term has a second,
-factored form (``_rbf_gram_quadratic``) built from full-width GEMMs with the
-Gram matrix, which never forms the per-feature fields.  ``rbf_scalar`` uses
-the Gaussian kernel's mixed second derivative as the block, ``empirical_ntk``
-a closed-form tangent kernel, and ``diagonalized_scalar`` substitutes
-``k(x, y) * I``.  Any object exposing ``pair_blocks(xs, ys) -> (n, m, d, d)``
-works as a custom matrix kernel.
+``_apply_kernel`` holds the one velocity formula of each kernel kind, and
+the kernel term of the system is that same operator applied to each
+feature's Jacobian row (the per-feature fields) and contracted with the
+Jacobian.  The exception is ``rbf_scalar``: its symmetric system term has a
+second, factored form (``_rbf_gram_quadratic``) built from full-width GEMMs
+with the Gram matrix, which never forms the per-feature fields.
+``rbf_scalar`` uses the Gaussian kernel's mixed second derivative as the
+block, ``empirical_ntk`` a closed-form tangent kernel, and
+``diagonalized_scalar`` substitutes ``k(x, y) * I``.  Any object exposing
+``pair_blocks(xs, ys) -> (n, m, d, d)`` works as a custom matrix kernel.
+
+``h`` is linear in ``coeff``, so the solve also yields the velocities at
+the particles it was built on: ``DriftSolution.anchor_velocity`` contracts
+the per-feature fields with ``coeff``, or, for ``rbf_scalar``, applies the
+kernel with the Gram the system was built from.  ``eval_drift`` evaluates
+``h`` at any other query points.
 
 ``run_flow`` advances particles by forward Euler, re-solving the drift (and,
-unless frozen, the bandwidth) every iteration.  Reverse-KL Wasserstein
+unless frozen, the bandwidth) every iteration and moving each particle by
+its anchor velocity, so every pairwise quantity is built once per
+iteration.  Reverse-KL Wasserstein
 gradient flow and energy-distance flow are provided as kernel-free baselines
 sharing the same loop; both are GEMMs over pairwise distances, with no
 ``(n, n, d)`` difference array.
@@ -67,10 +75,15 @@ _DRIFT_KERNEL_KINDS = {
 
 @dataclass(frozen=True)
 class DriftSolution:
-    """Solved drift system; evaluate anywhere with ``eval_drift``.
+    """Solved drift system.
 
+    ``anchor_velocity()`` gives the drift at the anchors from products the
+    solve already built; ``eval_drift`` evaluates it at other query points.
     ``jacobian`` holds the feature Jacobians at the anchors, shape
-    ``(n, feature_dim, dim)``.
+    ``(n, feature_dim, dim)``.  ``products`` is what the system's kernel
+    term was built from: the anchors' Gram matrix for ``rbf_scalar``, else
+    the per-feature fields ``(1/n) sum_i K(x_q, x_i) J_i^T`` at the anchors,
+    shape ``(n, dim, feature_dim)``.  Neither depends on ``coeff``.
     """
 
     gamma_factor: np.ndarray
@@ -79,6 +92,16 @@ class DriftSolution:
     kernel: KernelSpec | object
     anchors: ParticleSet
     ridge: float
+    products: np.ndarray
+
+    def anchor_velocity(self) -> np.ndarray:
+        """The drift at the anchors, ``eval_drift(self, self.anchors)``, shape ``(n, d)``."""
+        if _is_rbf(self.kernel):
+            pts = self.anchors.points
+            fields = _rbf_apply(self.kernel.bandwidth, self.products, pts, pts, _drift_field(self))
+            return fields[:, :, 0]
+        n, d, m = self.products.shape
+        return (self.products.reshape(n * d, m) @ self.coeff).reshape(n, d)
 
 
 @dataclass(frozen=True)
@@ -116,31 +139,44 @@ class FlowConfig:
 
 # -- kernel application -------------------------------------------------------
 
-def _gram_quadratic(kernel, pts: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """``(1/n^2) sum_ij J_i K(x_i, x_j) J_j^T``: the kernel applied to the Jacobian rows."""
-    if isinstance(kernel, KernelSpec) and kernel.kind == RBF_SCALAR:
-        return _rbf_gram_quadratic(kernel.bandwidth, pts, jac)
-    fields = _apply_kernel(kernel, pts, pts, jac)
-    return np.einsum("qbd,qad->ba", jac, fields, optimize=True) / pts.shape[0]
+def _is_rbf(kernel) -> bool:
+    return isinstance(kernel, KernelSpec) and kernel.kind == RBF_SCALAR
 
 
-def _rbf_gram_quadratic(bandwidth: float, pts: np.ndarray, jac: np.ndarray) -> np.ndarray:
+def _gram_quadratic(
+    kernel, pts: np.ndarray, jac_t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(1/n^2) sum_ij J_i K(x_i, x_j) J_j^T`` and the products it was built from.
+
+    ``jac_t`` holds the Jacobians transposed, shape ``(n, d, m)``.  The
+    products are those ``DriftSolution.products`` describes: the Gram matrix
+    for ``rbf_scalar``, else the kernel applied to the Jacobian rows.
+    """
+    if _is_rbf(kernel):
+        gram = _gaussian_gram(kernel.bandwidth, pts, pts)
+        return _rbf_gram_quadratic(kernel.bandwidth, gram, pts, jac_t), gram
+    n, d, m = jac_t.shape
+    fields = _apply_kernel(kernel, pts, pts, jac_t)
+    return jac_t.reshape(n * d, m).T @ fields.reshape(n * d, m) / n, fields
+
+
+def _rbf_gram_quadratic(
+    bandwidth: float, gram: np.ndarray, pts: np.ndarray, jac_t: np.ndarray
+) -> np.ndarray:
     """The symmetric ``rbf_scalar`` system term from full-width GEMMs.
 
     With ``K_ij = k_ij (I / s^2 - D_ij D_ij^T / s^4)``, ``D_ij = x_i - x_j``
     and ``u_ia = J_ia . x_i``, the sum splits into ``E_ab = sum_ij k_ij
     J_ia . J_jb`` and ``S = T1 + T1^T - T2 - T3``, where ``T1_ab = sum_ij
     k_ij u_ia (x_i . J_jb)``, ``T2 = u^T G u`` and ``T3_ab = sum_ij k_ij
-    (J_ia . x_j)(x_i . J_jb)``.  Each is a product with the Gram ``G``; the
-    largest intermediate is ``(n, d, d, m)``.  Points are centred on their
-    mean, which the translation-invariant kernel allows, to keep the
-    expanded products free of cancellation far from the origin.
+    (J_ia . x_j)(x_i . J_jb)``.  Each is a product with the Gram ``G``
+    (``gram``); the largest intermediate is ``(n, d, d, m)``.  Points are
+    centred on their mean, which the translation-invariant kernel allows, to
+    keep the expanded products free of cancellation far from the origin.
     """
-    n, m, d = jac.shape
-    gram = _gaussian_gram(bandwidth, pts, pts)
+    n, d, m = jac_t.shape
     x = pts - pts.mean(axis=0)
-    jac_t = jac.transpose(0, 2, 1)  # (n, d, m)
-    u = np.einsum("iaf,if->ia", jac, x, optimize=True)
+    u = np.einsum("ifa,if->ia", jac_t, x, optimize=True)
     g_jac = (gram @ jac_t.reshape(n, d * m)).reshape(n, d, m)
     # z[j, e, f, b] = x_je J_jbf, so (G z)[i, e, f, b] = sum_j k_ij x_je J_jbf.
     z = x[:, :, None, None] * jac_t[:, None, :, :]
@@ -157,44 +193,59 @@ def _rbf_gram_quadratic(bandwidth: float, pts: np.ndarray, jac: np.ndarray) -> n
 def _apply_kernel(kernel, queries: np.ndarray, anchors: np.ndarray, vels: np.ndarray) -> np.ndarray:
     """``(1/n) sum_i K(q, x_i) v_ik`` for each query row ``q`` and field ``k``.
 
-    ``vels`` holds ``k`` velocity fields on the anchors, shape ``(n, k, d)``;
-    the result has shape ``(q, k, d)``.
+    ``vels`` holds ``k`` velocity fields on the anchors, shape ``(n, d, k)``;
+    the result has shape ``(q, d, k)``.
     """
-    n, k, d = vels.shape
+    n, d, k = vels.shape
     if not isinstance(kernel, KernelSpec):
         blocks = kernel.pair_blocks(queries, anchors)
-        return np.einsum("qide,ike->qkd", blocks, vels, optimize=True) / n
+        return np.einsum("qide,iek->qdk", blocks, vels, optimize=True) / n
     if kernel.kind in (RBF_SCALAR, DIAGONALIZED_SCALAR):
         gram = _gaussian_gram(kernel.bandwidth, queries, anchors)
-        eye = (gram @ vels.reshape(n, k * d)).reshape(-1, k, d)
-        if kernel.kind == DIAGONALIZED_SCALAR:
-            return eye / n
-        # rbf_scalar: k(q, x) (I / s^2 - (q - x)(q - x)^T / s^4).  The kernel
-        # is translation invariant; centring on the anchor mean, as the Gram
-        # does, keeps the expanded products below free of cancellation far
-        # from the origin.
-        centre = anchors.mean(axis=0)
-        queries, anchors = queries - centre, anchors - centre
-        s2 = kernel.bandwidth**2
-        by_field = vels.transpose(1, 0, 2)  # (k, n, d)
-        # weighted[q, k, i] = k(q, x_i) (q - x_i) . v_ik
-        weighted = (queries @ by_field.reshape(k * n, d).T).reshape(-1, k, n)
-        weighted -= np.einsum("id,kid->ki", anchors, by_field, optimize=True)
-        weighted *= gram[:, None, :]
-        outer = queries[:, None, :] * weighted.sum(axis=2)[:, :, None]
-        outer -= (weighted.reshape(-1, n) @ anchors).reshape(-1, k, d)
-        return (eye / s2 - outer / s2**2) / n
+        if kernel.kind == RBF_SCALAR:
+            return _rbf_apply(kernel.bandwidth, gram, queries, anchors, vels)
+        return (gram @ vels.reshape(n, d * k)).reshape(-1, d, k) / n
     if kernel.kind == EMPIRICAL_NTK:
         ntk = kernel.ntk
+        h = ntk.hidden_width
         act_q, deriv_q = ntk.activations(queries)
         act_a, deriv_a = ntk.activations(anchors)
         out_layer = act_q @ act_a.T + 1.0
         in_layer = queries @ anchors.T + 1.0
-        projected = deriv_a[:, None, :] * (vels @ ntk.w2)  # (n, k, h)
-        hidden = (in_layer @ projected.reshape(n, -1)).reshape(-1, k, deriv_q.shape[1])
-        out = (out_layer @ vels.reshape(n, k * d)).reshape(-1, k, d)
-        return (out + (deriv_q[:, None, :] * hidden) @ ntk.w2.T) / n
+        # projected[i, k, :] = a'(x_i) * (W2^T v_ik)
+        projected = (vels.transpose(0, 2, 1).reshape(n * k, d) @ ntk.w2).reshape(n, k, h)
+        projected *= deriv_a[:, None, :]
+        hidden = (in_layer @ projected.reshape(n, k * h)).reshape(-1, k, h)
+        hidden *= deriv_q[:, None, :]
+        out = (out_layer @ vels.reshape(n, d * k)).reshape(-1, d, k)
+        out += (hidden.reshape(-1, h) @ ntk.w2.T).reshape(-1, k, d).transpose(0, 2, 1)
+        return out / n
     raise ValueError(f"unsupported kernel kind: {kernel.kind!r}")
+
+
+def _rbf_apply(
+    bandwidth: float, gram: np.ndarray, queries: np.ndarray, anchors: np.ndarray, vels: np.ndarray
+) -> np.ndarray:
+    """The ``rbf_scalar`` case of ``_apply_kernel`` with its Gram ``k(q, x_i)`` given.
+
+    The block is ``k(q, x) (I / s^2 - (q - x)(q - x)^T / s^4)``.  The kernel
+    is translation invariant; centring on the anchor mean, as the Gram does,
+    keeps the expanded products below free of cancellation far from the
+    origin.
+    """
+    n, d, k = vels.shape
+    eye = (gram @ vels.reshape(n, d * k)).reshape(-1, d, k)
+    centre = anchors.mean(axis=0)
+    queries, anchors = queries - centre, anchors - centre
+    s2 = bandwidth**2
+    by_field = vels.transpose(2, 0, 1)  # (k, n, d)
+    # weighted[q, k, i] = k(q, x_i) (q - x_i) . v_ik
+    weighted = (queries @ by_field.reshape(k * n, d).T).reshape(-1, k, n)
+    weighted -= np.einsum("id,kid->ki", anchors, by_field, optimize=True)
+    weighted *= gram[:, None, :]
+    outer = queries[:, None, :] * weighted.sum(axis=2)[:, :, None]
+    outer -= (weighted.reshape(-1, n) @ anchors).reshape(-1, k, d)
+    return (eye / s2 - outer.transpose(0, 2, 1) / s2**2) / n
 
 
 def _resolve_bandwidth(kernel, particles: ParticleSet, targets: ParticleSet | None):
@@ -230,7 +281,9 @@ def _solve_drift(
         target_mean = feature_mean(fmap, targets)
     gap = -model_mean if target_mean is None else -model_mean + target_mean
     jac = fmap.jacobian(particles.points)
-    system = ridge * fisher.matrix + _gram_quadratic(kernel, particles.points, jac)
+    jac_t = np.ascontiguousarray(jac.transpose(0, 2, 1))
+    quad, products = _gram_quadratic(kernel, particles.points, jac_t)
+    system = ridge * fisher.matrix + quad
     lower = spd_factor(system, SolverError("drift system is not positive definite"))
     coeff = chol_solve(lower, gap)
     return DriftSolution(
@@ -240,6 +293,7 @@ def _solve_drift(
         kernel=kernel,
         anchors=particles,
         ridge=ridge,
+        products=products,
     )
 
 
@@ -280,7 +334,11 @@ def solve_ntking_drift(
 
 
 def eval_drift(solution: DriftSolution, queries) -> np.ndarray:
-    """Evaluate the solved velocity field at query points, shape ``(m, d)``."""
+    """Evaluate the solved velocity field at query points, shape ``(m, d)``.
+
+    At the anchors themselves ``solution.anchor_velocity()`` gives the same
+    field from the solve's products.
+    """
     if isinstance(queries, ParticleSet):
         pts = queries.points
     else:
@@ -291,8 +349,13 @@ def eval_drift(solution: DriftSolution, queries) -> np.ndarray:
         raise ValueError(
             f"queries have dimension {pts.shape[1]}, anchors {solution.anchors.dim}"
         )
-    vels = np.einsum("iad,a->id", solution.jacobian, solution.coeff, optimize=True)
-    return _apply_kernel(solution.kernel, pts, solution.anchors.points, vels[:, None, :])[:, 0]
+    fields = _apply_kernel(solution.kernel, pts, solution.anchors.points, _drift_field(solution))
+    return fields[:, :, 0]
+
+
+def _drift_field(solution: DriftSolution) -> np.ndarray:
+    """The anchors' ``J_i^T coeff`` as one velocity field, shape ``(n, d, 1)``."""
+    return np.einsum("iad,a->id", solution.jacobian, solution.coeff, optimize=True)[:, :, None]
 
 
 # -- baseline velocity fields -------------------------------------------------
@@ -357,7 +420,9 @@ def run_flow(
     """Advance particles by forward Euler under the chosen method.
 
     The drift methods re-solve their system every iteration on the current
-    particles; scalar-kernel bandwidths left unset are refreshed by the
+    particles and move each particle by the solve's anchor velocity (see
+    ``DriftSolution.anchor_velocity``), with no second kernel evaluation;
+    scalar-kernel bandwidths left unset are refreshed by the
     median heuristic each iteration unless ``config.freeze_bandwidth`` pins
     them to the heuristic value on the initial state.  The one ``observer``
     callback, when given, is called on the initial state with empty
@@ -390,11 +455,12 @@ def run_flow(
     solve = solve_king_drift if method == KING else solve_ntking_drift
     for iteration in range(1, config.iterations + 1):
         if method in (KING, NTKING):
-            solution = solve(
+            # The solution, with its n x n Gram for rbf_scalar, is dropped
+            # here rather than kept alive through the next solve.
+            velocity = solve(
                 fmap, kernel, particles, targets, config.ridge, config.jitter,
                 target_mean=target_mean,
-            )
-            velocity = eval_drift(solution, particles)
+            ).anchor_velocity()
         elif method == WGF:
             velocity = wgf_velocity(targets, particles, bandwidth_targets=bw_targets)
         else:

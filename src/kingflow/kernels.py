@@ -165,19 +165,25 @@ def kernel_gram(spec: KernelSpec, xs, ys) -> np.ndarray:
 
 
 def _gaussian_gram(bandwidth: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Gaussian Gram matrix from the expanded squared distances."""
-    return np.exp(-_sq_distances(xs, ys) / (2.0 * bandwidth**2))
+    """Gaussian Gram matrix from the expanded squared distances, finished in place."""
+    out = _sq_distances(xs, ys)
+    np.negative(out, out=out)
+    out /= 2.0 * bandwidth**2
+    return np.exp(out, out=out)
 
 
 def _sq_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Squared distances ``|x_i - y_j|^2`` from their expansion, clipped at zero.
 
-    Centring on the ``ys`` mean keeps the expansion accurate far from the origin.
+    Centring on the ``ys`` mean keeps the expansion accurate far from the
+    origin.  The product ``(2 x) @ y^T`` is the only other array of the
+    result's size, so building it peaks at twice that size.
     """
     centre = ys.mean(axis=0)
     xs, ys = xs - centre, ys - centre
-    sq = np.sum(xs**2, axis=1)[:, None] + np.sum(ys**2, axis=1)[None, :] - 2.0 * xs @ ys.T
-    return np.maximum(sq, 0.0)
+    out = np.sum(xs**2, axis=1)[:, None] + np.sum(ys**2, axis=1)[None, :]
+    out -= (2.0 * xs) @ ys.T
+    return np.maximum(out, 0.0, out=out)
 
 
 def kernel_cross_grad(spec: KernelSpec, x, y) -> np.ndarray:

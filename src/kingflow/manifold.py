@@ -17,6 +17,7 @@ import numpy as np
 from ._linalg import chol_solve, chol_spd, mean_and_covariance
 from ._rng import as_generator
 from .errors import SingularFisherError
+from .kernels import _gaussian_gram, median_heuristic
 from .particles import ParticleSet
 
 
@@ -150,7 +151,12 @@ class GaussianQuadraticMap(FeatureMap):
 
 @dataclass(frozen=True)
 class RbfFeatureMap(FeatureMap):
-    """Gaussian bumps centered at fixed anchor points."""
+    """Gaussian bumps centered at fixed anchor points.
+
+    The features are the Gaussian Gram matrix between the points and the
+    centres, built from one GEMM on the expanded squared distances; the
+    derivatives scale the point-to-centre differences by those values.
+    """
 
     centers: np.ndarray
     bandwidth: float
@@ -182,18 +188,16 @@ class RbfFeatureMap(FeatureMap):
         return self.centers[None, :, :] - pts[:, None, :]
 
     def _features(self, pts):
-        diffs = self._diffs(pts)
-        sq = np.sum(diffs**2, axis=2)
-        return np.exp(-sq / (2.0 * self.bandwidth**2))
+        return _gaussian_gram(self.bandwidth, pts, self.centers)
 
     def _jacobian(self, pts):
         diffs = self._diffs(pts)
-        vals = np.exp(-np.sum(diffs**2, axis=2) / (2.0 * self.bandwidth**2))
-        return vals[:, :, None] * diffs / self.bandwidth**2
+        diffs *= (self._features(pts) / self.bandwidth**2)[:, :, None]
+        return diffs
 
     def _hessian(self, pts):
         diffs = self._diffs(pts)
-        vals = np.exp(-np.sum(diffs**2, axis=2) / (2.0 * self.bandwidth**2))
+        vals = self._features(pts)
         s2 = self.bandwidth**2
         outer = np.einsum("nrd,nre->nrde", diffs, diffs) / s2**2
         eye = np.eye(self.input_dim) / s2
@@ -408,8 +412,6 @@ def rbf_map_from_samples(
     heuristic over ``bandwidth_samples`` (default: ``samples``) times
     ``bandwidth_scale``; an explicit ``bandwidth`` is used as given.
     """
-    from .kernels import median_heuristic
-
     rng = as_generator(seed)
     n = samples.n
     k = min(int(n_centers), n)

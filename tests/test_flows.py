@@ -32,6 +32,7 @@ from kingflow import (
     solve_ntking_drift,
     wgf_velocity,
 )
+from kingflow import flows, kernels
 from kingflow.flows import FLOW_METHODS, _apply_kernel, _gram_quadratic
 
 
@@ -296,10 +297,11 @@ def test_indefinite_drift_system_raises_solver_error(rng):
     ridge, jitter = 1e-2, 1e-6
     jac = fmap.jacobian(particles.points)
     loaded = ridge * fisher_estimate(fmap, particles, jitter).matrix
-    removed = -_gram_quadratic(ConstantKernel(-1.0), particles.points, jac)
+    jac_t = jac.transpose(0, 2, 1)
+    removed = -_gram_quadratic(ConstantKernel(-1.0), particles.points, jac_t)[0]
     critical = 1.0 / scipy.linalg.eigh(removed, loaded, eigvals_only=True).max()
     kernel = ConstantKernel(-critical * (1.0 + 1e-3))
-    system = loaded + _gram_quadratic(kernel, particles.points, jac)
+    system = loaded + _gram_quadratic(kernel, particles.points, jac_t)[0]
     smallest = np.linalg.eigvalsh(system).min()
     assert -1e-3 * np.trace(system) / system.shape[0] < smallest < 0.0
 
@@ -348,7 +350,7 @@ def kernel_cases(draw, kind):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     anchors = offset + bandwidth * rng.standard_normal((n, dim))
     queries = offset + bandwidth * rng.standard_normal((n_queries, dim))
-    vels = rng.standard_normal((n, n_fields, dim))
+    vels = rng.standard_normal((n, dim, n_fields))
     if kind == "empirical_ntk":
         hidden = draw(st.integers(1, 8))
         ntk = NtkSpec(input_dim=dim, hidden_width=hidden, seed=int(rng.integers(1000)))
@@ -374,12 +376,45 @@ def test_kernel_application_matches_the_reference_blocks(kind, data):
     kernel, anchors, queries, vels = data.draw(kernel_cases(kind))
     n = anchors.shape[0]
     blocks = reference_blocks(kernel, queries, anchors)
-    expected = np.einsum("qide,ike->qkd", blocks, vels) / n
+    expected = np.einsum("qide,iek->qdk", blocks, vels) / n
     assert_matches_reference(_apply_kernel(kernel, queries, anchors, vels), expected)
 
     self_blocks = reference_blocks(kernel, anchors, anchors)
-    expected_quad = np.einsum("iad,ijde,jbe->ab", vels, self_blocks, vels) / n**2
-    assert_matches_reference(_gram_quadratic(kernel, anchors, vels), expected_quad)
+    expected_quad = np.einsum("ida,ijde,jeb->ab", vels, self_blocks, vels) / n**2
+    assert_matches_reference(_gram_quadratic(kernel, anchors, vels)[0], expected_quad)
+
+
+@pytest.mark.parametrize("kind", KERNEL_CASE_KINDS)
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_anchor_velocity_matches_eval_drift_at_the_anchors(kind, offset, rng):
+    dim = 2
+    particles, targets = drift_case(rng, n=16, dim=dim)
+    particles = ParticleSet(particles.points + offset)
+    targets = ParticleSet(targets.points + offset)
+    fmap = RbfFeatureMap(centers=offset + rng.standard_normal((5, dim)), bandwidth=1.5)
+    solve = solve_king_drift if kind == "rbf_scalar" else solve_ntking_drift
+    if kind == "custom":
+        skew = rng.standard_normal((dim, dim))
+        kernel = SkewKernel(np.eye(dim) + skew - skew.T)
+    elif kind == "empirical_ntk":
+        kernel = KernelSpec(kind, ntk=NtkSpec(input_dim=dim, hidden_width=8, seed=3))
+    else:
+        kernel = KernelSpec(kind, bandwidth=1.3)
+    solution = solve(fmap, kernel, particles, targets, ridge=1e-3)
+    expected = eval_drift(solution, particles)
+    velocity = solution.anchor_velocity()
+    if kind == "rbf_scalar":
+        # the same Gram through the same formula
+        assert_array_equal(velocity, expected)
+    else:
+        # The two paths sum the per-feature fields in different orders.  Far
+        # from the origin the kernels that are not translation invariant
+        # cancel fields much larger than the velocity, so the rounding scale
+        # is the summed magnitude sum_a |coeff_a| |field_a|.
+        magnitude = np.einsum("qda,a->qd", np.abs(solution.products), np.abs(solution.coeff))
+        assert_allclose(velocity, expected, rtol=1e-12, atol=1e-12 * magnitude.max())
+    silenced = dataclasses.replace(solution, coeff=np.zeros_like(solution.coeff))
+    assert_array_equal(silenced.anchor_velocity(), 0.0)
 
 
 def test_rbf_system_term_stays_within_its_memory_budget(rng):
@@ -387,11 +422,11 @@ def test_rbf_system_term_stays_within_its_memory_budget(rng):
     # applying the kernel to every Jacobian row peaked at about 65 MiB here.
     n, m, d = 400, 50, 5
     pts = 3.0 + rng.standard_normal((n, d))
-    jac = rng.standard_normal((n, m, d))
+    jac_t = rng.standard_normal((n, d, m))
     kernel = KernelSpec("rbf_scalar", bandwidth=1.5)
     tracemalloc.start()
     try:
-        _gram_quadratic(kernel, pts, jac)
+        _gram_quadratic(kernel, pts, jac_t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -645,11 +680,22 @@ class CountingLinearMap(CustomLinearMap):
 @pytest.mark.parametrize(
     "method, kind", [("king", "rbf_scalar"), ("ntking", "diagonalized_scalar")]
 )
-def test_run_flow_evaluates_each_feature_quantity_once_per_iteration(rng, method, kind):
+def test_run_flow_evaluates_each_feature_quantity_once_per_iteration(
+    rng, method, kind, monkeypatch
+):
     n, n_targets, iterations = 12, 7, 3
     init = ParticleSet(rng.standard_normal((n, 2)))
     targets = ParticleSet(rng.standard_normal((n_targets, 2)) + 1.0)
     fmap = CountingLinearMap([[1.0, 0.5], [0.0, 1.0]])
+    grams = []
+    gaussian_gram = kernels._gaussian_gram
+
+    def counting_gram(bandwidth, xs, ys):
+        grams.append((xs.shape[0], ys.shape[0]))
+        return gaussian_gram(bandwidth, xs, ys)
+
+    for module in (kernels, flows):
+        monkeypatch.setattr(module, "_gaussian_gram", counting_gram)
     run_flow(
         method, fmap, KernelSpec(kind), targets, init,
         FlowConfig(step=0.1, iterations=iterations, ridge=1e-2),
@@ -658,6 +704,7 @@ def test_run_flow_evaluates_each_feature_quantity_once_per_iteration(rng, method
         "features": iterations * n + n_targets,
         "jacobian": iterations * n,
     }
+    assert grams == [(n, n)] * iterations
 
 
 def test_frozen_bandwidth_matches_an_explicit_initial_heuristic(rng):

@@ -1,4 +1,6 @@
 """Scalar and matrix-valued kernels plus the bandwidth heuristic."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from kingflow import (
     ntk_value,
     rbf_kernel,
 )
+from kingflow.kernels import _gaussian_gram
 
 
 # -- scalar kernel ------------------------------------------------------------
@@ -52,6 +55,34 @@ def test_kernel_gram_matches_entrywise_values(rng):
             for j in range(3):
                 expected = kernel_value(spec, xs[i] + offset, ys[j] + offset)
                 assert gram[i, j] == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def expanded_gram(bandwidth, xs, ys):
+    """The Gaussian Gram from the centred expansion, one new array per operation."""
+    centre = ys.mean(axis=0)
+    xs, ys = xs - centre, ys - centre
+    sq = np.sum(xs**2, axis=1)[:, None] + np.sum(ys**2, axis=1)[None, :] - 2.0 * xs @ ys.T
+    return np.exp(-np.maximum(sq, 0.0) / (2.0 * bandwidth**2))
+
+
+@pytest.mark.parametrize("n, dim", [(800, 2), (200, 10), (250, 5)])
+def test_gaussian_gram_in_place_is_bitwise_the_expanded_formula(n, dim, rng):
+    xs = 3.0 + rng.standard_normal((n, dim))
+    ys = 3.0 + rng.standard_normal((n // 2, dim))
+    for a, b in ((xs, xs), (xs, ys)):
+        assert np.array_equal(_gaussian_gram(1.3, a, b), expanded_gram(1.3, a, b))
+
+
+def test_gaussian_gram_peaks_at_twice_its_size(rng):
+    # the result and the product (2x) @ y^T are the only n x n arrays
+    pts = rng.standard_normal((800, 2))
+    tracemalloc.start()
+    try:
+        gram = _gaussian_gram(1.0, pts, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * gram.nbytes
 
 
 def test_kernel_gram_is_psd(rng):

@@ -1,6 +1,8 @@
 """Feature maps, their derivatives, and Fisher estimation."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from kingflow import (
@@ -170,6 +172,60 @@ def test_hessian_matches_finite_differences(instance, rng):
         hess = fmap.hessian(x)
         approx = fd_hessian(fmap, x)
         assert np.linalg.norm(hess - approx) <= 1e-4 * max(1.0, np.linalg.norm(hess))
+
+
+@st.composite
+def rbf_map_cases(draw):
+    """An RBF or pair-informed map and points, all around one offset from the origin."""
+    dim = draw(st.integers(1, 3))
+    bandwidth = draw(st.floats(0.2, 5.0))
+    offset = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centers = offset + bandwidth * rng.standard_normal((draw(st.integers(1, 6)), dim))
+    pts = offset + bandwidth * rng.standard_normal((draw(st.integers(1, 4)), dim))
+    if draw(st.booleans()):
+        return RbfFeatureMap(centers=centers, bandwidth=bandwidth), pts
+    index = st.integers(0, dim - 1)
+    pairs = tuple(draw(st.lists(st.tuples(index, index), max_size=3)))
+    return InformedPairwiseMap(centers=centers, bandwidth=bandwidth, pairs=pairs), pts
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(case=rbf_map_cases())
+def test_rbf_maps_match_the_direct_per_centre_form(case):
+    fmap, pts = case
+    s2 = fmap.bandwidth**2
+    m = fmap.centers.shape[0]
+    computed = (fmap.features(pts), fmap.jacobian(pts), fmap.hessian(pts))
+    for point, feats, jac, hess in zip(pts, *computed):
+        diffs = fmap.centers - point
+        vals = np.array([np.exp(-np.sum(diff**2) / (2.0 * s2)) for diff in diffs])
+        expected_hess = [
+            val * (np.outer(diff, diff) / s2**2 - np.eye(point.size) / s2)
+            for val, diff in zip(vals, diffs)
+        ]
+        assert_allclose(feats[:m], vals, rtol=1e-10, atol=0)
+        assert_allclose(jac[:m], vals[:, None] * diffs / s2, rtol=1e-10, atol=0)
+        assert_allclose(hess[:m], expected_hess, rtol=1e-10, atol=0)
+    for got, expected in zip(computed, _loop_pair_products(pts, getattr(fmap, "pairs", ()))):
+        assert_array_equal(got[:, m:], expected)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(case=rbf_map_cases())
+def test_rbf_map_derivatives_match_central_differences(case):
+    # Each feature's tolerance scales with its own size, as the features of
+    # far-away centres are many orders of magnitude below the near ones.
+    fmap, pts = case
+    s = fmap.bandwidth
+    for point in pts:
+        feats, jac, hess = fmap.features(point), fmap.jacobian(point), fmap.hessian(point)
+        scale = np.abs(feats) / s + np.abs(jac).max(axis=1)
+        error = np.abs(fd_jacobian(fmap, point, h=1e-5 * s) - jac).max(axis=1)
+        assert np.all(error <= 1e-6 * scale)
+        scale = np.abs(jac).max(axis=1) / s + np.abs(hess).max(axis=(1, 2))
+        error = np.abs(fd_hessian(fmap, point, h=1e-5 * s) - hess).max(axis=(1, 2))
+        assert np.all(error <= 1e-6 * scale)
 
 
 # -- feature means and Fisher -------------------------------------------------
