@@ -53,6 +53,7 @@ from .kernels import (
     EMPIRICAL_NTK,
     RBF_SCALAR,
     KernelSpec,
+    _as_points,
     _gaussian_gram,
     median_heuristic,
 )
@@ -276,11 +277,11 @@ def _solve_drift(
             f"dimension mismatch: targets {targets.dim}, particles {particles.dim}"
         )
     kernel = _resolve_bandwidth(kernel, particles, targets)
-    model_mean, fisher = feature_moments(fmap, particles, jitter)
+    feats, jac = fmap.derivatives(particles.points, 1)
+    model_mean, fisher = feature_moments(fmap, feats, jitter)
     if target_mean is None and targets is not None:
         target_mean = feature_mean(fmap, targets)
     gap = -model_mean if target_mean is None else -model_mean + target_mean
-    jac = fmap.jacobian(particles.points)
     jac_t = np.ascontiguousarray(jac.transpose(0, 2, 1))
     quad, products = _gram_quadratic(kernel, particles.points, jac_t)
     system = ridge * fisher.matrix + quad
@@ -339,12 +340,7 @@ def eval_drift(solution: DriftSolution, queries) -> np.ndarray:
     At the anchors themselves ``solution.anchor_velocity()`` gives the same
     field from the solve's products.
     """
-    if isinstance(queries, ParticleSet):
-        pts = queries.points
-    else:
-        pts = np.asarray(queries, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+    pts = _as_points(queries)
     if pts.shape[1] != solution.anchors.dim:
         raise ValueError(
             f"queries have dimension {pts.shape[1]}, anchors {solution.anchors.dim}"

@@ -84,8 +84,8 @@ class KernelSpec:
         else:
             if self.ntk is not None:
                 raise ValueError(f"{self.kind} kernel takes no NtkSpec")
-            if self.bandwidth is not None and self.bandwidth <= 0:
-                raise ValueError("bandwidth must be positive")
+            if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
+                raise ValueError("bandwidth must be positive and finite")
 
     def with_bandwidth(self, bandwidth: float) -> "KernelSpec":
         return KernelSpec(kind=self.kind, bandwidth=float(bandwidth), ntk=self.ntk)

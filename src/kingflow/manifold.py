@@ -2,8 +2,12 @@
 
 A feature map sends a point in ``R^d`` to a feature vector in ``R^m``; the
 span of those features (as log-density coordinates) is the model family that
-flows and projections operate on.  Every map exposes analytic first and
-second derivatives, which the drift solvers and limit projections consume.
+flows and projections operate on.  Every map implements one hook,
+``_derivatives(pts, order)``, returning the features and their analytic
+derivatives up to ``order`` from one pass that builds shared intermediates
+(such as the RBF Gram) once.  ``FeatureMap.derivatives`` is its public form;
+the drift solvers and limit projections take features and Jacobian from one
+``derivatives(points, 1)`` call.
 
 Maps are immutable and JSON-serializable via ``to_config`` /
 ``feature_map_from_config``.
@@ -24,9 +28,12 @@ from .particles import ParticleSet
 class FeatureMap:
     """Base class for feature maps.
 
-    Subclasses implement ``_features``, ``_jacobian`` and ``_hessian`` on
-    ``(n, input_dim)`` batches; the public methods accept a single point or a
-    batch and return matching shapes.
+    Subclasses implement the one hook ``_derivatives(pts, order)`` on an
+    ``(n, input_dim)`` batch: it returns the tuple ``(features, jacobian,
+    hessian)`` cut after ``order`` (0, 1 or 2), with shapes ``(n, m)``,
+    ``(n, m, d)`` and ``(n, m, d, d)``.  ``derivatives`` and its one-line
+    views ``features``, ``jacobian`` and ``hessian`` accept a single point or
+    a batch and return matching shapes.
     """
 
     kind: str = ""
@@ -34,35 +41,31 @@ class FeatureMap:
     feature_dim: int
 
     # -- public API ---------------------------------------------------------
+    def derivatives(self, x, order: int) -> tuple[np.ndarray, ...]:
+        """Features and their derivatives up to ``order`` from one pass."""
+        if order not in (0, 1, 2):
+            raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+        pts, single = self._prepare(x)
+        out = self._derivatives(pts, order)
+        return tuple(a[0] for a in out) if single else out
+
     def features(self, x) -> np.ndarray:
         """Feature vector(s): ``(feature_dim,)`` for a point, ``(n, feature_dim)`` for a batch."""
-        pts, single = self._prepare(x)
-        out = self._features(pts)
-        return out[0] if single else out
+        return self.derivatives(x, 0)[0]
 
     def jacobian(self, x) -> np.ndarray:
         """Stacked feature gradients: ``(feature_dim, input_dim)`` per point."""
-        pts, single = self._prepare(x)
-        out = self._jacobian(pts)
-        return out[0] if single else out
+        return self.derivatives(x, 1)[1]
 
     def hessian(self, x) -> np.ndarray:
         """Per-feature Hessians: ``(feature_dim, input_dim, input_dim)`` per point."""
-        pts, single = self._prepare(x)
-        out = self._hessian(pts)
-        return out[0] if single else out
+        return self.derivatives(x, 2)[2]
 
     def to_config(self) -> dict:
         raise NotImplementedError
 
-    # -- subclass hooks ------------------------------------------------------
-    def _features(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _jacobian(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _hessian(self, pts: np.ndarray) -> np.ndarray:
+    # -- subclass hook -------------------------------------------------------
+    def _derivatives(self, pts: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
         raise NotImplementedError
 
     def _prepare(self, x) -> tuple[np.ndarray, bool]:
@@ -128,18 +131,18 @@ class GaussianQuadraticMap(FeatureMap):
         d = self.input_dim
         return d + d * (d + 1) // 2
 
-    def _features(self, pts):
-        return np.concatenate([pts, _pair_products(pts, vech_pairs(self.input_dim), 0)], axis=1)
-
-    def _jacobian(self, pts):
+    def _derivatives(self, pts, order):
         n, d = pts.shape
-        linear = np.broadcast_to(np.eye(d), (n, d, d))
-        return np.concatenate([linear, _pair_products(pts, vech_pairs(d), 1)], axis=1)
-
-    def _hessian(self, pts):
-        n, d = pts.shape
-        linear = np.zeros((n, d, d, d))
-        return np.concatenate([linear, _pair_products(pts, vech_pairs(d), 2)], axis=1)
+        linear = [pts]
+        if order >= 1:
+            linear.append(np.broadcast_to(np.eye(d), (n, d, d)))
+        if order == 2:
+            linear.append(np.zeros((n, d, d, d)))
+        pairs = vech_pairs(d)
+        return tuple(
+            np.concatenate([block, _pair_products(pts, pairs, k)], axis=1)
+            for k, block in enumerate(linear)
+        )
 
     def to_config(self):
         return {"kind": self.kind, "input_dim": self.input_dim}
@@ -172,8 +175,8 @@ class RbfFeatureMap(FeatureMap):
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "bandwidth", float(self.bandwidth))
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.bandwidth < np.inf:
+            raise ValueError("bandwidth must be positive and finite")
 
     @property
     def input_dim(self) -> int:
@@ -183,25 +186,19 @@ class RbfFeatureMap(FeatureMap):
     def feature_dim(self) -> int:
         return self.centers.shape[0]
 
-    def _diffs(self, pts):
-        # diffs[i, r] = center_r - x_i
-        return self.centers[None, :, :] - pts[:, None, :]
-
-    def _features(self, pts):
-        return _gaussian_gram(self.bandwidth, pts, self.centers)
-
-    def _jacobian(self, pts):
-        diffs = self._diffs(pts)
-        diffs *= (self._features(pts) / self.bandwidth**2)[:, :, None]
-        return diffs
-
-    def _hessian(self, pts):
-        diffs = self._diffs(pts)
-        vals = self._features(pts)
+    def _derivatives(self, pts, order):
+        vals = _gaussian_gram(self.bandwidth, pts, self.centers)
+        if order == 0:
+            return (vals,)
         s2 = self.bandwidth**2
+        # diffs[i, r] = center_r - x_i, scaled in place unless the Hessian needs it
+        diffs = self.centers[None, :, :] - pts[:, None, :]
+        jac = np.multiply(diffs, (vals / s2)[:, :, None], out=diffs if order == 1 else None)
+        if order == 1:
+            return vals, jac
         outer = np.einsum("nrd,nre->nrde", diffs, diffs) / s2**2
         eye = np.eye(self.input_dim) / s2
-        return vals[:, :, None, None] * (outer - eye)
+        return vals, jac, vals[:, :, None, None] * (outer - eye)
 
     def to_config(self):
         return {
@@ -250,19 +247,10 @@ class InformedPairwiseMap(FeatureMap):
     def feature_dim(self) -> int:
         return self.centers.shape[0] + len(self.pairs)
 
-    def _features(self, pts):
-        return np.concatenate(
-            [self._rbf._features(pts), _pair_products(pts, self.pairs, 0)], axis=1
-        )
-
-    def _jacobian(self, pts):
-        return np.concatenate(
-            [self._rbf._jacobian(pts), _pair_products(pts, self.pairs, 1)], axis=1
-        )
-
-    def _hessian(self, pts):
-        return np.concatenate(
-            [self._rbf._hessian(pts), _pair_products(pts, self.pairs, 2)], axis=1
+    def _derivatives(self, pts, order):
+        return tuple(
+            np.concatenate([rbf, _pair_products(pts, self.pairs, k)], axis=1)
+            for k, rbf in enumerate(self._rbf._derivatives(pts, order))
         )
 
     def to_config(self):
@@ -302,17 +290,14 @@ class CustomLinearMap(FeatureMap):
     def feature_dim(self) -> int:
         return self.weight.shape[0]
 
-    def _features(self, pts):
-        return pts @ self.weight.T
-
-    def _jacobian(self, pts):
-        return np.broadcast_to(
-            self.weight, (pts.shape[0], *self.weight.shape)
-        ).copy()
-
-    def _hessian(self, pts):
+    def _derivatives(self, pts, order):
         n, d = pts.shape
-        return np.zeros((n, self.feature_dim, d, d))
+        out = [pts @ self.weight.T]
+        if order >= 1:
+            out.append(np.broadcast_to(self.weight, (n, *self.weight.shape)).copy())
+        if order == 2:
+            out.append(np.zeros((n, self.feature_dim, d, d)))
+        return tuple(out)
 
     def to_config(self):
         return {"kind": self.kind, "weight": self.weight.tolist()}
@@ -375,16 +360,20 @@ def feature_mean(fmap: FeatureMap, particles: ParticleSet) -> np.ndarray:
 
 
 def feature_moments(
-    fmap: FeatureMap, particles: ParticleSet, jitter: float = 1e-6
+    fmap: FeatureMap, particles: ParticleSet | np.ndarray, jitter: float = 1e-6
 ) -> tuple[np.ndarray, FisherMatrix]:
     """Feature mean and Fisher estimate from one evaluation of the features.
 
-    The Fisher matrix is the empirical feature covariance, diagonally loaded
+    ``particles`` is a ``ParticleSet``, whose features are evaluated here, or
+    the ``(n, feature_dim)`` features a caller already evaluated at one.  The
+    Fisher matrix is the empirical feature covariance, diagonally loaded
     until factorizable as ``FisherMatrix.from_covariance`` describes.
     """
-    if particles.n < 2:
+    if isinstance(particles, ParticleSet):
+        particles = fmap.features(particles.points)
+    if particles.shape[0] < 2:
         raise ValueError("the Fisher estimate needs at least 2 particles")
-    mean, cov = mean_and_covariance(fmap.features(particles.points))
+    mean, cov = mean_and_covariance(particles)
     return mean, FisherMatrix.from_covariance(cov, jitter, f"feature covariance ({fmap.kind})")
 
 

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ._linalg import mean_and_covariance
-from .manifold import FeatureMap, FisherMatrix, fisher_estimate
+from .manifold import FeatureMap, FisherMatrix, feature_moments
 from .ngd import NatGradResult
 from .particles import ParticleSet
 
@@ -128,8 +128,8 @@ def project_change_limit(
         raise ValueError(
             f"velocities shape {velocities.shape} does not match particles {particles.points.shape}"
         )
-    fisher = fisher_estimate(fmap, particles, jitter)
-    jac = fmap.jacobian(particles.points)
+    feats, jac = fmap.derivatives(particles.points, 1)
+    fisher = feature_moments(fmap, feats, jitter)[1]
     contraction = np.einsum("nad,nd->a", jac, velocities) / particles.n
     return ProjectionResult(delta=fisher.solve(contraction), fisher_used=fisher)
 

@@ -184,30 +184,23 @@ class SteinFeatureMap(FeatureMap):
             return np.arange(b)
         return np.repeat(np.arange(b), d)
 
-    def _features(self, pts):
-        feats = self.base.features(pts)
-        jac = self.base.jacobian(pts)
+    def _derivatives(self, pts, order):
+        if order == 2:
+            raise NotImplementedError("second derivatives of Stein features are not provided")
+        base = self.base.derivatives(pts, order + 1)
         score = self.target.score(pts)
         rows, coords = self._rows(), self._coords()
-        return score[:, coords] * feats[:, rows] + jac[:, rows, coords]
-
-    def _jacobian(self, pts):
-        feats = self.base.features(pts)
-        jac = self.base.jacobian(pts)
-        hess = self.base.hessian(pts)
-        score = self.target.score(pts)
-        score_jac = self.target.score_jacobian(pts)
-        rows, coords = self._rows(), self._coords()
+        feats = score[:, coords] * base[0][:, rows] + base[1][:, rows, coords]
+        if order == 0:
+            return (feats,)
         # d/dx of s_c f_i + d f_i/dx_c, row by row:
         #   f_i * (ds_c/dx) + s_c * (df_i/dx) + (Hessian f_i)[c, :]
-        return (
-            feats[:, rows, None] * score_jac[:, coords, :]
-            + score[:, coords, None] * jac[:, rows, :]
-            + hess[:, rows, coords, :]
+        score_jac = self.target.score_jacobian(pts)
+        return feats, (
+            base[0][:, rows, None] * score_jac[:, coords, :]
+            + score[:, coords, None] * base[1][:, rows, :]
+            + base[2][:, rows, coords, :]
         )
-
-    def _hessian(self, pts):
-        raise NotImplementedError("second derivatives of Stein features are not provided")
 
     def to_config(self):
         return {

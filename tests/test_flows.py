@@ -32,7 +32,7 @@ from kingflow import (
     solve_ntking_drift,
     wgf_velocity,
 )
-from kingflow import flows, kernels
+from kingflow import flows, kernels, manifold
 from kingflow.flows import FLOW_METHODS, _apply_kernel, _gram_quadratic
 
 
@@ -668,25 +668,32 @@ class CountingLinearMap(CustomLinearMap):
         super().__post_init__()
         object.__setattr__(self, "rows", {"features": 0, "jacobian": 0})
 
-    def _features(self, pts):
+    def _derivatives(self, pts, order):
         self.rows["features"] += pts.shape[0]
-        return super()._features(pts)
-
-    def _jacobian(self, pts):
-        self.rows["jacobian"] += pts.shape[0]
-        return super()._jacobian(pts)
+        if order >= 1:
+            self.rows["jacobian"] += pts.shape[0]
+        return super()._derivatives(pts, order)
 
 
 @pytest.mark.parametrize(
-    "method, kind", [("king", "rbf_scalar"), ("ntking", "diagonalized_scalar")]
+    "method, kind, rbf_map",
+    [
+        pytest.param("king", "rbf_scalar", False, id="king-rbf_scalar"),
+        pytest.param("ntking", "diagonalized_scalar", False, id="ntking-diagonalized_scalar"),
+        pytest.param("king", "rbf_scalar", True, id="king-rbf_scalar-rbf_map"),
+        pytest.param("ntking", "diagonalized_scalar", True, id="ntking-diagonalized_scalar-rbf_map"),
+    ],
 )
 def test_run_flow_evaluates_each_feature_quantity_once_per_iteration(
-    rng, method, kind, monkeypatch
+    rng, method, kind, rbf_map, monkeypatch
 ):
-    n, n_targets, iterations = 12, 7, 3
+    n, n_targets, iterations, n_centers = 12, 7, 3, 5
     init = ParticleSet(rng.standard_normal((n, 2)))
     targets = ParticleSet(rng.standard_normal((n_targets, 2)) + 1.0)
-    fmap = CountingLinearMap([[1.0, 0.5], [0.0, 1.0]])
+    if rbf_map:
+        fmap = RbfFeatureMap(centers=rng.standard_normal((n_centers, 2)), bandwidth=1.0)
+    else:
+        fmap = CountingLinearMap([[1.0, 0.5], [0.0, 1.0]])
     grams = []
     gaussian_gram = kernels._gaussian_gram
 
@@ -694,12 +701,17 @@ def test_run_flow_evaluates_each_feature_quantity_once_per_iteration(
         grams.append((xs.shape[0], ys.shape[0]))
         return gaussian_gram(bandwidth, xs, ys)
 
-    for module in (kernels, flows):
+    for module in (kernels, flows, manifold):
         monkeypatch.setattr(module, "_gaussian_gram", counting_gram)
     run_flow(
         method, fmap, KernelSpec(kind), targets, init,
         FlowConfig(step=0.1, iterations=iterations, ridge=1e-2),
     )
+    if rbf_map:
+        # one feature Gram for the target mean, then per iteration one feature
+        # Gram (features and Jacobian together) and one kernel Gram
+        assert grams == [(n_targets, n_centers)] + [(n, n_centers), (n, n)] * iterations
+        return
     assert fmap.rows == {
         "features": iterations * n + n_targets,
         "jacobian": iterations * n,

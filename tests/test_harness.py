@@ -412,6 +412,10 @@ def test_cli_run_reports_config_errors(tmp_path, capsys):
     for config in (
         {"scenario": "ngd_tracking", "dataset": {"checkpoints": 0}},
         {"scenario": "graphical_model", "manifold": {"kind": "gaussian_quadratic"}},
+        *(
+            {"scenario": "bimodal_compare", "kernels": {"king": {"kind": "rbf_scalar", "bandwidth": bw}}}
+            for bw in (float("inf"), float("nan"))
+        ),
     ):
         bad.write_text(json.dumps(config))
         assert main(["run", "--config", str(bad)]) == 2

@@ -220,8 +220,11 @@ def test_ntk_weights_are_frozen():
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(kind="mystery")
-    with pytest.raises(ValueError):
-        KernelSpec(kind="rbf_scalar", bandwidth=-1.0)
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            KernelSpec(kind="rbf_scalar", bandwidth=bad)
+        with pytest.raises(ValueError):
+            KernelSpec(kind="diagonalized_scalar", bandwidth=bad)
     with pytest.raises(ValueError):
         KernelSpec(kind="empirical_ntk")  # needs a network spec
     with pytest.raises(ValueError):

@@ -7,16 +7,20 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from kingflow import (
     CustomLinearMap,
+    GaussianMixtureScore,
     GaussianQuadraticMap,
+    GaussianScore,
     InformedPairwiseMap,
     ParticleSet,
     RbfFeatureMap,
+    SteinFeatureMap,
     feature_map_from_config,
     feature_mean,
     fisher_estimate,
     rbf_map_from_samples,
 )
 from kingflow.manifold import feature_moments, vech_pairs
+from kingflow.stein import STEIN_MODES
 
 
 def fd_jacobian(fmap, x, h=1e-6):
@@ -125,6 +129,14 @@ def test_pair_products_match_the_per_pair_loop_bitwise(rng):
             assert_array_equal(got[:, offset:], expected)
 
 
+def test_rbf_maps_reject_non_positive_or_non_finite_bandwidths():
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            RbfFeatureMap(centers=np.zeros((1, 2)), bandwidth=bad)
+        with pytest.raises(ValueError):
+            InformedPairwiseMap(centers=np.zeros((1, 2)), bandwidth=bad, pairs=((0, 1),))
+
+
 def test_informed_pairwise_rejects_out_of_range_pairs():
     with pytest.raises(ValueError):
         InformedPairwiseMap(centers=np.zeros((1, 2)), bandwidth=1.0, pairs=((0, 5),))
@@ -211,18 +223,61 @@ def test_rbf_maps_match_the_direct_per_centre_form(case):
         assert_array_equal(got[:, m:], expected)
 
 
+@st.composite
+def feature_map_cases(draw):
+    """``rbf_map_cases`` widened to every map kind, with the points' length scale.
+
+    The map is the drawn RBF or pair-informed one, a quadratic or a linear
+    map, each possibly wrapped in a Stein map whose score sits near the points.
+    """
+    fmap, pts = draw(rbf_map_cases())
+    s, dim = fmap.bandwidth, fmap.input_dim
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("rbf", "quadratic", "linear")))
+    if kind == "quadratic":
+        fmap = GaussianQuadraticMap(input_dim=dim)
+    elif kind == "linear":
+        fmap = CustomLinearMap(weight=rng.standard_normal((draw(st.integers(1, 4)), dim)))
+    if draw(st.booleans()):
+        centre = pts.mean(axis=0)
+        if draw(st.booleans()):
+            score = GaussianScore(
+                mean=centre + s * rng.standard_normal(dim),
+                variances=s**2 * rng.uniform(0.5, 2.0, dim),
+            )
+        else:
+            score = GaussianMixtureScore(
+                means=centre + s * rng.standard_normal((2, dim)), sigma=s * rng.uniform(0.5, 2.0)
+            )
+        fmap = SteinFeatureMap(fmap, score, mode=draw(st.sampled_from(STEIN_MODES)))
+    return fmap, pts, s
+
+
 @settings(max_examples=80, deadline=None, database=None)
-@given(case=rbf_map_cases())
+@given(case=feature_map_cases())
 def test_rbf_map_derivatives_match_central_differences(case):
-    # Each feature's tolerance scales with its own size, as the features of
-    # far-away centres are many orders of magnitude below the near ones.
-    fmap, pts = case
-    s = fmap.bandwidth
+    # Drawn over every map kind.  Each feature's tolerance scales with its
+    # own size, as the features of far-away centres are many orders of
+    # magnitude below the near ones.  A lower order is the same pass cut
+    # short, bitwise; Stein maps have no second derivatives.
+    fmap, pts, s = case
+    stein = isinstance(fmap, SteinFeatureMap)
+    top = 1 if stein else 2
+    if stein:
+        with pytest.raises(NotImplementedError):
+            fmap.derivatives(pts, 2)
+    full, lower = fmap.derivatives(pts, top), fmap.derivatives(pts, top - 1)
+    assert len(full) == top + 1 and len(lower) == top
+    for got, expected in zip(full, lower):
+        assert_array_equal(got, expected)
     for point in pts:
-        feats, jac, hess = fmap.features(point), fmap.jacobian(point), fmap.hessian(point)
+        feats, jac = fmap.features(point), fmap.jacobian(point)
         scale = np.abs(feats) / s + np.abs(jac).max(axis=1)
         error = np.abs(fd_jacobian(fmap, point, h=1e-5 * s) - jac).max(axis=1)
         assert np.all(error <= 1e-6 * scale)
+        if stein:
+            continue
+        hess = fmap.hessian(point)
         scale = np.abs(jac).max(axis=1) / s + np.abs(hess).max(axis=(1, 2))
         error = np.abs(fd_hessian(fmap, point, h=1e-5 * s) - hess).max(axis=(1, 2))
         assert np.all(error <= 1e-6 * scale)

@@ -25,14 +25,9 @@ class ConstantMap(FeatureMap):
     input_dim = 1
     feature_dim = 1
 
-    def _features(self, pts):
-        return np.ones((pts.shape[0], 1))
-
-    def _jacobian(self, pts):
-        return np.zeros((pts.shape[0], 1, 1))
-
-    def _hessian(self, pts):
-        return np.zeros((pts.shape[0], 1, 1, 1))
+    def _derivatives(self, pts, order):
+        n = pts.shape[0]
+        return (np.ones((n, 1)), np.zeros((n, 1, 1)), np.zeros((n, 1, 1, 1)))[: order + 1]
 
 
 def fd_jacobian(fmap, x, h=1e-6):
