@@ -33,7 +33,8 @@ kernel with the Gram the system was built from.  ``eval_drift`` evaluates
 ``run_flow`` advances particles by forward Euler, re-solving the drift (and,
 unless frozen, the bandwidth) every iteration and moving each particle by
 its anchor velocity, so every pairwise quantity is built once per
-iteration.  Reverse-KL Wasserstein
+iteration; the target-target distances of the bandwidth heuristic are built
+once per flow (``kernels.PooledMedian``).  Reverse-KL Wasserstein
 gradient flow and energy-distance flow are provided as kernel-free baselines
 sharing the same loop; both are GEMMs over pairwise distances, with no
 ``(n, n, d)`` difference array.
@@ -53,6 +54,7 @@ from .kernels import (
     EMPIRICAL_NTK,
     RBF_SCALAR,
     KernelSpec,
+    PooledMedian,
     _as_points,
     _gaussian_gram,
     median_heuristic,
@@ -229,30 +231,49 @@ def _rbf_apply(
 ) -> np.ndarray:
     """The ``rbf_scalar`` case of ``_apply_kernel`` with its Gram ``k(q, x_i)`` given.
 
-    The block is ``k(q, x) (I / s^2 - (q - x)(q - x)^T / s^4)``.  The kernel
-    is translation invariant; centring on the anchor mean, as the Gram does,
-    keeps the expanded products below free of cancellation far from the
+    The block is ``k(q, x) (I / s^2 - (q - x)(q - x)^T / s^4)``, and
+    ``(q - x)((q - x) . v) = q (q . v) - q (x . v) - x (q . v) + x (x . v)``.
+    Every term is a product of the Gram with one of the anchor columns
+    ``v``, ``x . v``, ``x v^T`` and ``x (x . v)``, so one GEMM gives all of
+    them for every field, and the query factors are applied after it.  The
+    kernel is translation invariant; centring on the anchor mean, as the Gram
+    does, keeps the expanded products free of cancellation far from the
     origin.
     """
     n, d, k = vels.shape
-    eye = (gram @ vels.reshape(n, d * k)).reshape(-1, d, k)
     centre = anchors.mean(axis=0)
     queries, anchors = queries - centre, anchors - centre
+    x_dot_v = np.einsum("id,idk->ik", anchors, vels)
+    columns = np.concatenate(
+        [
+            vels.reshape(n, d * k),
+            x_dot_v,
+            (anchors[:, :, None, None] * vels[:, None, :, :]).reshape(n, d * d * k),
+            (anchors[:, :, None] * x_dot_v[:, None, :]).reshape(n, d * k),
+        ],
+        axis=1,
+    )
+    prod = gram @ columns
+    g_v = prod[:, : d * k].reshape(-1, d, k)
+    g_x_dot_v = prod[:, d * k : d * k + k]
+    g_x_v = prod[:, d * k + k : -d * k].reshape(-1, d, d, k)  # [q, e, f, k] = sum_i k x_e v_f
+    g_x_x_dot_v = prod[:, -d * k :].reshape(-1, d, k)
+    outer = queries[:, :, None] * (np.einsum("qf,qfk->qk", queries, g_v) - g_x_dot_v)[:, None, :]
+    outer -= np.einsum("qf,qefk->qek", queries, g_x_v)
+    outer += g_x_x_dot_v
     s2 = bandwidth**2
-    by_field = vels.transpose(2, 0, 1)  # (k, n, d)
-    # weighted[q, k, i] = k(q, x_i) (q - x_i) . v_ik
-    weighted = (queries @ by_field.reshape(k * n, d).T).reshape(-1, k, n)
-    weighted -= np.einsum("id,kid->ki", anchors, by_field, optimize=True)
-    weighted *= gram[:, None, :]
-    outer = queries[:, None, :] * weighted.sum(axis=2)[:, :, None]
-    outer -= (weighted.reshape(-1, n) @ anchors).reshape(-1, k, d)
-    return (eye / s2 - outer.transpose(0, 2, 1) / s2**2) / n
+    return (g_v / s2 - outer / s2**2) / n
+
+
+def _unresolved(kernel) -> bool:
+    """Whether ``kernel`` is a scalar kind whose bandwidth the median heuristic sets."""
+    return (
+        isinstance(kernel, KernelSpec) and kernel.kind != EMPIRICAL_NTK and kernel.bandwidth is None
+    )
 
 
 def _resolve_bandwidth(kernel, particles: ParticleSet, targets: ParticleSet | None):
-    if not isinstance(kernel, KernelSpec) or kernel.kind == EMPIRICAL_NTK:
-        return kernel
-    if kernel.bandwidth is not None:
+    if not _unresolved(kernel):
         return kernel
     return kernel.with_bandwidth(median_heuristic(particles, targets))
 
@@ -417,10 +438,15 @@ def run_flow(
 
     The drift methods re-solve their system every iteration on the current
     particles and move each particle by the solve's anchor velocity (see
-    ``DriftSolution.anchor_velocity``), with no second kernel evaluation;
-    scalar-kernel bandwidths left unset are refreshed by the
-    median heuristic each iteration unless ``config.freeze_bandwidth`` pins
-    them to the heuristic value on the initial state.  The one ``observer``
+    ``DriftSolution.anchor_velocity``), with no second kernel evaluation.
+    Scalar-kernel bandwidths left unset are refreshed each iteration to
+    ``median_heuristic(particles, targets)`` unless
+    ``config.freeze_bandwidth`` pins them to that value on the initial state.
+    With targets, the refresh comes from one ``kernels.PooledMedian`` per
+    flow: it sorts the target-target distances once and then, per iteration,
+    computes only the distances that involve particles and selects the
+    median from a bracket around the previous one, with the same value
+    bitwise.  The one ``observer``
     callback, when given, is called on the initial state with empty
     diagnostics and then every ``log_every`` iterations (always including the
     last) with iteration number, flow time, the particle set, and a
@@ -438,8 +464,11 @@ def run_flow(
     if targets is not None and targets.dim != init.dim:
         raise ValueError(f"dimension mismatch: targets {targets.dim}, init {init.dim}")
 
+    pooled_median = None
     if method in (KING, NTKING) and config.freeze_bandwidth:
         kernel = _resolve_bandwidth(kernel, init, targets)
+    elif method in (KING, NTKING) and _unresolved(kernel) and targets is not None:
+        pooled_median = PooledMedian(targets)
     bw_targets = median_heuristic(targets) if method == WGF else None
     target_mean = (
         feature_mean(fmap, targets) if method in (KING, NTKING) and targets is not None else None
@@ -453,6 +482,8 @@ def run_flow(
         if method in (KING, NTKING):
             # The solution, with its n x n Gram for rbf_scalar, is dropped
             # here rather than kept alive through the next solve.
+            if pooled_median is not None:
+                kernel = kernel.with_bandwidth(pooled_median(particles))
             velocity = solve(
                 fmap, kernel, particles, targets, config.ridge, config.jitter,
                 target_mean=target_mean,

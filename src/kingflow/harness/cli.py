@@ -139,8 +139,8 @@ def _cmd_gen(args) -> int:
 def _cmd_eval_mmd(args) -> int:
     sample_a = _read_points_csv(Path(args.sample_a))
     sample_b = _read_points_csv(Path(args.sample_b))
-    if args.bandwidth is not None and args.bandwidth <= 0:
-        raise ConfigError("bandwidth must be positive")
+    if args.bandwidth is not None and not 0 < args.bandwidth < np.inf:
+        raise ConfigError("bandwidth must be positive and finite")
     estimate = mmd(sample_a, sample_b, bandwidth=args.bandwidth)
     print(json.dumps({"mmd": estimate.value, "bandwidth": estimate.bandwidth}))
     return 0

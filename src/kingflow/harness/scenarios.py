@@ -144,7 +144,10 @@ def _materialize_manifold(
         )
         del recipe["kind"]
         pool = init if targets is None else ParticleSet(np.vstack([init.points, targets.points]))
-        return rbf_map_from_samples(init, bandwidth_samples=pool, seed=seed, **recipe)
+        try:
+            return rbf_map_from_samples(init, bandwidth_samples=pool, seed=seed, **recipe)
+        except ValueError as exc:
+            raise ConfigError(f"bad manifold config: {exc}") from exc
     if kind == "gaussian_quadratic":
         return GaussianQuadraticMap(input_dim=init.dim)
     try:
@@ -198,6 +201,12 @@ def _bimodal_compare(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     # Drift magnitudes at step 1 are only stable on a smoothed manifold and
     # with per-method damping, so the defaults widen the feature bandwidth and
     # calibrate ridge (and the kernel-bandwidth refresh policy) per method.
+    # The drift methods share one manifold, built before any flow runs.
+    fmap = None
+    if kernels:
+        recipe = {"kind": "rbf_recipe", "bandwidth_scale": 2.0}
+        manifold = recipe if cfg.manifold is None else cfg.manifold
+        fmap = _materialize_manifold(manifold, init, targets, seeds[3])
     default_flow = {
         KING: FlowConfig(step=1.0, iterations=100, ridge=1e-2),
         NTKING: FlowConfig(step=1.0, iterations=100, ridge=1e-1, freeze_bandwidth=True),
@@ -207,8 +216,7 @@ def _bimodal_compare(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
             cfg, method, init, targets,
             cfg.flow or default_flow.get(method, FlowConfig(step=1.0, iterations=100)),
             metric=_mmd_metric(eval_targets),
-            recipe={"kind": "rbf_recipe", "bandwidth_scale": 2.0},
-            seed=seeds[3],
+            fmap=fmap,
             kernel=kernels.get(method),
         )
         for method in methods
@@ -524,10 +532,13 @@ def _write_particles_csv(path: Path, log: RunLog):
         writer = csv.writer(fh)
         writer.writerow(["iteration", "t"] + [f"x{k}" for k in range(dim)] + ["index"])
         for iteration, t, particles in log.snapshots:
-            for idx, row in enumerate(particles.points):
-                writer.writerow(
-                    [iteration, _format(float(t))] + [_format(float(v)) for v in row] + [idx]
-                )
+            # Python floats from tolist() format as repr(float(v)) of each
+            # numpy value would, without boxing each one as a numpy scalar.
+            stamp = [iteration, _format(float(t))]
+            writer.writerows(
+                stamp + [repr(v) for v in row] + [idx]
+                for idx, row in enumerate(particles.points.tolist())
+            )
 
 
 def _write_metrics_csv(path: Path, log: RunLog):

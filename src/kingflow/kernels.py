@@ -11,14 +11,22 @@ Three kinds are supported:
   initialized one-hidden-layer tanh network, evaluated in closed form.
 
 ``median_heuristic`` provides the default bandwidth rule: the median of all
-pairwise Euclidean distances of the pooled points.
+pairwise Euclidean distances of the pooled points.  A flow re-picks the
+bandwidth every iteration against a fixed target set, so ``PooledMedian``
+gives the same value for that case without redoing the fixed part: it
+computes and sorts the target-target distances once, and per call computes
+only the particle-particle and particle-target distances, a few rows at a
+time.  From those it counts the values below a bracket and keeps only the
+values inside it.  The bracket is a window of ranks in the sorted target
+distances around the previous median.  The median is then selected from that
+small window, and a bracket that misses it is widened and the pass retried.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from ._rng import as_generator
 from .particles import ParticleSet
@@ -27,6 +35,9 @@ RBF_SCALAR = "rbf_scalar"
 DIAGONALIZED_SCALAR = "diagonalized_scalar"
 EMPIRICAL_NTK = "empirical_ntk"
 KERNEL_KINDS = (RBF_SCALAR, DIAGONALIZED_SCALAR, EMPIRICAL_NTK)
+
+# Values per block of a row-blocked pass over pairwise quantities (1 MiB).
+_BLOCK_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -176,13 +187,18 @@ def _sq_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Squared distances ``|x_i - y_j|^2`` from their expansion, clipped at zero.
 
     Centring on the ``ys`` mean keeps the expansion accurate far from the
-    origin.  The product ``(2 x) @ y^T`` is the only other array of the
-    result's size, so building it peaks at twice that size.
+    origin.  The expansion ``(|x|^2 + |y|^2) - (2 x) @ y^T`` is finished a few
+    rows at a time in the product's own array, so the result is the only
+    array of its size.
     """
     centre = ys.mean(axis=0)
     xs, ys = xs - centre, ys - centre
-    out = np.sum(xs**2, axis=1)[:, None] + np.sum(ys**2, axis=1)[None, :]
-    out -= (2.0 * xs) @ ys.T
+    x_sq, y_sq = np.sum(xs**2, axis=1), np.sum(ys**2, axis=1)
+    out = (2.0 * xs) @ ys.T
+    rows = max(1, _BLOCK_VALUES // max(out.shape[1], 1))
+    for start in range(0, out.shape[0], rows):
+        block = out[start:start + rows]
+        np.subtract(x_sq[start:start + rows, None] + y_sq[None, :], block, out=block)
     return np.maximum(out, 0.0, out=out)
 
 
@@ -259,13 +275,132 @@ def median_heuristic(points_a, points_b=None) -> float:
 
 
 def _median(values: np.ndarray) -> float:
-    """``np.median`` of a flat array, bitwise, from one partition done in place.
+    """``np.median`` of a flat array, bitwise, from one partition done in place."""
+    return _middle(values, values.size // 2, values.size % 2 == 0)
 
-    For an even count the lower middle value is the largest entry below the
-    partition index, and the two are averaged as ``np.median`` does.
+
+def _middle(values: np.ndarray, half: int, even: bool) -> float:
+    """The value of rank ``half`` in ``values``, averaged with rank ``half - 1`` if ``even``.
+
+    One partition in place; the lower middle value is then the largest entry
+    below ``half``, and the two are averaged as ``np.median`` does.
     """
-    half = values.size // 2
     values.partition(half)
-    if values.size % 2:
+    if not even:
         return float(values[half])
     return float((values[:half].max() + values[half]) / 2.0)
+
+
+class PooledMedian:
+    """``median_heuristic(particles, targets)`` for one fixed target set.
+
+    The target-target distances are computed once and kept sorted.  Each
+    call computes the particle-particle and particle-target distances a few
+    particle rows at a time, counts the values below a bracket and keeps the
+    values inside it; the median is selected from that window together with
+    the sorted target distances inside it.  The bracket is a window of ranks
+    in the sorted target distances, centred on the previous median, with a
+    half-width of twice the previous rank shift; a bracket that misses the
+    middle ranks is widened fourfold and the pass retried, until it spans
+    every value.  The first call centres it on the median of a strided
+    sample taken at one rate from all three distance sets.  The value, its
+    zero and all-zero fallbacks and its errors are those of
+    ``median_heuristic``, bitwise; the bracket only decides how much is
+    selected from.
+    """
+
+    # Pooled distances in the first call's sample, and the narrowest and the
+    # first bracket half-widths as shares of the target distances.
+    _SAMPLE = 8192
+    _MIN_SHARE = 1 / 1024
+    _SEED_SHARE = 1 / 64
+
+    def __init__(self, targets):
+        self._targets = _as_points(targets)
+        self._sorted = pdist(self._targets)
+        self._sorted.sort()
+        self._min_spread = 16 + int(self._sorted.size * self._MIN_SHARE)
+        self._centre = None
+        self._spread = None
+
+    def __call__(self, particles) -> float:
+        pts = _as_points(particles)
+        tgt, dists = self._targets, self._sorted
+        if tgt.shape[1] != pts.shape[1]:
+            raise ValueError(f"dimension mismatch: {pts.shape} vs {tgt.shape}")
+        pooled = pts.shape[0] + tgt.shape[0]
+        if pooled < 2:
+            raise ValueError("median heuristic needs at least 2 pooled points")
+        total = pooled * (pooled - 1) // 2
+        half, even = total // 2, total % 2 == 0
+        lowest = half - 1 if even else half  # the lowest rank the median needs
+        if self._centre is None:
+            centre = self._sample_median(pts, total)
+            spread = max(self._min_spread, int(dists.size * self._SEED_SHARE))
+        else:
+            centre, spread = self._centre, self._spread
+        rank = np.searchsorted(dists, centre)
+        while True:
+            lo = dists[rank - spread] if rank >= spread else -np.inf
+            hi = dists[rank + spread] if rank + spread < dists.size else np.inf
+            below, window = self._window(pts, lo, hi)
+            if below <= lowest and below + window.size > half:
+                break
+            spread *= 4
+        med = _middle(window, half - below, even)
+        shift = abs(int(np.searchsorted(dists, med)) - int(rank))
+        self._centre, self._spread = med, max(self._min_spread, 2 * shift)
+        if med > 0:
+            return med
+        return self._smallest_positive(pts)
+
+    def _blocks(self, pts: np.ndarray):
+        """The particle-particle and particle-target distances, a few particle rows at a time.
+
+        Rows ``i`` of a block pair with each later particle and every target,
+        in ``pdist``'s own arithmetic, so every value is bitwise the pooled
+        ``pdist`` entry.
+        """
+        pool = np.vstack([pts, self._targets])
+        rows = max(1, _BLOCK_VALUES // pool.shape[0])
+        for start in range(0, pts.shape[0], rows):
+            stop = min(start + rows, pts.shape[0])
+            yield pdist(pts[start:stop])
+            yield cdist(pts[start:stop], pool[stop:]).ravel()
+
+    def _window(self, pts: np.ndarray, lo: float, hi: float) -> tuple[int, np.ndarray]:
+        """The count of pooled distances below ``lo``, and a new array of those in ``[lo, hi]``."""
+        dists = self._sorted
+        below = int(np.searchsorted(dists, lo, "left"))
+        parts = [dists[below:np.searchsorted(dists, hi, "right")]]
+        for block in self._blocks(pts):
+            inside = block >= lo
+            below += block.size - int(np.count_nonzero(inside))
+            inside &= block <= hi
+            parts.append(block[inside])
+        return below, np.concatenate(parts)
+
+    def _sample_median(self, pts: np.ndarray, total: int) -> float:
+        """The median of about ``_SAMPLE`` pooled distances, a ``1 / stride**2`` share of each set.
+
+        Those are every ``stride**2``-th sorted target distance and the
+        distances among every ``stride``-th particle and target.
+        """
+        stride = max(1, int(np.sqrt(total / self._SAMPLE)))
+        sample = np.concatenate([
+            self._sorted[::stride**2],
+            pdist(pts[::stride]),
+            cdist(pts[::stride], self._targets[::stride]).ravel(),
+        ])
+        return _median(sample)
+
+    def _smallest_positive(self, pts: np.ndarray) -> float:
+        """The smallest nonzero pooled distance, or 1.0 when there is none."""
+        dists = self._sorted
+        first = np.searchsorted(dists, 0.0, "right")
+        smallest = dists[first] if first < dists.size else np.inf
+        for block in self._blocks(pts):
+            positive = block[block > 0]
+            if positive.size:
+                smallest = min(smallest, positive.min())
+        return float(smallest) if smallest < np.inf else 1.0

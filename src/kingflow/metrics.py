@@ -31,8 +31,8 @@ def mmd(sample_a, sample_b, bandwidth: float | None = None) -> MmdEstimate:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if bandwidth is None:
         bandwidth = median_heuristic(a, b)
-    elif bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
+    elif not 0 < bandwidth < np.inf:
+        raise ValueError("bandwidth must be positive and finite")
 
     def _gram_mean(xs, ys):
         return float(_gaussian_gram(bandwidth, xs, ys).mean())

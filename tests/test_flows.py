@@ -33,7 +33,8 @@ from kingflow import (
     wgf_velocity,
 )
 from kingflow import flows, kernels, manifold
-from kingflow.flows import FLOW_METHODS, _apply_kernel, _gram_quadratic
+from kingflow.flows import FLOW_METHODS, _apply_kernel, _gram_quadratic, _rbf_apply
+from kingflow.kernels import _gaussian_gram
 
 
 class FeatureKernel:
@@ -433,6 +434,22 @@ def test_rbf_system_term_stays_within_its_memory_budget(rng):
     assert peak < 20 * 2**20
 
 
+def test_rbf_apply_stays_within_its_memory_budget(rng):
+    # One GEMM of the Gram with the anchor columns; the former (q, k, n)
+    # weighted-difference array alone was 5 MiB here.
+    n, d = 800, 2
+    pts = rng.standard_normal((n, d))
+    vels = rng.standard_normal((n, d, 1))
+    gram = _gaussian_gram(1.0, pts, pts)
+    tracemalloc.start()
+    try:
+        _rbf_apply(1.0, gram, pts, pts, vels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # -- baseline velocities -------------------------------------------------------------
 
 def unit_sums_by_pair(points, others):
@@ -743,6 +760,25 @@ def test_frozen_bandwidth_matches_an_explicit_initial_heuristic(rng):
         dataclasses.replace(config, freeze_bandwidth=False),
     )
     assert np.abs(refreshed.points - frozen.points).max() > 0.0
+
+
+@pytest.mark.parametrize(
+    "method, kind", [("king", "rbf_scalar"), ("ntking", "diagonalized_scalar")]
+)
+def test_refreshed_bandwidth_is_the_pooled_median_heuristic(method, kind, rng):
+    # run_flow takes each iteration's bandwidth from one PooledMedian; a
+    # direct solve resolves it with median_heuristic.  The steps agree bitwise.
+    init = ParticleSet(rng.standard_normal((40, 2)))
+    targets = ParticleSet(rng.standard_normal((50, 2)) + 1.5)
+    fmap = GaussianQuadraticMap(input_dim=2)
+    config = FlowConfig(step=0.3, iterations=6, ridge=1e-2)
+    flowed = run_flow(method, fmap, KernelSpec(kind), targets, init, config)
+    solve = solve_king_drift if method == "king" else solve_ntking_drift
+    particles = init
+    for _ in range(config.iterations):
+        velocity = solve(fmap, KernelSpec(kind), particles, targets, config.ridge).anchor_velocity()
+        particles = ParticleSet(particles.points + config.step * velocity)
+    assert_array_equal(flowed.points, particles.points)
 
 
 def test_flow_method_registry():

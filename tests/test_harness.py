@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kingflow import ConfigError, FlowConfig, run_flow
+from kingflow import ConfigError, FlowConfig, ParticleSet, run_flow
 from kingflow.harness import scenarios
 from kingflow.harness.cli import main
 from kingflow.harness.config import SCENARIOS, RunConfig, take_fields
@@ -209,6 +209,27 @@ def test_methods_are_checked_before_any_flow_runs(monkeypatch, scenario, methods
     assert calls == []
 
 
+BAD_RECIPE = {"kind": "rbf_recipe", "bandwidth": float("inf")}
+
+
+@pytest.mark.parametrize(
+    "scenario, methods",
+    [("manifold_guidance", ("king",)), ("bimodal_compare", ("wgf", "king"))],
+)
+def test_bad_rbf_recipe_fields_fail_before_any_flow_runs(monkeypatch, scenario, methods):
+    calls = []
+
+    def counting_run_flow(*args, **kwargs):
+        calls.append(args[0])
+        return run_flow(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "run_flow", counting_run_flow)
+    cfg = RunConfig(scenario=scenario, methods=methods, manifold=BAD_RECIPE)
+    with pytest.raises(ConfigError, match="bad manifold config"):
+        execute_scenario(cfg)
+    assert calls == []
+
+
 def test_scenarios_share_one_run_path():
     # Every scenario runs its flows through one call site, and run_flow
     # reports to one observer callback.
@@ -233,6 +254,34 @@ def test_stein_sampling_rejects_mismatched_score_dimension():
     cfg = RunConfig(scenario="stein_sampling", dataset={"dim": 2})
     with pytest.raises(ConfigError):
         execute_scenario(cfg)
+
+
+def per_element_particles_csv(path, log):
+    """The particles CSV with each value formatted from its own numpy scalar."""
+    import csv
+
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        dim = log.snapshots[0][2].dim
+        writer.writerow(["iteration", "t"] + [f"x{k}" for k in range(dim)] + ["index"])
+        for iteration, t, particles in log.snapshots:
+            for idx, row in enumerate(particles.points):
+                writer.writerow([iteration, repr(float(t))] + [repr(float(v)) for v in row] + [idx])
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e16, 0.1, 1.0 / 3.0, 2.0**53 + 2, 1e308]
+
+
+def test_particles_csv_is_byte_identical_to_per_element_formatting(tmp_path, rng):
+    log = scenarios.RunLog("run")
+    points = np.array(EDGE_VALUES).reshape(-1, 1) * np.ones((1, 3))
+    log.observer(0, 0.0, ParticleSet(points), {})
+    log.observer(7, 1.75, ParticleSet(rng.standard_normal((4, 3)) * 1e-7), {})
+    log.observer(9, 2.25, ParticleSet(rng.permutation(points.ravel()).reshape(-1, 3)), {})
+    scenarios._write_particles_csv(tmp_path / "new.csv", log)
+    per_element_particles_csv(tmp_path / "old.csv", log)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert "-0.0" in (tmp_path / "new.csv").read_text()
 
 
 def test_default_bimodal_run_writes_complete_outputs(tmp_path):
@@ -349,8 +398,11 @@ def test_cli_eval_mmd_error_paths(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval-mmd", str(a), str(tmp_path / "nope.csv")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
-    assert main(["eval-mmd", str(a), str(a), "--bandwidth", "-1.0"]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    for bandwidth in ("-1.0", "nan", "inf"):
+        assert main(["eval-mmd", str(a), str(a), "--bandwidth", bandwidth]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ConfigError"
 
 
 def test_cli_run_executes_a_config(tmp_path, capsys):
@@ -412,6 +464,7 @@ def test_cli_run_reports_config_errors(tmp_path, capsys):
     for config in (
         {"scenario": "ngd_tracking", "dataset": {"checkpoints": 0}},
         {"scenario": "graphical_model", "manifold": {"kind": "gaussian_quadratic"}},
+        {"scenario": "manifold_guidance", "manifold": BAD_RECIPE},
         *(
             {"scenario": "bimodal_compare", "kernels": {"king": {"kind": "rbf_scalar", "bandwidth": bw}}}
             for bw in (float("inf"), float("nan"))

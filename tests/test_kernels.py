@@ -11,6 +11,7 @@ from scipy.spatial.distance import pdist
 from kingflow import (
     KernelSpec,
     NtkSpec,
+    ParticleSet,
     diagonalized_kernel,
     kernel_cross_grad,
     kernel_gram,
@@ -21,7 +22,7 @@ from kingflow import (
     ntk_value,
     rbf_kernel,
 )
-from kingflow.kernels import _gaussian_gram
+from kingflow.kernels import PooledMedian, _gaussian_gram, _sq_distances
 
 
 # -- scalar kernel ------------------------------------------------------------
@@ -73,8 +74,29 @@ def test_gaussian_gram_in_place_is_bitwise_the_expanded_formula(n, dim, rng):
         assert np.array_equal(_gaussian_gram(1.3, a, b), expanded_gram(1.3, a, b))
 
 
-def test_gaussian_gram_peaks_at_twice_its_size(rng):
-    # the result and the product (2x) @ y^T are the only n x n arrays
+def two_array_sq_distances(xs, ys):
+    """The squared distances as built with a separate outer-sum array."""
+    centre = ys.mean(axis=0)
+    xs, ys = xs - centre, ys - centre
+    out = np.sum(xs**2, axis=1)[:, None] + np.sum(ys**2, axis=1)[None, :]
+    out -= (2.0 * xs) @ ys.T
+    return np.maximum(out, 0.0, out=out)
+
+
+@pytest.mark.parametrize(
+    "n, m, dim",
+    [(800, 1000, 2), (1000, 800, 2), (200, 10, 10), (5, 1, 3), (1, 7, 1), (300, 437, 5)],
+)
+def test_sq_distances_in_row_blocks_are_bitwise_the_two_array_expansion(n, m, dim, rng):
+    xs = 3.0 + rng.standard_normal((n, dim))
+    ys = 3.0 + rng.standard_normal((m, dim))
+    for a, b in ((xs, ys), (xs, xs), (ys, ys)):
+        assert np.array_equal(_sq_distances(a, b), two_array_sq_distances(a, b))
+
+
+def test_gaussian_gram_peaks_near_its_own_size(rng):
+    # The product (2x) @ y^T is the result's own array; the expansion is
+    # finished in it a block of rows at a time.
     pts = rng.standard_normal((800, 2))
     tracemalloc.start()
     try:
@@ -82,7 +104,7 @@ def test_gaussian_gram_peaks_at_twice_its_size(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.2 * gram.nbytes
+    assert peak < 1.3 * gram.nbytes
 
 
 def test_kernel_gram_is_psd(rng):
@@ -308,3 +330,127 @@ def test_median_heuristic_equals_the_numpy_median_bitwise(n, dim, grid, seed):
     if expected == 0.0:
         expected = float(nonzero.min()) if nonzero.size else 1.0
     assert median_heuristic(pts) == expected
+
+
+# -- pooled median against a fixed target set ------------------------------------
+
+def grid_points(rng, count, dim, grid):
+    if grid is None:
+        return rng.standard_normal((count, dim))
+    return rng.integers(0, grid + 1, size=(count, dim)).astype(float)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    n=st.integers(1, 40),
+    m=st.integers(1, 40),
+    dim=st.integers(1, 3),
+    grid=st.sampled_from([0, 1, 3, None]),
+    scales=st.lists(
+        st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 8.0]), min_size=1, max_size=6
+    ),
+    shift=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pooled_median_is_the_median_heuristic_bitwise(n, m, dim, grid, scales, shift, seed):
+    # A drifting particle set, scaled up and down so that the bracket around
+    # the previous median misses on either side; integer grids give ties,
+    # zero medians and, on a one-value grid, all-zero distances.  n + m
+    # points give odd and even distance counts.
+    rng = np.random.default_rng(seed)
+    targets = grid_points(rng, m, dim, grid)
+    base = grid_points(rng, n, dim, grid)
+    pooled = PooledMedian(targets)
+    for scale in scales:
+        particles = ParticleSet(scale * base + shift * scale)
+        assert pooled(particles) == median_heuristic(particles, targets)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    n=st.integers(1, 12),
+    m=st.integers(2, 12),
+    grid=st.sampled_from([2, 5, None]),
+    state=st.lists(st.tuples(st.integers(0, 200), st.integers(1, 4)), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pooled_median_is_exact_from_any_bracket(n, m, grid, state, seed):
+    # Whatever the previous median and spread, the bracket only decides how
+    # much is selected from.  Centring it on a target distance puts its edges
+    # on tied and middle values.
+    rng = np.random.default_rng(seed)
+    targets = grid_points(rng, m, 1, grid)
+    particles = grid_points(rng, n, 1, grid)
+    pooled = PooledMedian(targets)
+    target_dists = np.sort(pdist(targets))
+    for position, spread in state:
+        pooled._centre = target_dists[position % target_dists.size]
+        pooled._spread = spread
+        assert pooled(particles) == median_heuristic(particles, targets)
+
+
+def test_pooled_median_misses_a_bracket_that_starts_at_the_upper_middle():
+    # Pooled distances 1 3 4 6 9 10: the bracket [6, inf) has three values
+    # below it, which leaves out the lower middle value 4.
+    pooled = PooledMedian([[0.0], [4.0], [10.0]])
+    pooled._centre, pooled._spread = 10.0, 1
+    assert pooled([[1.0]]) == median_heuristic([[1.0]], [[0.0], [4.0], [10.0]]) == 5.0
+
+
+def test_pooled_median_recovers_from_bracket_misses_on_both_sides(rng, monkeypatch):
+    targets = rng.standard_normal((80, 2))
+    base = rng.standard_normal((60, 2))
+    pooled = PooledMedian(targets)
+    passes = []
+    window = PooledMedian._window
+
+    def counting_window(self, pts, lo, hi):
+        below, values = window(self, pts, lo, hi)
+        passes.append((below, values.size))
+        return below, values
+
+    monkeypatch.setattr(PooledMedian, "_window", counting_window)
+    total = (60 + 80) * (60 + 80 - 1) // 2  # even: ranks total // 2 - 1 and total // 2
+    misses = {"median below": 0, "median above": 0}
+    for scale in (1.0, 1.001, 4.0, 4.002, 0.1, 0.1, 1.0):
+        passes.clear()
+        particles = scale * base
+        assert pooled(particles) == median_heuristic(particles, targets)
+        for below, _ in passes[:-1]:
+            misses["median below" if below > total // 2 - 1 else "median above"] += 1
+    assert misses["median below"] > 0 and misses["median above"] > 0
+
+
+def test_pooled_median_fallbacks_and_edge_sizes():
+    # a single particle and a single target: one distance
+    assert PooledMedian([[0.0, 0.0]])([[3.0, 4.0]]) == 5.0
+    # all distances zero
+    assert PooledMedian(np.zeros((3, 2)))(np.zeros((4, 2))) == 1.0
+    # a zero median falls back to the smallest nonzero distance
+    targets = np.zeros((5, 1))
+    particles = np.array([[0.0], [0.0], [2.5], [0.0]])
+    assert median_heuristic(particles, targets) == 2.5
+    assert PooledMedian(targets)(particles) == 2.5
+
+
+def test_pooled_median_rejects_mismatched_dimensions():
+    pooled = PooledMedian(np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        pooled(np.zeros((3, 3)))
+
+
+def test_pooled_median_call_stays_within_its_memory_budget(rng):
+    # The pooled pdist array of 800 particles and 1000 targets is 12.4 MiB;
+    # a call holds only a block of rows and the bracket's window.
+    targets = 1.0 + rng.standard_normal((1000, 2))
+    particles = rng.standard_normal((800, 2))
+    pooled = PooledMedian(targets)
+    for moved in (particles, 1.02 * particles + 0.01):
+        tracemalloc.start()
+        try:
+            value = pooled(moved)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == median_heuristic(moved, targets)
+        assert peak < 6 * 2**20

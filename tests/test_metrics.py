@@ -45,6 +45,12 @@ def test_mmd_default_bandwidth_is_the_pooled_median(rng):
     assert estimate.bandwidth == median_heuristic(a, b)
 
 
+@pytest.mark.parametrize("bandwidth", [0.0, -1.0, float("nan"), float("inf")])
+def test_mmd_rejects_a_bandwidth_that_is_not_positive_and_finite(bandwidth):
+    with pytest.raises(ValueError, match="positive and finite"):
+        mmd(np.zeros((3, 1)), np.ones((3, 1)), bandwidth=bandwidth)
+
+
 def test_mmd_is_translation_invariant_at_fixed_bandwidth(rng):
     a = rng.standard_normal((15, 2))
     b = rng.standard_normal((12, 2)) + 1.0
