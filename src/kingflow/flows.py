@@ -16,19 +16,16 @@ particles.  The solved coefficient vector then defines the velocity field
 ``_apply_kernel`` holds the one velocity formula of each kernel kind, and
 the kernel term of the system is that same operator applied to each
 feature's Jacobian row (the per-feature fields) and contracted with the
-Jacobian.  The exception is ``rbf_scalar``: its symmetric system term has a
-second, factored form (``_rbf_gram_quadratic``) built from full-width GEMMs
-with the Gram matrix, which never forms the per-feature fields.
-``rbf_scalar`` uses the Gaussian kernel's mixed second derivative as the
-block, ``empirical_ntk`` a closed-form tangent kernel, and
-``diagonalized_scalar`` substitutes ``k(x, y) * I``.  Any object exposing
-``pair_blocks(xs, ys) -> (n, m, d, d)`` works as a custom matrix kernel.
+Jacobian, for every kind.  ``rbf_scalar`` uses the Gaussian kernel's
+mixed second derivative as the block, ``empirical_ntk`` a closed-form
+tangent kernel, and ``diagonalized_scalar`` substitutes ``k(x, y) * I``.
+Any object exposing ``pair_blocks(xs, ys) -> (n, m, d, d)`` works as a
+custom matrix kernel.
 
 ``h`` is linear in ``coeff``, so the solve also yields the velocities at
 the particles it was built on: ``DriftSolution.anchor_velocity`` contracts
-the per-feature fields with ``coeff``, or, for ``rbf_scalar``, applies the
-kernel with the Gram the system was built from.  ``eval_drift`` evaluates
-``h`` at any other query points.
+the per-feature fields with ``coeff``.  ``eval_drift`` evaluates ``h`` at
+any other query points.
 
 ``run_flow`` advances particles by forward Euler, re-solving the drift (and,
 unless frozen, the bandwidth) every iteration and moving each particle by
@@ -83,10 +80,10 @@ class DriftSolution:
     ``anchor_velocity()`` gives the drift at the anchors from products the
     solve already built; ``eval_drift`` evaluates it at other query points.
     ``jacobian`` holds the feature Jacobians at the anchors, shape
-    ``(n, feature_dim, dim)``.  ``products`` is what the system's kernel
-    term was built from: the anchors' Gram matrix for ``rbf_scalar``, else
-    the per-feature fields ``(1/n) sum_i K(x_q, x_i) J_i^T`` at the anchors,
-    shape ``(n, dim, feature_dim)``.  Neither depends on ``coeff``.
+    ``(n, feature_dim, dim)``.  ``products`` holds the per-feature fields
+    ``(1/n) sum_i K(x_q, x_i) J_i^T`` at the anchors, shape
+    ``(n, dim, feature_dim)``, from which the system's kernel term was
+    built.  Neither depends on ``coeff``.
     """
 
     gamma_factor: np.ndarray
@@ -99,10 +96,6 @@ class DriftSolution:
 
     def anchor_velocity(self) -> np.ndarray:
         """The drift at the anchors, ``eval_drift(self, self.anchors)``, shape ``(n, d)``."""
-        if _is_rbf(self.kernel):
-            pts = self.anchors.points
-            fields = _rbf_apply(self.kernel.bandwidth, self.products, pts, pts, _drift_field(self))
-            return fields[:, :, 0]
         n, d, m = self.products.shape
         return (self.products.reshape(n * d, m) @ self.coeff).reshape(n, d)
 
@@ -142,55 +135,18 @@ class FlowConfig:
 
 # -- kernel application -------------------------------------------------------
 
-def _is_rbf(kernel) -> bool:
-    return isinstance(kernel, KernelSpec) and kernel.kind == RBF_SCALAR
-
-
 def _gram_quadratic(
     kernel, pts: np.ndarray, jac_t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(1/n^2) sum_ij J_i K(x_i, x_j) J_j^T`` and the products it was built from.
+    """``(1/n^2) sum_ij J_i K(x_i, x_j) J_j^T`` and the per-feature fields it was built from.
 
     ``jac_t`` holds the Jacobians transposed, shape ``(n, d, m)``.  The
-    products are those ``DriftSolution.products`` describes: the Gram matrix
-    for ``rbf_scalar``, else the kernel applied to the Jacobian rows.
+    fields are ``_apply_kernel`` applied to the Jacobian rows, the
+    ``DriftSolution.products`` of the solve.
     """
-    if _is_rbf(kernel):
-        gram = _gaussian_gram(kernel.bandwidth, pts, pts)
-        return _rbf_gram_quadratic(kernel.bandwidth, gram, pts, jac_t), gram
     n, d, m = jac_t.shape
     fields = _apply_kernel(kernel, pts, pts, jac_t)
     return jac_t.reshape(n * d, m).T @ fields.reshape(n * d, m) / n, fields
-
-
-def _rbf_gram_quadratic(
-    bandwidth: float, gram: np.ndarray, pts: np.ndarray, jac_t: np.ndarray
-) -> np.ndarray:
-    """The symmetric ``rbf_scalar`` system term from full-width GEMMs.
-
-    With ``K_ij = k_ij (I / s^2 - D_ij D_ij^T / s^4)``, ``D_ij = x_i - x_j``
-    and ``u_ia = J_ia . x_i``, the sum splits into ``E_ab = sum_ij k_ij
-    J_ia . J_jb`` and ``S = T1 + T1^T - T2 - T3``, where ``T1_ab = sum_ij
-    k_ij u_ia (x_i . J_jb)``, ``T2 = u^T G u`` and ``T3_ab = sum_ij k_ij
-    (J_ia . x_j)(x_i . J_jb)``.  Each is a product with the Gram ``G``
-    (``gram``); the largest intermediate is ``(n, d, d, m)``.  Points are
-    centred on their mean, which the translation-invariant kernel allows, to
-    keep the expanded products free of cancellation far from the origin.
-    """
-    n, d, m = jac_t.shape
-    x = pts - pts.mean(axis=0)
-    u = np.einsum("ifa,if->ia", jac_t, x, optimize=True)
-    g_jac = (gram @ jac_t.reshape(n, d * m)).reshape(n, d, m)
-    # z[j, e, f, b] = x_je J_jbf, so (G z)[i, e, f, b] = sum_j k_ij x_je J_jbf.
-    z = x[:, :, None, None] * jac_t[:, None, :, :]
-    g_z = (gram @ z.reshape(n, d * d * m)).reshape(n, d, d, m)
-    e = jac_t.reshape(n * d, m).T @ g_jac.reshape(n * d, m)
-    t1 = u.T @ np.einsum("if,ifb->ib", x, g_jac, optimize=True)
-    t2 = u.T @ (gram @ u)
-    # T3_ab = sum_i,e,f J_iae x_if (G z)[i, e, f, b] = sum_i,e,f z[i, f, e, a] (G z)[i, e, f, b]
-    t3 = z.transpose(0, 2, 1, 3).reshape(n * d * d, m).T @ g_z.reshape(n * d * d, m)
-    s2 = bandwidth**2
-    return (e / s2 - (t1 + t1.T - t2 - t3) / s2**2) / n**2
 
 
 def _apply_kernel(kernel, queries: np.ndarray, anchors: np.ndarray, vels: np.ndarray) -> np.ndarray:
@@ -366,13 +322,9 @@ def eval_drift(solution: DriftSolution, queries) -> np.ndarray:
         raise ValueError(
             f"queries have dimension {pts.shape[1]}, anchors {solution.anchors.dim}"
         )
-    fields = _apply_kernel(solution.kernel, pts, solution.anchors.points, _drift_field(solution))
-    return fields[:, :, 0]
-
-
-def _drift_field(solution: DriftSolution) -> np.ndarray:
-    """The anchors' ``J_i^T coeff`` as one velocity field, shape ``(n, d, 1)``."""
-    return np.einsum("iad,a->id", solution.jacobian, solution.coeff, optimize=True)[:, :, None]
+    # the anchors' J_i^T coeff as one velocity field, shape (n, d, 1)
+    field = np.einsum("iad,a->id", solution.jacobian, solution.coeff, optimize=True)[:, :, None]
+    return _apply_kernel(solution.kernel, pts, solution.anchors.points, field)[:, :, 0]
 
 
 # -- baseline velocity fields -------------------------------------------------
@@ -480,8 +432,8 @@ def run_flow(
     solve = solve_king_drift if method == KING else solve_ntking_drift
     for iteration in range(1, config.iterations + 1):
         if method in (KING, NTKING):
-            # The solution, with its n x n Gram for rbf_scalar, is dropped
-            # here rather than kept alive through the next solve.
+            # The solution, with its per-feature fields, is dropped here
+            # rather than kept alive through the next solve.
             if pooled_median is not None:
                 kernel = kernel.with_bandwidth(pooled_median(particles))
             velocity = solve(

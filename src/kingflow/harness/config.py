@@ -80,6 +80,8 @@ class RunConfig:
         elif self.flow is not None and not isinstance(self.flow, FlowConfig):
             raise ConfigError(f"'flow' must be an object, got {type(self.flow).__name__}")
         if self.methods is not None:
+            if not isinstance(self.methods, (list, tuple)):
+                raise ConfigError(f"'methods' must be a list, got {type(self.methods).__name__}")
             methods = tuple(self.methods)
             for m in methods:
                 if m not in FLOW_METHODS:
@@ -87,10 +89,17 @@ class RunConfig:
             if len(set(methods)) != len(methods):
                 raise ConfigError("methods must not repeat")
             object.__setattr__(self, "methods", methods)
-        if self.kernels is not None:
-            for key in self.kernels:
-                if key not in FLOW_METHODS:
-                    raise ConfigError(f"kernel override for unknown method: {key!r}")
+        for name in ("manifold", "kernels"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, dict):
+                raise ConfigError(f"{name!r} must be an object, got {type(value).__name__}")
+        for key, override in (self.kernels or {}).items():
+            if key not in FLOW_METHODS:
+                raise ConfigError(f"kernel override for unknown method: {key!r}")
+            if not isinstance(override, dict):
+                raise ConfigError(
+                    f"kernel override for {key} must be an object, got {type(override).__name__}"
+                )
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":

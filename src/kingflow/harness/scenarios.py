@@ -419,7 +419,10 @@ def _stein_sampling(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     (method,) = _methods(cfg, (KING, NTKING), (NTKING,), single=True)
     dim = ds["dim"]
     seeds = _child_seeds(cfg.seed, 4)
-    score = score_from_config(ds["score"])
+    try:
+        score = score_from_config(ds["score"])
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"bad score config: {exc}") from exc
     if score.dim != dim:
         raise ConfigError(f"score dimension {score.dim} does not match dataset dim {dim}")
     rng = np.random.default_rng(seeds[0])

@@ -388,11 +388,11 @@ def test_kernel_application_matches_the_reference_blocks(kind, data):
 @pytest.mark.parametrize("kind", KERNEL_CASE_KINDS)
 @pytest.mark.parametrize("offset", [0.0, 1e3])
 def test_anchor_velocity_matches_eval_drift_at_the_anchors(kind, offset, rng):
-    dim = 2
-    particles, targets = drift_case(rng, n=16, dim=dim)
+    n, dim, m = 16, 2, 5
+    particles, targets = drift_case(rng, n=n, dim=dim)
     particles = ParticleSet(particles.points + offset)
     targets = ParticleSet(targets.points + offset)
-    fmap = RbfFeatureMap(centers=offset + rng.standard_normal((5, dim)), bandwidth=1.5)
+    fmap = RbfFeatureMap(centers=offset + rng.standard_normal((m, dim)), bandwidth=1.5)
     solve = solve_king_drift if kind == "rbf_scalar" else solve_ntking_drift
     if kind == "custom":
         skew = rng.standard_normal((dim, dim))
@@ -404,23 +404,21 @@ def test_anchor_velocity_matches_eval_drift_at_the_anchors(kind, offset, rng):
     solution = solve(fmap, kernel, particles, targets, ridge=1e-3)
     expected = eval_drift(solution, particles)
     velocity = solution.anchor_velocity()
-    if kind == "rbf_scalar":
-        # the same Gram through the same formula
-        assert_array_equal(velocity, expected)
-    else:
-        # The two paths sum the per-feature fields in different orders.  Far
-        # from the origin the kernels that are not translation invariant
-        # cancel fields much larger than the velocity, so the rounding scale
-        # is the summed magnitude sum_a |coeff_a| |field_a|.
-        magnitude = np.einsum("qda,a->qd", np.abs(solution.products), np.abs(solution.coeff))
-        assert_allclose(velocity, expected, rtol=1e-12, atol=1e-12 * magnitude.max())
+    assert solution.products.shape == (n, dim, m)
+    # The two paths sum the per-feature fields in different orders.  Far
+    # from the origin the kernels that are not translation invariant
+    # cancel fields much larger than the velocity, so the rounding scale
+    # is the summed magnitude sum_a |coeff_a| |field_a|.
+    magnitude = np.einsum("qda,a->qd", np.abs(solution.products), np.abs(solution.coeff))
+    assert_allclose(velocity, expected, rtol=1e-12, atol=1e-12 * magnitude.max())
     silenced = dataclasses.replace(solution, coeff=np.zeros_like(solution.coeff))
     assert_array_equal(silenced.anchor_velocity(), 0.0)
 
 
 def test_rbf_system_term_stays_within_its_memory_budget(rng):
-    # The factored rbf_scalar form keeps its largest intermediate at n*m*d^2;
-    # applying the kernel to every Jacobian row peaked at about 65 MiB here.
+    # The rbf_scalar system term is built from the per-feature fields, one
+    # GEMM of the Gram with the anchor columns whose widest block is
+    # n*d^2*m (3.8 MiB here); any (n, m, n) intermediate would take 61 MiB.
     n, m, d = 400, 50, 5
     pts = 3.0 + rng.standard_normal((n, d))
     jac_t = rng.standard_normal((n, d, m))

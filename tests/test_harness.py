@@ -5,8 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kingflow import ConfigError, FlowConfig, ParticleSet, run_flow
+from kingflow.flows import FLOW_METHODS
 from kingflow.harness import scenarios
 from kingflow.harness.cli import main
 from kingflow.harness.config import SCENARIOS, RunConfig, take_fields
@@ -80,6 +83,35 @@ def test_run_config_round_trips_losslessly():
     assert RunConfig.from_dict(cfg.to_dict()).to_dict() == data
 
 
+positive = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False)
+flow_configs = st.builds(
+    FlowConfig,
+    step=positive,
+    iterations=st.integers(1, 10_000),
+    ridge=positive,
+    jitter=st.floats(min_value=0.0, max_value=1.0),
+    log_every=st.integers(1, 100),
+    freeze_bandwidth=st.booleans(),
+)
+kernel_overrides = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["rbf_scalar", "diagonalized_scalar", "empirical_ntk"])},
+    optional={"bandwidth": positive},
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    scenario=st.sampled_from(SCENARIOS),
+    seed=st.integers(0, 2**32 - 1),
+    methods=st.none() | st.lists(st.sampled_from(FLOW_METHODS), unique=True).map(tuple),
+    flow=st.none() | flow_configs,
+    kernels=st.none() | st.dictionaries(st.sampled_from(["king", "ntking"]), kernel_overrides),
+)
+def test_run_config_round_trips_through_to_dict(scenario, seed, methods, flow, kernels):
+    cfg = RunConfig(scenario=scenario, seed=seed, methods=methods, flow=flow, kernels=kernels)
+    assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+
 def test_run_config_coerces_flow_dicts_in_the_constructor():
     cfg = RunConfig(scenario="bimodal_compare", flow={"step": 1.0, "iterations": 5})
     assert isinstance(cfg.flow, FlowConfig)
@@ -100,6 +132,13 @@ def test_run_config_coerces_flow_dicts_in_the_constructor():
         {"scenario": "bimodal_compare", "flow": {"step": 0.0, "iterations": 5}},
         {"scenario": "bimodal_compare", "flow": [1.0, 5]},
         {"scenario": "bimodal_compare", "kernels": {"svgd": {}}},
+        {"scenario": "bimodal_compare", "kernels": {"king": 5}},
+        {"scenario": "bimodal_compare", "kernels": {"king": None}},
+        {"scenario": "bimodal_compare", "kernels": ["king"]},
+        {"scenario": "bimodal_compare", "manifold": 5},
+        {"scenario": "bimodal_compare", "manifold": ["gaussian_quadratic"]},
+        {"scenario": "bimodal_compare", "methods": "king"},
+        {"scenario": "bimodal_compare", "methods": {"king": 1}},
         {"scenario": "bimodal_compare", "dataset": [1]},
         {},
         {"scenario": "bimodal_compare", "flow": {"step": float("nan"), "iterations": 5}},
@@ -465,6 +504,8 @@ def test_cli_run_reports_config_errors(tmp_path, capsys):
         {"scenario": "ngd_tracking", "dataset": {"checkpoints": 0}},
         {"scenario": "graphical_model", "manifold": {"kind": "gaussian_quadratic"}},
         {"scenario": "manifold_guidance", "manifold": BAD_RECIPE},
+        {"scenario": "bimodal_compare", "kernels": {"king": 5}},
+        {"scenario": "stein_sampling", "dataset": {"score": {"kind": "gaussian", "mean": [0.0]}}},
         *(
             {"scenario": "bimodal_compare", "kernels": {"king": {"kind": "rbf_scalar", "bandwidth": bw}}}
             for bw in (float("inf"), float("nan"))
