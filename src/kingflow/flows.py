@@ -91,7 +91,6 @@ class DriftSolution:
     jacobian: np.ndarray
     kernel: KernelSpec | object
     anchors: ParticleSet
-    ridge: float
     products: np.ndarray
 
     def anchor_velocity(self) -> np.ndarray:
@@ -270,7 +269,6 @@ def _solve_drift(
         jacobian=jac,
         kernel=kernel,
         anchors=particles,
-        ridge=ridge,
         products=products,
     )
 

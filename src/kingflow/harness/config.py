@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from ..errors import ConfigError
-from ..flows import FLOW_METHODS, FlowConfig
+from ..flows import FLOW_METHODS, KING, NTKING, FlowConfig
 
 SCENARIOS = (
     "bimodal_compare",
@@ -94,8 +94,8 @@ class RunConfig:
             if value is not None and not isinstance(value, dict):
                 raise ConfigError(f"{name!r} must be an object, got {type(value).__name__}")
         for key, override in (self.kernels or {}).items():
-            if key not in FLOW_METHODS:
-                raise ConfigError(f"kernel override for unknown method: {key!r}")
+            if key not in (KING, NTKING):
+                raise ConfigError(f"kernel override for {key!r}: only {KING} and {NTKING} take one")
             if not isinstance(override, dict):
                 raise ConfigError(
                     f"kernel override for {key} must be an object, got {type(override).__name__}"

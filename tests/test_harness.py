@@ -1,6 +1,10 @@
 """Run configs, scenario execution and outputs, and the command-line interface."""
 import inspect
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kingflow
 from kingflow import ConfigError, FlowConfig, ParticleSet, run_flow
+from kingflow.errors import SingularFisherError, SolverError
 from kingflow.flows import FLOW_METHODS
 from kingflow.harness import scenarios
 from kingflow.harness.cli import main
@@ -148,6 +154,8 @@ def test_run_config_coerces_flow_dicts_in_the_constructor():
             "scenario": "bimodal_compare",
             "flow": {"step": 1.0, "iterations": 5, "freeze_bandwidth": "false"},
         },
+        {"scenario": "bimodal_compare", "methods": ["wgf"], "kernels": {"wgf": {"kind": "nope"}}},
+        {"scenario": "bimodal_compare", "kernels": {"mmd_flow": {"kind": "rbf_scalar"}}},
     ],
 )
 def test_run_config_rejects_malformed_input(data):
@@ -339,8 +347,11 @@ def test_default_bimodal_run_writes_complete_outputs(tmp_path):
 
     record = json.loads((out / "run.json").read_text())
     assert set(record) == {
-        "config", "summary", "package_version", "numpy_version", "wall_clock_seconds",
+        "config", "summary", "package_version", "numpy_version", "wall_clock_seconds", "process",
     }
+    assert set(record["process"]) == {"minor_page_faults", "heap_retained"}
+    assert record["process"]["minor_page_faults"] >= 0
+    assert isinstance(record["process"]["heap_retained"], bool)
     assert record["config"]["scenario"] == "bimodal_compare"
     assert record["config"]["seed"] == 0
     assert record["summary"] == json.loads(json.dumps(outcome.summary))
@@ -472,6 +483,9 @@ def test_cli_run_reports_config_errors(tmp_path, capsys):
     bad.write_text(json.dumps({"scenario": "bimodal_compare", "mystery": 1}))
     assert main(["run", "--config", str(bad)]) == 2
     assert "mystery" in json.loads(capsys.readouterr().err)["message"]
+    bad.write_text(json.dumps({"scenario": "bimodal_compare", "kernels": {"wgf": {"kind": "nope"}}}))
+    assert main(["run", "--config", str(bad)]) == 2
+    assert "wgf" in json.loads(capsys.readouterr().err)["message"]
     bad.write_text(
         json.dumps({"scenario": "bimodal_compare", "flow": {"step": float("nan"), "iterations": 5}})
     )
@@ -506,6 +520,11 @@ def test_cli_run_reports_config_errors(tmp_path, capsys):
         {"scenario": "manifold_guidance", "manifold": BAD_RECIPE},
         {"scenario": "bimodal_compare", "kernels": {"king": 5}},
         {"scenario": "stein_sampling", "dataset": {"score": {"kind": "gaussian", "mean": [0.0]}}},
+        {"scenario": "bimodal_compare", "kernels": {"king": {"kind": "rbf_scalar", "bandwidth": [1]}}},
+        {
+            "scenario": "stein_sampling",
+            "dataset": {"score": {"kind": "gaussian_mixture", "means": [[0.0]], "sigma": [1, 2]}},
+        },
         *(
             {"scenario": "bimodal_compare", "kernels": {"king": {"kind": "rbf_scalar", "bandwidth": bw}}}
             for bw in (float("inf"), float("nan"))
@@ -533,3 +552,58 @@ def test_cli_run_reports_numerical_failures(tmp_path, capsys):
     report = json.loads(capsys.readouterr().err)
     assert report["error"] == "DivergenceError"
     assert "iteration" in report["message"]
+
+
+@pytest.mark.parametrize("error", [SolverError, SingularFisherError])
+def test_cli_run_reports_solver_failures(tmp_path, capsys, monkeypatch, error):
+    def failing_flow(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(scenarios, "run_flow", failing_flow)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(SMALL_BIMODAL))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == error.__name__
+
+
+# -- process heap policy -------------------------------------------------------------------
+
+HEAP_PROBE = """
+import resource
+import numpy as np
+from kingflow import FlowConfig, KernelSpec, ParticleSet, rbf_map_from_samples, run_flow
+from kingflow.harness.config import RunConfig
+from kingflow.harness.scenarios import execute_scenario
+
+execute_scenario(RunConfig.from_dict({
+    "scenario": "bimodal_compare", "methods": ["wgf"], "flow": {"step": 0.5, "iterations": 2},
+    "dataset": {"dim": 2, "n_targets": 10, "n_particles": 10, "n_eval": 10},
+}))
+rng = np.random.default_rng(0)
+targets = ParticleSet(rng.standard_normal((200, 10)))
+init = ParticleSet(rng.standard_normal((200, 10)))
+fmap = rbf_map_from_samples(init, n_centers=50, seed=1)
+faults = {}
+
+def observer(iteration, *_):
+    faults[iteration] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+run_flow(
+    "ntking", fmap, KernelSpec("diagonalized_scalar"), targets, init,
+    FlowConfig(step=0.1, iterations=22, log_every=1), observer=observer,
+)
+print((faults[22] - faults[1]) / 21)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+def test_drift_iterations_stop_faulting_after_a_scenario_call():
+    # By default glibc hands the freed heap top back to the OS after every
+    # drift iteration, about 830 faults per iteration at this shape.
+    src = str(Path(kingflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", HEAP_PROBE], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert float(done.stdout) < 10

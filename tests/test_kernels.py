@@ -1,4 +1,5 @@
 """Scalar and matrix-valued kernels plus the bandwidth heuristic."""
+import json
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,13 @@ from kingflow import (
     ntk_value,
     rbf_kernel,
 )
-from kingflow.kernels import PooledMedian, _gaussian_gram, _sq_distances
+from kingflow.kernels import (
+    DIAGONALIZED_SCALAR,
+    RBF_SCALAR,
+    PooledMedian,
+    _gaussian_gram,
+    _sq_distances,
+)
 
 
 # -- scalar kernel ------------------------------------------------------------
@@ -266,6 +273,24 @@ def test_kernel_spec_config_round_trip(rng):
                 ntk_gram_blocks(rebuilt.ntk, pts, pts),
                 ntk_gram_blocks(spec.ntk, pts, pts),
             )
+
+
+kernel_specs = st.builds(
+    KernelSpec,
+    kind=st.sampled_from([RBF_SCALAR, DIAGONALIZED_SCALAR]),
+    bandwidth=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+) | st.builds(
+    ntk_kernel,
+    input_dim=st.integers(1, 5),
+    hidden_width=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(spec=kernel_specs)
+def test_kernel_spec_config_round_trips_every_kind(spec):
+    assert KernelSpec.from_config(json.loads(json.dumps(spec.to_config()))) == spec
 
 
 def test_matrix_kernel_rejected_by_scalar_entry_points():

@@ -1,4 +1,6 @@
 """Feature maps, their derivatives, and Fisher estimation."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -356,6 +358,16 @@ def test_config_round_trip(instance, rng):
     pts = rng.standard_normal((4, fmap.input_dim))
     assert rebuilt.kind == fmap.kind
     assert_allclose(rebuilt.features(pts), fmap.features(pts))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(case=feature_map_cases())
+def test_config_round_trips_every_map_kind(case):
+    fmap, pts, _ = case
+    rebuilt = feature_map_from_config(json.loads(json.dumps(fmap.to_config())))
+    assert type(rebuilt) is type(fmap)
+    assert rebuilt.to_config() == fmap.to_config()
+    assert_array_equal(rebuilt.features(pts), fmap.features(pts))
 
 
 def test_unknown_feature_map_kind_rejected():
