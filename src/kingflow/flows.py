@@ -66,11 +66,19 @@ WGF = "wgf"
 MMD_FLOW = "mmd_flow"
 FLOW_METHODS = (KING, NTKING, WGF, MMD_FLOW)
 
-# Kernel kinds each drift method accepts; custom matrix kernels pass either.
-_DRIFT_KERNEL_KINDS = {
+# The kernel kinds each drift method accepts, its default first; custom
+# matrix kernels pass either method.
+DRIFT_KERNEL_KINDS = {
     KING: (RBF_SCALAR,),
-    NTKING: (EMPIRICAL_NTK, DIAGONALIZED_SCALAR),
+    NTKING: (DIAGONALIZED_SCALAR, EMPIRICAL_NTK),
 }
+
+
+def check_drift_kernel(method: str, kernel) -> None:
+    """Raise ``ValueError`` unless ``kernel`` is a kind ``method`` accepts or a custom kernel."""
+    allowed = DRIFT_KERNEL_KINDS[method]
+    if isinstance(kernel, KernelSpec) and kernel.kind not in allowed:
+        raise ValueError(f"{method} drift expects {' or '.join(allowed)}, got {kernel.kind}")
 
 
 @dataclass(frozen=True)
@@ -243,9 +251,7 @@ def _solve_drift(
     jitter: float,
     target_mean: np.ndarray | None,
 ) -> DriftSolution:
-    allowed = _DRIFT_KERNEL_KINDS[method]
-    if isinstance(kernel, KernelSpec) and kernel.kind not in allowed:
-        raise ValueError(f"{method} drift expects {' or '.join(allowed)}, got {kernel.kind}")
+    check_drift_kernel(method, kernel)
     if ridge <= 0:
         raise ValueError("ridge must be positive")
     if targets is not None and targets.dim != particles.dim:
@@ -414,22 +420,21 @@ def run_flow(
     if targets is not None and targets.dim != init.dim:
         raise ValueError(f"dimension mismatch: targets {targets.dim}, init {init.dim}")
 
+    drift = method in DRIFT_KERNEL_KINDS
     pooled_median = None
-    if method in (KING, NTKING) and config.freeze_bandwidth:
+    if drift and config.freeze_bandwidth:
         kernel = _resolve_bandwidth(kernel, init, targets)
-    elif method in (KING, NTKING) and _unresolved(kernel) and targets is not None:
+    elif drift and _unresolved(kernel) and targets is not None:
         pooled_median = PooledMedian(targets)
     bw_targets = median_heuristic(targets) if method == WGF else None
-    target_mean = (
-        feature_mean(fmap, targets) if method in (KING, NTKING) and targets is not None else None
-    )
+    target_mean = feature_mean(fmap, targets) if drift and targets is not None else None
 
     particles = init
     if observer is not None:
         observer(0, particles.t, particles, {})
     solve = solve_king_drift if method == KING else solve_ntking_drift
     for iteration in range(1, config.iterations + 1):
-        if method in (KING, NTKING):
+        if drift:
             # The solution, with its per-feature fields, is dropped here
             # rather than kept alive through the next solve.
             if pooled_median is not None:

@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from ..errors import ConfigError
-from ..flows import FLOW_METHODS, KING, NTKING, FlowConfig
+from ..flows import DRIFT_KERNEL_KINDS, FLOW_METHODS, FlowConfig
 
 SCENARIOS = (
     "bimodal_compare",
@@ -17,7 +17,6 @@ SCENARIOS = (
     "stein_sampling",
 )
 
-_TOP_KEYS = {"scenario", "seed", "methods", "flow", "manifold", "kernels", "dataset", "out_dir"}
 _FLOW_KEYS = {f.name for f in fields(FlowConfig)}
 
 
@@ -50,8 +49,9 @@ def take_fields(given: dict, defaults: dict, context: str) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated scenario run description.
+    """Validated scenario run description; the constructor checks every field.
 
+    ``seed`` is an integer (not a bool) and ``out_dir`` a string or ``None``.
     ``methods``, ``manifold`` and ``kernels`` may be left unset to take the
     scenario defaults; ``dataset`` carries scenario-specific knobs that the
     scenario validates against its own defaults.
@@ -69,6 +69,12 @@ class RunConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario: {self.scenario!r} (expected one of {SCENARIOS})")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ConfigError(f"'seed' must be an integer, got {self.seed!r}")
+        if self.dataset is None:
+            object.__setattr__(self, "dataset", {})
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ConfigError(f"'out_dir' must be a string, got {self.out_dir!r}")
         if isinstance(self.flow, dict):
             unknown = set(self.flow) - _FLOW_KEYS
             if unknown:
@@ -89,13 +95,13 @@ class RunConfig:
             if len(set(methods)) != len(methods):
                 raise ConfigError("methods must not repeat")
             object.__setattr__(self, "methods", methods)
-        for name in ("manifold", "kernels"):
+        for name in ("manifold", "kernels", "dataset"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, dict):
                 raise ConfigError(f"{name!r} must be an object, got {type(value).__name__}")
         for key, override in (self.kernels or {}).items():
-            if key not in (KING, NTKING):
-                raise ConfigError(f"kernel override for {key!r}: only {KING} and {NTKING} take one")
+            if key not in DRIFT_KERNEL_KINDS:
+                raise ConfigError(f"{key!r} takes no kernel (only {list(DRIFT_KERNEL_KINDS)} do)")
             if not isinstance(override, dict):
                 raise ConfigError(
                     f"kernel override for {key} must be an object, got {type(override).__name__}"
@@ -105,32 +111,12 @@ class RunConfig:
     def from_dict(data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("run config must be a JSON object")
-        unknown = set(data) - _TOP_KEYS
+        unknown = set(data) - {f.name for f in fields(RunConfig)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "scenario" not in data:
             raise ConfigError("config is missing the 'scenario' field")
-        dataset = data.get("dataset") or {}
-        if not isinstance(dataset, dict):
-            raise ConfigError("'dataset' must be an object")
-        seed = data.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigError(f"'seed' must be an integer, got {seed!r}")
-        try:
-            return RunConfig(
-                scenario=data["scenario"],
-                seed=seed,
-                methods=data.get("methods"),
-                flow=data.get("flow"),
-                manifold=data.get("manifold"),
-                kernels=data.get("kernels"),
-                dataset=dataset,
-                out_dir=data.get("out_dir"),
-            )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(str(exc)) from exc
+        return RunConfig(**data)
 
     @staticmethod
     def from_json(path) -> "RunConfig":

@@ -30,8 +30,16 @@ except ImportError:  # absent on Windows
 
 from .. import __version__ as _pkg_version
 from ..errors import ConfigError
-from ..flows import FLOW_METHODS, KING, NTKING, FlowConfig, run_flow
-from ..kernels import DIAGONALIZED_SCALAR, EMPIRICAL_NTK, RBF_SCALAR, KernelSpec
+from ..flows import (
+    DRIFT_KERNEL_KINDS,
+    FLOW_METHODS,
+    KING,
+    NTKING,
+    FlowConfig,
+    check_drift_kernel,
+    run_flow,
+)
+from ..kernels import EMPIRICAL_NTK, KernelSpec
 from ..manifold import (
     FeatureMap,
     GaussianQuadraticMap,
@@ -120,31 +128,6 @@ def _methods(
     return methods
 
 
-def _kernel_for(
-    cfg: RunConfig, method: str, init: ParticleSet, bandwidth: float | None = None
-) -> KernelSpec:
-    """The kernel ``cfg`` sets for ``method``, else its default kind at ``bandwidth``."""
-    override = (cfg.kernels or {}).get(method)
-    if override is None:
-        kind = RBF_SCALAR if method == KING else DIAGONALIZED_SCALAR
-        return KernelSpec(kind=kind, bandwidth=bandwidth)
-    spec = dict(override)
-    if spec.get("kind") == EMPIRICAL_NTK:
-        spec.setdefault("input_dim", init.dim)
-        spec.setdefault("seed", cfg.seed)
-    try:
-        return KernelSpec.from_config(spec)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad kernel config for {method}: {exc}") from exc
-
-
-def _kernels(
-    cfg: RunConfig, methods: tuple[str, ...], init: ParticleSet, bandwidth: float | None = None
-) -> dict[str, KernelSpec]:
-    """The kernel of each drift method in ``methods``, all built before any flow runs."""
-    return {m: _kernel_for(cfg, m, init, bandwidth) for m in methods if m in (KING, NTKING)}
-
-
 def _materialize_manifold(
     cfg: dict, init: ParticleSet, targets: ParticleSet | None, seed
 ) -> FeatureMap:
@@ -170,29 +153,46 @@ def _materialize_manifold(
         raise ConfigError(f"bad manifold config: {exc}") from exc
 
 
-def _flow(
-    cfg: RunConfig,
-    method: str,
-    init: ParticleSet,
-    targets: ParticleSet | None,
-    flow: FlowConfig,
-    *,
-    label: str | None = None,
-    metric: Callable[[ParticleSet], dict] | None = None,
-    fmap: FeatureMap | None = None,
-    recipe: dict | None = None,
-    seed=None,
-    kernel: KernelSpec | None = None,
-) -> RunLog:
-    """Run one flow and return its log, labelled ``method`` unless ``label`` is set.
+def _drift_inputs(
+    cfg: RunConfig, methods: tuple[str, ...], init: ParticleSet, targets: ParticleSet | None,
+    recipe: dict | None, seed, bandwidth: float | None = None,
+) -> tuple[FeatureMap | None, dict[str, KernelSpec]]:
+    """The shared feature map and each drift method's kernel, all checked before any flow runs.
 
-    The drift methods take ``kernel`` (from ``_kernels``) and ``fmap`` when
-    given, else the manifold built from ``cfg.manifold`` (``recipe`` when
-    unset) over ``init`` and ``targets``.
+    The map is built from ``cfg.manifold``, else ``recipe``, over ``init``
+    and ``targets``, and only when a drift method runs; ``recipe=None``
+    marks a scenario whose map is fixed.  A ``manifold`` that no flow would
+    read is rejected.  Each drift method takes the kernel ``cfg`` sets for
+    it, else its default kind at ``bandwidth``.
     """
-    if method in (KING, NTKING) and fmap is None:
+    drift = [m for m in methods if m in DRIFT_KERNEL_KINDS]
+    if cfg.manifold is not None and (recipe is None or not drift):
+        raise ConfigError(f"no flow of {cfg.scenario} with {list(methods)} reads 'manifold'")
+    kernels = {}
+    for method in drift:
+        default = {"kind": DRIFT_KERNEL_KINDS[method][0], "bandwidth": bandwidth}
+        spec = dict((cfg.kernels or {}).get(method, default))
+        if spec.get("kind") == EMPIRICAL_NTK:
+            spec.setdefault("input_dim", init.dim)
+            spec.setdefault("seed", cfg.seed)
+        try:
+            kernels[method] = KernelSpec.from_config(spec)
+            check_drift_kernel(method, kernels[method])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad kernel config for {method}: {exc}") from exc
+    fmap = None
+    if drift and recipe is not None:
         manifold = recipe if cfg.manifold is None else cfg.manifold
         fmap = _materialize_manifold(manifold, init, targets, seed)
+    return fmap, kernels
+
+
+def _flow(
+    method: str, init: ParticleSet, targets: ParticleSet | None, flow: FlowConfig, *,
+    label: str | None = None, metric: Callable[[ParticleSet], dict] | None = None,
+    fmap: FeatureMap | None = None, kernel: KernelSpec | None = None,
+) -> RunLog:
+    """Run one flow and return its log, labelled ``method`` unless ``label`` is set."""
     log = RunLog(label or method, metric)
     run_flow(method, fmap, kernel, targets, init, flow, observer=log.observer)
     return log
@@ -211,27 +211,20 @@ def _bimodal_compare(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     targets = gen_gaussian_mixture(dim, [-offset, offset], [0.5, 0.5], ds["n_targets"], seeds[0])
     init = gen_gaussian_mixture(dim, [0.0], [1.0], ds["n_particles"], seeds[1])
     eval_targets = gen_gaussian_mixture(dim, [-offset, offset], [0.5, 0.5], ds["n_eval"], seeds[2])
-    kernels = _kernels(cfg, methods, init)
     # Drift magnitudes at step 1 are only stable on a smoothed manifold and
     # with per-method damping, so the defaults widen the feature bandwidth and
     # calibrate ridge (and the kernel-bandwidth refresh policy) per method.
-    # The drift methods share one manifold, built before any flow runs.
-    fmap = None
-    if kernels:
-        recipe = {"kind": "rbf_recipe", "bandwidth_scale": 2.0}
-        manifold = recipe if cfg.manifold is None else cfg.manifold
-        fmap = _materialize_manifold(manifold, init, targets, seeds[3])
+    recipe = {"kind": "rbf_recipe", "bandwidth_scale": 2.0}
+    fmap, kernels = _drift_inputs(cfg, methods, init, targets, recipe, seeds[3])
     default_flow = {
         KING: FlowConfig(step=1.0, iterations=100, ridge=1e-2),
         NTKING: FlowConfig(step=1.0, iterations=100, ridge=1e-1, freeze_bandwidth=True),
     }
     logs = [
         _flow(
-            cfg, method, init, targets,
+            method, init, targets,
             cfg.flow or default_flow.get(method, FlowConfig(step=1.0, iterations=100)),
-            metric=_mmd_metric(eval_targets),
-            fmap=fmap,
-            kernel=kernels.get(method),
+            metric=_mmd_metric(eval_targets), fmap=fmap, kernel=kernels.get(method),
         )
         for method in methods
     ]
@@ -239,23 +232,22 @@ def _bimodal_compare(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
 
 
 def _manifold_guidance(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
-    methods = _methods(cfg, (KING, NTKING), (KING,))
+    methods = _methods(cfg, tuple(DRIFT_KERNEL_KINDS), (KING,))
     offset = ds["offset"]
     seeds = _child_seeds(cfg.seed, 5)
     targets = gen_gaussian_mixture(1, [-offset, offset], [0.5, 0.5], ds["n_targets"], seeds[0])
     init = gen_gaussian_mixture(1, [0.0], [1.0], ds["n_particles"], seeds[1])
     eval_targets = gen_gaussian_mixture(1, [-offset, offset], [0.5, 0.5], ds["n_eval"], seeds[2])
-    kernels = _kernels(cfg, methods, init)
-    flow = cfg.flow or FlowConfig(step=0.5, iterations=100)
     recipe = {"kind": "gaussian_quadratic"}
+    fmap, kernels = _drift_inputs(cfg, methods, init, targets, recipe, seeds[3])
+    flow = cfg.flow or FlowConfig(step=0.5, iterations=100)
 
     summary_methods = {}
     logs = []
     for method in methods:
         log = _flow(
-            cfg, method, init, targets, flow,
-            metric=_mmd_metric(eval_targets), recipe=recipe, seed=seeds[3],
-            kernel=kernels[method],
+            method, init, targets, flow,
+            metric=_mmd_metric(eval_targets), fmap=fmap, kernel=kernels[method],
         )
         logs.append(log)
         pts = log.final.points[:, 0]
@@ -285,7 +277,8 @@ def _ngd_tracking(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     target_cov = shape @ shape.T / dim + 0.5 * np.eye(dim)
     targets = ParticleSet(sample_gaussian(target_mean, target_cov, ds["n_targets"], seeds[1]))
     init = ParticleSet(sample_gaussian(np.zeros(dim), np.eye(dim), ds["n_particles"], seeds[2]))
-    kernels = _kernels(cfg, (KING,), init)
+    # The exact reference fixes the quadratic map, so no manifold override applies.
+    _, kernels = _drift_inputs(cfg, (KING,), init, targets, recipe=None, seed=None)
 
     flow = cfg.flow or FlowConfig(step=0.25, iterations=60, ridge=1e-4)
     every = max(flow.iterations // ds["checkpoints"], 1)
@@ -300,7 +293,7 @@ def _ngd_tracking(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
         param_moments[k] = gaussian_natural_to_moment(params)
 
     log = _flow(
-        cfg, KING, init, targets, replace(flow, log_every=every),
+        KING, init, targets, replace(flow, log_every=every),
         fmap=GaussianQuadraticMap(input_dim=dim), kernel=kernels[KING],
     )
     checkpoints = []
@@ -330,7 +323,7 @@ def _ngd_tracking(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
 
 def _graphical_model(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     # Only the drift methods use the feature map that sets the variants apart.
-    (method,) = _methods(cfg, (KING, NTKING), (NTKING,), single=True)
+    (method,) = _methods(cfg, tuple(DRIFT_KERNEL_KINDS), (NTKING,), single=True)
     dim = ds["dim"]
     seeds = _child_seeds(cfg.seed, 4)
     base_graph_seed = int(seeds[0].generate_state(1)[0])
@@ -348,15 +341,12 @@ def _graphical_model(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
 
     targets = gen_ggm_samples(spec, ds["n_targets"], seeds[1])
     init = ParticleSet(sample_gaussian(np.zeros(dim), np.eye(dim), ds["n_particles"], seeds[2]))
-    kernels = _kernels(cfg, (method,), init)
-    flow = cfg.flow or FlowConfig(step=1.0, iterations=30)
-    true_edges = set(spec.edges)
-
-    recipe = {"kind": "rbf_recipe"} if cfg.manifold is None else cfg.manifold
-    plain = _materialize_manifold(recipe, init, targets, seeds[3])
+    plain, kernels = _drift_inputs(cfg, (method,), init, targets, {"kind": "rbf_recipe"}, seeds[3])
     if not isinstance(plain, RbfFeatureMap):
         # The informed variant reuses the plain map's centres and bandwidth.
-        raise ConfigError(f"graphical_model needs an RBF manifold, got {recipe.get('kind')!r}")
+        raise ConfigError(f"graphical_model needs an RBF manifold, got {cfg.manifold['kind']!r}")
+    flow = cfg.flow or FlowConfig(step=1.0, iterations=30)
+    true_edges = set(spec.edges)
     informed = InformedPairwiseMap(
         centers=plain.centers, bandwidth=plain.bandwidth, pairs=tuple(spec.edges)
     )
@@ -371,7 +361,7 @@ def _graphical_model(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     logs = []
     for label, iterations, fmap in variants:
         log = _flow(
-            cfg, method, init, targets, replace(flow, iterations=iterations),
+            method, init, targets, replace(flow, iterations=iterations),
             label=label, fmap=fmap, kernel=kernels[method],
         )
         logs.append(log)
@@ -410,16 +400,15 @@ def _covariate_shift_rotation(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunL
     )
     shifted = rotate_dataset(fresh, ds["degrees"])
     tree = cKDTree(source.points)
-    kernels = _kernels(cfg, (method,), shifted)
+    fmap, kernels = _drift_inputs(cfg, (method,), shifted, source, {"kind": "rbf_recipe"}, seeds[2])
 
     def nn_metric(particles: ParticleSet) -> dict:
         dists, _ = tree.query(particles.points)
         return {"residual": float(dists.mean())}
 
     log = _flow(
-        cfg, method, shifted, source, cfg.flow or FlowConfig(step=0.5, iterations=80),
-        metric=nn_metric, recipe={"kind": "rbf_recipe"}, seed=seeds[2],
-        kernel=kernels.get(method),
+        method, shifted, source, cfg.flow or FlowConfig(step=0.5, iterations=80),
+        metric=nn_metric, fmap=fmap, kernel=kernels.get(method),
     )
     summary = {
         "method": method,
@@ -430,7 +419,7 @@ def _covariate_shift_rotation(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunL
 
 
 def _stein_sampling(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
-    (method,) = _methods(cfg, (KING, NTKING), (NTKING,), single=True)
+    (method,) = _methods(cfg, tuple(DRIFT_KERNEL_KINDS), (NTKING,), single=True)
     dim = ds["dim"]
     seeds = _child_seeds(cfg.seed, 4)
     try:
@@ -445,13 +434,14 @@ def _stein_sampling(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     eval_targets = ParticleSet(score.sample(ds["n_eval"], seeds[1]))
     base = _materialize_manifold(ds["base"], init, None, seeds[2])
     smap = SteinFeatureMap(base=base, target=score, mode=ds["mode"])
-    kernels = _kernels(cfg, (method,), init, bandwidth=20.0)
+    # The Stein map's base comes from ``dataset.base``, so no manifold override applies.
+    _, kernels = _drift_inputs(cfg, (method,), init, None, recipe=None, seed=None, bandwidth=20.0)
 
     # A near-global kernel keeps the velocity field close to rigid motions;
     # localized kernels let the finite Stein moment system stall at skewed
     # spurious equilibria well away from the target mean.
     log = _flow(
-        cfg, method, init, None, cfg.flow or FlowConfig(step=0.5, iterations=100),
+        method, init, None, cfg.flow or FlowConfig(step=0.5, iterations=100),
         metric=_mmd_metric(eval_targets), fmap=smap, kernel=kernels[method],
     )
     final = log.final.points
@@ -602,8 +592,6 @@ def execute_scenario(cfg: RunConfig) -> ScenarioOutcome:
 
     The first call fixes the process's heap policy (see ``_retain_heap``).
     """
-    if cfg.scenario not in _SCENARIO_FNS:
-        raise ConfigError(f"unknown scenario: {cfg.scenario!r}")
     heap_retained = _retain_heap()
     faults = _minor_page_faults()
     start = time.perf_counter()

@@ -122,24 +122,16 @@ def _pack_theta(params: GaussianNaturalParams) -> np.ndarray:
     doubled (each product feature ``x_i x_j`` with ``i != j`` absorbs both
     symmetric matrix entries).
     """
-    d = params.dim
-    quad = params.quadratic
-    tail = np.array(
-        [quad[i, j] if i == j else 2.0 * quad[i, j] for i, j in vech_pairs(d)]
-    )
+    i, j = np.array(vech_pairs(params.dim)).T
+    tail = params.quadratic[i, j] * np.where(i == j, 1.0, 2.0)
     return np.concatenate([params.linear, tail])
 
 
 def _unpack_theta(theta: np.ndarray, dim: int) -> GaussianNaturalParams:
-    lin = theta[:dim]
+    i, j = np.array(vech_pairs(dim)).T
     quad = np.zeros((dim, dim))
-    for idx, (i, j) in enumerate(vech_pairs(dim)):
-        val = theta[dim + idx]
-        if i == j:
-            quad[i, i] = val
-        else:
-            quad[i, j] = quad[j, i] = 0.5 * val
-    return GaussianNaturalParams(linear=lin, quadratic=quad)
+    quad[i, j] = quad[j, i] = theta[dim:] * np.where(i == j, 1.0, 0.5)
+    return GaussianNaturalParams(linear=theta[:dim], quadratic=quad)
 
 
 def exact_ngd_step(

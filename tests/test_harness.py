@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import kingflow
 from kingflow import ConfigError, FlowConfig, ParticleSet, run_flow
 from kingflow.errors import SingularFisherError, SolverError
-from kingflow.flows import FLOW_METHODS
+from kingflow.flows import DRIFT_KERNEL_KINDS, FLOW_METHODS
 from kingflow.harness import scenarios
 from kingflow.harness.cli import main
 from kingflow.harness.config import SCENARIOS, RunConfig, take_fields
@@ -168,6 +168,19 @@ def test_run_config_constructor_rejects_a_non_object_flow():
         RunConfig(scenario="bimodal_compare", flow=[1.0, 5])
 
 
+@pytest.mark.parametrize("seed", [None, 2.5, True])
+def test_run_config_constructor_rejects_a_seed_that_is_not_an_integer(seed):
+    # An unseeded run would draw from OS entropy and could not be reproduced.
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(scenario="bimodal_compare", seed=seed)
+
+
+@pytest.mark.parametrize("changes", [{"dataset": [1]}, {"out_dir": 5}, {"out_dir": b"runs"}])
+def test_run_config_constructor_checks_dataset_and_out_dir(changes):
+    with pytest.raises(ConfigError):
+        RunConfig(scenario="bimodal_compare", **changes)
+
+
 def test_run_config_replace_overrides_fields():
     cfg = RunConfig.from_dict(SMALL_BIMODAL)
     replaced = cfg.replace(seed=9, out_dir="elsewhere")
@@ -227,6 +240,19 @@ def test_dataset_fields_must_match_their_default_types(data):
         execute_scenario(RunConfig.from_dict(data))
 
 
+@pytest.fixture
+def run_flow_calls(monkeypatch):
+    """The arguments of every ``run_flow`` call the scenarios make, in order."""
+    calls = []
+
+    def counting_run_flow(*args, **kwargs):
+        calls.append(args)
+        return run_flow(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "run_flow", counting_run_flow)
+    return calls
+
+
 # A bad kernel override of a later method must fail before the first method runs.
 BAD_KERNEL_OVERRIDES = {"bimodal_compare": {"ntking": {"kind": "nope"}}}
 
@@ -242,18 +268,49 @@ BAD_KERNEL_OVERRIDES = {"bimodal_compare": {"ntking": {"kind": "nope"}}}
         ("bimodal_compare", ("king", "ntking")),
     ],
 )
-def test_methods_are_checked_before_any_flow_runs(monkeypatch, scenario, methods):
-    calls = []
-
-    def counting_run_flow(*args, **kwargs):
-        calls.append(args[0])
-        return run_flow(*args, **kwargs)
-
-    monkeypatch.setattr(scenarios, "run_flow", counting_run_flow)
+def test_methods_are_checked_before_any_flow_runs(run_flow_calls, scenario, methods):
     cfg = RunConfig(scenario=scenario, methods=methods, kernels=BAD_KERNEL_OVERRIDES.get(scenario))
     with pytest.raises(ConfigError):
         execute_scenario(cfg)
-    assert calls == []
+    assert run_flow_calls == []
+
+
+# Configs that no flow could run as written: a kernel kind its method does not
+# take, and a manifold that no flow reads, because the scenario fixes its map or
+# runs no drift method.
+UNRUNNABLE_CONFIGS = [
+    {
+        "scenario": "bimodal_compare",
+        "methods": ["king", "ntking"],
+        "kernels": {"ntking": {"kind": "rbf_scalar"}},
+    },
+    {
+        "scenario": "bimodal_compare",
+        "methods": ["ntking", "king"],
+        "kernels": {"king": {"kind": "empirical_ntk"}},
+    },
+    {"scenario": "ngd_tracking", "manifold": {"kind": "gaussian_quadratic"}},
+    {"scenario": "stein_sampling", "manifold": {"kind": "gaussian_quadratic"}},
+    {"scenario": "bimodal_compare", "methods": ["wgf"], "manifold": {"kind": "gaussian_quadratic"}},
+    {
+        "scenario": "covariate_shift_rotation",
+        "methods": ["mmd_flow"],
+        "manifold": {"kind": "rbf_recipe"},
+    },
+]
+
+
+@pytest.mark.parametrize("data", UNRUNNABLE_CONFIGS)
+def test_kernel_kinds_and_unread_manifolds_fail_before_any_flow_runs(run_flow_calls, data):
+    with pytest.raises(ConfigError):
+        execute_scenario(RunConfig.from_dict(data))
+    assert run_flow_calls == []
+
+
+def test_drift_methods_default_to_their_first_kernel_kind(run_flow_calls):
+    execute_scenario(RunConfig.from_dict({**SMALL_BIMODAL, "methods": ["king", "ntking"]}))
+    kinds = {args[0]: args[2].kind for args in run_flow_calls}
+    assert kinds == {method: DRIFT_KERNEL_KINDS[method][0] for method in ("king", "ntking")}
 
 
 BAD_RECIPE = {"kind": "rbf_recipe", "bandwidth": float("inf")}
@@ -263,18 +320,11 @@ BAD_RECIPE = {"kind": "rbf_recipe", "bandwidth": float("inf")}
     "scenario, methods",
     [("manifold_guidance", ("king",)), ("bimodal_compare", ("wgf", "king"))],
 )
-def test_bad_rbf_recipe_fields_fail_before_any_flow_runs(monkeypatch, scenario, methods):
-    calls = []
-
-    def counting_run_flow(*args, **kwargs):
-        calls.append(args[0])
-        return run_flow(*args, **kwargs)
-
-    monkeypatch.setattr(scenarios, "run_flow", counting_run_flow)
+def test_bad_rbf_recipe_fields_fail_before_any_flow_runs(run_flow_calls, scenario, methods):
     cfg = RunConfig(scenario=scenario, methods=methods, manifold=BAD_RECIPE)
     with pytest.raises(ConfigError, match="bad manifold config"):
         execute_scenario(cfg)
-    assert calls == []
+    assert run_flow_calls == []
 
 
 def test_scenarios_share_one_run_path():
@@ -476,7 +526,7 @@ def test_cli_run_executes_a_config(tmp_path, capsys):
     assert record["config"]["out_dir"] == str(out)
 
 
-def test_cli_run_reports_config_errors(tmp_path, capsys):
+def test_cli_run_reports_config_errors(tmp_path, capsys, run_flow_calls):
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
     bad = tmp_path / "bad.json"
@@ -529,10 +579,14 @@ def test_cli_run_reports_config_errors(tmp_path, capsys):
             {"scenario": "bimodal_compare", "kernels": {"king": {"kind": "rbf_scalar", "bandwidth": bw}}}
             for bw in (float("inf"), float("nan"))
         ),
+        {"scenario": "stein_sampling", "out_dir": 5},
+        {"scenario": "stein_sampling", "seed": 2.5},
+        *UNRUNNABLE_CONFIGS,
     ):
         bad.write_text(json.dumps(config))
         assert main(["run", "--config", str(bad)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert run_flow_calls == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

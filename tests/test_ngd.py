@@ -15,6 +15,8 @@ from kingflow import (
     natural_gradient_kl,
     sample_gaussian,
 )
+from kingflow.manifold import vech_pairs
+from kingflow.ngd import _pack_theta, _unpack_theta
 
 
 # -- natural gradient on feature manifolds ------------------------------------
@@ -187,3 +189,25 @@ def test_error_toward_target_decreases_after_burn_in():
 
 def test_step_failure_error_is_exported():
     assert issubclass(StepFailureError, RuntimeError)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 10])
+def test_theta_layout_matches_the_per_pair_loop_bitwise(rng, dim):
+    # Reference: one vech pair at a time, the doubled off-diagonal entries
+    # of GaussianQuadraticMap's product features.
+    for _ in range(20):
+        shape = rng.standard_normal((dim, dim))
+        params = GaussianNaturalParams(
+            linear=rng.standard_normal(dim), quadratic=-(shape @ shape.T) - np.eye(dim)
+        )
+        tail = [
+            params.quadratic[i, j] * (1.0 if i == j else 2.0) for i, j in vech_pairs(dim)
+        ]
+        assert np.array_equal(_pack_theta(params), np.concatenate([params.linear, tail]))
+        theta = rng.standard_normal(dim + dim * (dim + 1) // 2)
+        quad = np.zeros((dim, dim))
+        for k, (i, j) in enumerate(vech_pairs(dim)):
+            quad[i, j] = quad[j, i] = theta[dim + k] * (1.0 if i == j else 0.5)
+        unpacked = _unpack_theta(theta, dim)
+        assert np.array_equal(unpacked.linear, theta[:dim])
+        assert np.array_equal(unpacked.quadratic, quad)
