@@ -54,6 +54,7 @@ from .kernels import (
     PooledMedian,
     _as_points,
     _gaussian_gram,
+    _number,
     median_heuristic,
 )
 from .manifold import FeatureMap, feature_mean, feature_moments
@@ -120,7 +121,7 @@ class FlowConfig:
 
     def __post_init__(self):
         for name in ("step", "ridge", "jitter"):
-            if not np.isfinite(getattr(self, name)):
+            if not np.isfinite(_number(getattr(self, name), name)):
                 raise ValueError(f"{name} must be finite")
         for name in ("iterations", "log_every"):
             value = getattr(self, name)

@@ -1,6 +1,7 @@
 """Run configuration: strict JSON schema for the scenario runner."""
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -16,9 +17,6 @@ SCENARIOS = (
     "covariate_shift_rotation",
     "stein_sampling",
 )
-
-_FLOW_KEYS = {f.name for f in fields(FlowConfig)}
-
 
 def take_fields(given: dict, defaults: dict, context: str) -> dict:
     """Merge a user dict over defaults, rejecting keys outside the defaults.
@@ -54,7 +52,9 @@ class RunConfig:
     ``seed`` is an integer (not a bool) and ``out_dir`` a string or ``None``.
     ``methods``, ``manifold`` and ``kernels`` may be left unset to take the
     scenario defaults; ``dataset`` carries scenario-specific knobs that the
-    scenario validates against its own defaults.
+    scenario validates against its own defaults.  The config keeps its own
+    copies of ``dataset``, ``manifold`` and ``kernels``, and ``to_dict``
+    returns new ones, so no caller's dict is shared with it.
     """
 
     scenario: str
@@ -76,10 +76,7 @@ class RunConfig:
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ConfigError(f"'out_dir' must be a string, got {self.out_dir!r}")
         if isinstance(self.flow, dict):
-            unknown = set(self.flow) - _FLOW_KEYS
-            if unknown:
-                raise ConfigError(f"unknown flow fields: {sorted(unknown)}")
-            try:
+            try:  # an unknown field is a TypeError naming it
                 object.__setattr__(self, "flow", FlowConfig(**self.flow))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad flow config: {exc}") from exc
@@ -99,6 +96,7 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not isinstance(value, dict):
                 raise ConfigError(f"{name!r} must be an object, got {type(value).__name__}")
+            object.__setattr__(self, name, copy.deepcopy(value))
         for key, override in (self.kernels or {}).items():
             if key not in DRIFT_KERNEL_KINDS:
                 raise ConfigError(f"{key!r} takes no kernel (only {list(DRIFT_KERNEL_KINDS)} do)")
@@ -130,16 +128,9 @@ class RunConfig:
         return RunConfig.from_dict(data)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "methods": list(self.methods) if self.methods is not None else None,
-            "flow": None if self.flow is None else asdict(self.flow),
-            "manifold": self.manifold,
-            "kernels": self.kernels,
-            "dataset": dict(self.dataset),
-            "out_dir": self.out_dir,
-        }
+        data = asdict(self)  # new containers all through
+        data["methods"] = None if self.methods is None else list(self.methods)
+        return data
 
     def replace(self, **changes) -> "RunConfig":
         merged = self.to_dict()

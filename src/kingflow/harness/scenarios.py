@@ -10,6 +10,7 @@ byte for byte.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
 import functools
@@ -128,9 +129,19 @@ def _methods(
     return methods
 
 
+@contextlib.contextmanager
+def _config_errors(what: str):
+    """Re-raise a ``KeyError``/``TypeError``/``ValueError`` building ``what`` as ``ConfigError``."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what} config: {exc}") from exc
+
+
 def _materialize_manifold(
     cfg: dict, init: ParticleSet, targets: ParticleSet | None, seed
 ) -> FeatureMap:
+    """The feature map ``cfg`` describes, over ``init``'s dimension (the default ``input_dim``)."""
     kind = cfg.get("kind")
     if kind == "rbf_recipe":
         # The recipe's fields, bar its kind, are rbf_map_from_samples keywords.
@@ -141,16 +152,13 @@ def _materialize_manifold(
         )
         del recipe["kind"]
         pool = init if targets is None else ParticleSet(np.vstack([init.points, targets.points]))
-        try:
-            return rbf_map_from_samples(init, bandwidth_samples=pool, seed=seed, **recipe)
-        except ValueError as exc:
-            raise ConfigError(f"bad manifold config: {exc}") from exc
+        return rbf_map_from_samples(init, bandwidth_samples=pool, seed=seed, **recipe)
     if kind == "gaussian_quadratic":
-        return GaussianQuadraticMap(input_dim=init.dim)
-    try:
-        return feature_map_from_config(cfg)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad manifold config: {exc}") from exc
+        cfg = {"input_dim": init.dim, **cfg}
+    fmap = feature_map_from_config(cfg)
+    if fmap.input_dim != init.dim:
+        raise ValueError(f"input_dim {fmap.input_dim} != data dim {init.dim}")
+    return fmap
 
 
 def _drift_inputs(
@@ -163,7 +171,8 @@ def _drift_inputs(
     and ``targets``, and only when a drift method runs; ``recipe=None``
     marks a scenario whose map is fixed.  A ``manifold`` that no flow would
     read is rejected.  Each drift method takes the kernel ``cfg`` sets for
-    it, else its default kind at ``bandwidth``.
+    it, else its default kind at ``bandwidth``.  A map or tangent kernel
+    must have the data's dimension.
     """
     drift = [m for m in methods if m in DRIFT_KERNEL_KINDS]
     if cfg.manifold is not None and (recipe is None or not drift):
@@ -172,18 +181,18 @@ def _drift_inputs(
     for method in drift:
         default = {"kind": DRIFT_KERNEL_KINDS[method][0], "bandwidth": bandwidth}
         spec = dict((cfg.kernels or {}).get(method, default))
-        if spec.get("kind") == EMPIRICAL_NTK:
-            spec.setdefault("input_dim", init.dim)
-            spec.setdefault("seed", cfg.seed)
-        try:
+        with _config_errors(f"{method} kernel"):
+            if spec.get("kind") == EMPIRICAL_NTK:
+                spec.setdefault("seed", cfg.seed)
+                if spec.setdefault("input_dim", init.dim) != init.dim:
+                    raise ValueError(f"input_dim {spec['input_dim']!r} != data dim {init.dim}")
             kernels[method] = KernelSpec.from_config(spec)
             check_drift_kernel(method, kernels[method])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad kernel config for {method}: {exc}") from exc
     fmap = None
     if drift and recipe is not None:
-        manifold = recipe if cfg.manifold is None else cfg.manifold
-        fmap = _materialize_manifold(manifold, init, targets, seed)
+        with _config_errors("manifold"):
+            manifold = recipe if cfg.manifold is None else cfg.manifold
+            fmap = _materialize_manifold(manifold, init, targets, seed)
     return fmap, kernels
 
 
@@ -422,18 +431,15 @@ def _stein_sampling(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     (method,) = _methods(cfg, tuple(DRIFT_KERNEL_KINDS), (NTKING,), single=True)
     dim = ds["dim"]
     seeds = _child_seeds(cfg.seed, 4)
-    try:
-        score = score_from_config(ds["score"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad score config: {exc}") from exc
-    if score.dim != dim:
-        raise ConfigError(f"score dimension {score.dim} does not match dataset dim {dim}")
     rng = np.random.default_rng(seeds[0])
     noise = rng.standard_normal((ds["n_particles"], dim))
     init = ParticleSet(np.full(dim, ds["init_mean"]) + ds["init_sd"] * noise)
+    # The base map has the data's dimension, and the Stein map checks the score's against it.
+    with _config_errors("dataset score or base"):
+        score = score_from_config(ds["score"])
+        base = _materialize_manifold(ds["base"], init, None, seeds[2])
+        smap = SteinFeatureMap(base=base, target=score, mode=ds["mode"])
     eval_targets = ParticleSet(score.sample(ds["n_eval"], seeds[1]))
-    base = _materialize_manifold(ds["base"], init, None, seeds[2])
-    smap = SteinFeatureMap(base=base, target=score, mode=ds["mode"])
     # The Stein map's base comes from ``dataset.base``, so no manifold override applies.
     _, kernels = _drift_inputs(cfg, (method,), init, None, recipe=None, seed=None, bandwidth=20.0)
 

@@ -23,7 +23,8 @@ small window, and a bracket that misses it is widened and the pass retried.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
@@ -40,6 +41,32 @@ KERNEL_KINDS = (RBF_SCALAR, DIAGONALIZED_SCALAR, EMPIRICAL_NTK)
 _BLOCK_VALUES = 1 << 17
 
 
+def _number(value, name: str, integral: bool = False):
+    """``value`` as a float, or an int if ``integral``; bools, strings and fractions raise."""
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        if not integral or isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value) if integral else float(value)
+    raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+
+
+def _real_array(value, name: str) -> np.ndarray:
+    """A new read-only float64 array of ``value``, which must hold numbers (no bools or text)."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold numbers, got {value!r}")
+    arr = arr.astype(np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
+def _check_fields(cfg: dict, required, optional=()) -> None:
+    """Raise ``ValueError`` naming each field of ``cfg`` (bar ``kind``) unknown or missing."""
+    unknown = sorted(set(cfg) - {"kind", *required, *optional})
+    missing = sorted(set(required) - set(cfg))
+    if unknown or missing:
+        raise ValueError(f"{cfg.get('kind')} config: unknown fields {unknown}, missing {missing}")
+
+
 @dataclass(frozen=True)
 class NtkSpec:
     """Frozen random one-hidden-layer tanh network defining a tangent kernel.
@@ -54,6 +81,8 @@ class NtkSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("input_dim", "hidden_width", "seed"):
+            object.__setattr__(self, name, _number(getattr(self, name), name, integral=True))
         if self.input_dim < 1 or self.hidden_width < 1:
             raise ValueError("input_dim and hidden_width must be positive")
         rng = as_generator(self.seed)
@@ -95,34 +124,28 @@ class KernelSpec:
         else:
             if self.ntk is not None:
                 raise ValueError(f"{self.kind} kernel takes no NtkSpec")
-            if self.bandwidth is not None and not 0 < self.bandwidth < np.inf:
-                raise ValueError("bandwidth must be positive and finite")
+            if self.bandwidth is not None:
+                object.__setattr__(self, "bandwidth", _number(self.bandwidth, "bandwidth"))
+                if not 0 < self.bandwidth < np.inf:
+                    raise ValueError("bandwidth must be positive and finite")
 
     def with_bandwidth(self, bandwidth: float) -> "KernelSpec":
-        return KernelSpec(kind=self.kind, bandwidth=float(bandwidth), ntk=self.ntk)
+        return KernelSpec(kind=self.kind, bandwidth=bandwidth, ntk=self.ntk)
 
     def to_config(self) -> dict:
-        cfg = {"kind": self.kind}
         if self.kind == EMPIRICAL_NTK:
-            cfg["input_dim"] = self.ntk.input_dim
-            cfg["hidden_width"] = self.ntk.hidden_width
-            cfg["seed"] = self.ntk.seed
-        else:
-            cfg["bandwidth"] = self.bandwidth
-        return cfg
+            return {"kind": self.kind, **asdict(self.ntk)}
+        return {"kind": self.kind, "bandwidth": self.bandwidth}
 
     @staticmethod
     def from_config(cfg: dict) -> "KernelSpec":
-        kind = cfg.get("kind")
+        """Rebuild a kernel from ``to_config``'s fields; only NTK ``input_dim`` is required."""
+        kind, fields = cfg.get("kind"), {k: v for k, v in cfg.items() if k != "kind"}
         if kind == EMPIRICAL_NTK:
-            ntk = NtkSpec(
-                input_dim=int(cfg["input_dim"]),
-                hidden_width=int(cfg.get("hidden_width", 64)),
-                seed=int(cfg.get("seed", 0)),
-            )
-            return KernelSpec(kind=kind, ntk=ntk)
-        bw = cfg.get("bandwidth")
-        return KernelSpec(kind=kind, bandwidth=None if bw is None else float(bw))
+            _check_fields(cfg, ("input_dim",), ("hidden_width", "seed"))
+            return KernelSpec(kind=kind, ntk=NtkSpec(**fields))
+        _check_fields(cfg, (), ("bandwidth",))
+        return KernelSpec(kind=kind, **fields)
 
 
 def rbf_kernel(bandwidth: float | None = None) -> KernelSpec:

@@ -10,22 +10,43 @@ the drift solvers and limit projections take features and Jacobian from one
 ``derivatives(points, 1)`` call.
 
 Maps are immutable and JSON-serializable via ``to_config`` /
-``feature_map_from_config``.
+``feature_map_from_config``; ``Configurable`` writes that round trip once for
+every map and score whose dataclass fields are its config.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._linalg import chol_solve, chol_spd, mean_and_covariance
 from ._rng import as_generator
 from .errors import SingularFisherError
-from .kernels import _gaussian_gram, median_heuristic
+from .kernels import _check_fields, _gaussian_gram, _number, _real_array, median_heuristic
 from .particles import ParticleSet
 
 
-class FeatureMap:
+class Configurable:
+    """Config round trip of a frozen dataclass whose fields are its config.
+
+    ``to_config`` lists ``kind`` and every field as plain JSON values;
+    ``from_config`` passes exactly those fields to the constructor, whose
+    ``__post_init__`` checks and coerces them.
+    """
+
+    kind: str = ""
+
+    def to_config(self) -> dict:
+        values = {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
+        return {"kind": self.kind, **values}
+
+    @classmethod
+    def from_config(cls, cfg: dict):
+        _check_fields(cfg, [f.name for f in fields(cls)])
+        return cls(**{k: v for k, v in cfg.items() if k != "kind"})
+
+
+class FeatureMap(Configurable):
     """Base class for feature maps.
 
     Subclasses implement the one hook ``_derivatives(pts, order)`` on an
@@ -36,7 +57,6 @@ class FeatureMap:
     a batch and return matching shapes.
     """
 
-    kind: str = ""
     input_dim: int
     feature_dim: int
 
@@ -60,9 +80,6 @@ class FeatureMap:
     def hessian(self, x) -> np.ndarray:
         """Per-feature Hessians: ``(feature_dim, input_dim, input_dim)`` per point."""
         return self.derivatives(x, 2)[2]
-
-    def to_config(self) -> dict:
-        raise NotImplementedError
 
     # -- subclass hook -------------------------------------------------------
     def _derivatives(self, pts: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
@@ -123,6 +140,7 @@ class GaussianQuadraticMap(FeatureMap):
     kind = "gaussian_quadratic"
 
     def __post_init__(self):
+        object.__setattr__(self, "input_dim", _number(self.input_dim, "input_dim", integral=True))
         if self.input_dim < 1:
             raise ValueError("input_dim must be positive")
 
@@ -144,13 +162,6 @@ class GaussianQuadraticMap(FeatureMap):
             for k, block in enumerate(linear)
         )
 
-    def to_config(self):
-        return {"kind": self.kind, "input_dim": self.input_dim}
-
-    @staticmethod
-    def from_config(cfg: dict) -> "GaussianQuadraticMap":
-        return GaussianQuadraticMap(input_dim=int(cfg["input_dim"]))
-
 
 @dataclass(frozen=True)
 class RbfFeatureMap(FeatureMap):
@@ -166,15 +177,13 @@ class RbfFeatureMap(FeatureMap):
     kind = "rbf_features"
 
     def __post_init__(self):
-        centers = np.asarray(self.centers, dtype=np.float64)
+        centers = _real_array(self.centers, "centers")
         if centers.ndim == 1:
             centers = centers[:, None]
         if centers.ndim != 2 or centers.shape[0] == 0:
             raise ValueError(f"centers must be a nonempty (m, d) array, got shape {centers.shape}")
-        centers = centers.copy()
-        centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "bandwidth", float(self.bandwidth))
+        object.__setattr__(self, "bandwidth", _number(self.bandwidth, "bandwidth"))
         if not 0 < self.bandwidth < np.inf:
             raise ValueError("bandwidth must be positive and finite")
 
@@ -200,20 +209,6 @@ class RbfFeatureMap(FeatureMap):
         eye = np.eye(self.input_dim) / s2
         return vals, jac, vals[:, :, None, None] * (outer - eye)
 
-    def to_config(self):
-        return {
-            "kind": self.kind,
-            "centers": self.centers.tolist(),
-            "bandwidth": self.bandwidth,
-        }
-
-    @staticmethod
-    def from_config(cfg: dict) -> "RbfFeatureMap":
-        return RbfFeatureMap(
-            centers=np.asarray(cfg["centers"], dtype=np.float64),
-            bandwidth=float(cfg["bandwidth"]),
-        )
-
 
 @dataclass(frozen=True)
 class InformedPairwiseMap(FeatureMap):
@@ -232,7 +227,7 @@ class InformedPairwiseMap(FeatureMap):
         rbf = RbfFeatureMap(self.centers, self.bandwidth)
         object.__setattr__(self, "centers", rbf.centers)
         object.__setattr__(self, "bandwidth", rbf.bandwidth)
-        pairs = tuple((int(i), int(j)) for i, j in self.pairs)
+        pairs = tuple(tuple(_number(k, "pair index", integral=True) for k in p) for p in self.pairs)
         for i, j in pairs:
             if not (0 <= i < self.input_dim and 0 <= j < self.input_dim):
                 raise ValueError(f"pair ({i}, {j}) out of range for dimension {self.input_dim}")
@@ -253,22 +248,6 @@ class InformedPairwiseMap(FeatureMap):
             for k, rbf in enumerate(self._rbf._derivatives(pts, order))
         )
 
-    def to_config(self):
-        return {
-            "kind": self.kind,
-            "centers": self.centers.tolist(),
-            "bandwidth": self.bandwidth,
-            "pairs": [list(p) for p in self.pairs],
-        }
-
-    @staticmethod
-    def from_config(cfg: dict) -> "InformedPairwiseMap":
-        return InformedPairwiseMap(
-            centers=np.asarray(cfg["centers"], dtype=np.float64),
-            bandwidth=float(cfg["bandwidth"]),
-            pairs=tuple((int(i), int(j)) for i, j in cfg["pairs"]),
-        )
-
 
 @dataclass(frozen=True)
 class CustomLinearMap(FeatureMap):
@@ -278,9 +257,7 @@ class CustomLinearMap(FeatureMap):
     kind = "custom_linear"
 
     def __post_init__(self):
-        weight = np.atleast_2d(np.asarray(self.weight, dtype=np.float64)).copy()
-        weight.setflags(write=False)
-        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "weight", np.atleast_2d(_real_array(self.weight, "weight")))
 
     @property
     def input_dim(self) -> int:
@@ -299,19 +276,10 @@ class CustomLinearMap(FeatureMap):
             out.append(np.zeros((n, self.feature_dim, d, d)))
         return tuple(out)
 
-    def to_config(self):
-        return {"kind": self.kind, "weight": self.weight.tolist()}
-
-    @staticmethod
-    def from_config(cfg: dict) -> "CustomLinearMap":
-        return CustomLinearMap(weight=np.asarray(cfg["weight"], dtype=np.float64))
-
 
 _REGISTRY: dict[str, callable] = {
-    GaussianQuadraticMap.kind: GaussianQuadraticMap.from_config,
-    RbfFeatureMap.kind: RbfFeatureMap.from_config,
-    InformedPairwiseMap.kind: InformedPairwiseMap.from_config,
-    CustomLinearMap.kind: CustomLinearMap.from_config,
+    cls.kind: cls.from_config
+    for cls in (GaussianQuadraticMap, RbfFeatureMap, InformedPairwiseMap, CustomLinearMap)
 }
 
 
@@ -321,8 +289,8 @@ def register_feature_map(kind: str, from_config) -> None:
 
 
 def feature_map_from_config(cfg: dict) -> FeatureMap:
-    """Rebuild a feature map from its ``to_config`` dictionary."""
-    kind = cfg.get("kind")
+    """Rebuild a feature map from its ``to_config`` dict; anything else raises ``ValueError``."""
+    kind = cfg.get("kind") if isinstance(cfg, dict) else None
     if kind not in _REGISTRY:
         raise ValueError(f"unknown feature map kind: {kind!r}")
     return _REGISTRY[kind](cfg)

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _sq_distances
+from .kernels import _check_fields, _number, _real_array, _sq_distances
 from .manifold import (
+    Configurable,
     FeatureMap,
     feature_map_from_config,
     feature_moments,
@@ -30,7 +31,7 @@ STEIN_MODES = ("paired", "full")
 
 
 @dataclass(frozen=True)
-class GaussianScore:
+class GaussianScore(Configurable):
     """Score of a diagonal-covariance Gaussian."""
 
     mean: np.ndarray
@@ -38,14 +39,12 @@ class GaussianScore:
     kind = "gaussian"
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=np.float64).ravel()
-        variances = np.array(self.variances, dtype=np.float64).ravel()
+        mean = _real_array(self.mean, "mean").ravel()
+        variances = _real_array(self.variances, "variances").ravel()
         if variances.shape != mean.shape:
             raise ValueError("mean and variances must have the same length")
         if np.any(variances <= 0):
             raise ValueError("variances must be positive")
-        mean.setflags(write=False)
-        variances.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "variances", variances)
 
@@ -64,16 +63,9 @@ class GaussianScore:
         rng = as_generator(seed)
         return self.mean + rng.standard_normal((n, self.dim)) * np.sqrt(self.variances)
 
-    def to_config(self):
-        return {"kind": self.kind, "mean": self.mean.tolist(), "variances": self.variances.tolist()}
-
-    @staticmethod
-    def from_config(cfg):
-        return GaussianScore(mean=cfg["mean"], variances=cfg["variances"])
-
 
 @dataclass(frozen=True)
-class GaussianMixtureScore:
+class GaussianMixtureScore(Configurable):
     """Score of an equal-weight isotropic Gaussian mixture."""
 
     means: np.ndarray
@@ -81,10 +73,8 @@ class GaussianMixtureScore:
     kind = "gaussian_mixture"
 
     def __post_init__(self):
-        means = np.atleast_2d(np.asarray(self.means, dtype=np.float64)).copy()
-        means.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "means", np.atleast_2d(_real_array(self.means, "means")))
+        object.__setattr__(self, "sigma", _number(self.sigma, "sigma"))
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
@@ -124,22 +114,12 @@ class GaussianMixtureScore:
         comps = rng.integers(0, self.means.shape[0], size=n)
         return self.means[comps] + rng.standard_normal((n, self.dim)) * self.sigma
 
-    def to_config(self):
-        return {"kind": self.kind, "means": self.means.tolist(), "sigma": self.sigma}
 
-    @staticmethod
-    def from_config(cfg):
-        return GaussianMixtureScore(means=np.asarray(cfg["means"]), sigma=float(cfg["sigma"]))
-
-
-_SCORE_KINDS = {
-    GaussianScore.kind: GaussianScore.from_config,
-    GaussianMixtureScore.kind: GaussianMixtureScore.from_config,
-}
+_SCORE_KINDS = {cls.kind: cls.from_config for cls in (GaussianScore, GaussianMixtureScore)}
 
 
 def score_from_config(cfg: dict):
-    kind = cfg.get("kind")
+    kind = cfg.get("kind") if isinstance(cfg, dict) else None
     if kind not in _SCORE_KINDS:
         raise ValueError(f"unknown score kind: {kind!r}")
     return _SCORE_KINDS[kind](cfg)
@@ -212,6 +192,7 @@ class SteinFeatureMap(FeatureMap):
 
     @staticmethod
     def from_config(cfg):
+        _check_fields(cfg, ("base", "score"), ("mode",))
         return SteinFeatureMap(
             base=feature_map_from_config(cfg["base"]),
             target=score_from_config(cfg["score"]),

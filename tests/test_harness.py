@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kingflow
-from kingflow import ConfigError, FlowConfig, ParticleSet, run_flow
+from kingflow import ConfigError, FlowConfig, GaussianQuadraticMap, ParticleSet, run_flow
 from kingflow.errors import SingularFisherError, SolverError
 from kingflow.flows import DRIFT_KERNEL_KINDS, FLOW_METHODS
 from kingflow.harness import scenarios
@@ -190,6 +190,28 @@ def test_run_config_replace_overrides_fields():
     assert cfg.seed == 0
 
 
+def test_run_config_shares_no_dict_with_its_caller():
+    data = {
+        "scenario": "bimodal_compare",
+        "dataset": {"dim": 2},
+        "manifold": {"kind": "rbf_recipe", "bandwidth_scale": 2.0},
+        "kernels": {"king": {"kind": "rbf_scalar", "bandwidth": 1.0}},
+    }
+    cfg = RunConfig.from_dict(data)
+    before = json.dumps(cfg.to_dict())
+    data["dataset"]["dim"] = 7
+    data["manifold"]["bandwidth_scale"] = 9.0
+    data["kernels"]["king"]["bandwidth"] = 9.0
+    out = cfg.to_dict()
+    out["dataset"]["dim"] = 7
+    out["manifold"]["kind"] = "gaussian_quadratic"
+    out["kernels"]["king"]["bandwidth"] = 9.0
+    copy = cfg.replace(seed=3)
+    copy.kernels["king"]["bandwidth"] = 9.0
+    copy.dataset["dim"] = 7
+    assert json.dumps(cfg.to_dict()) == before
+
+
 def test_run_config_from_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(SMALL_BIMODAL))
@@ -325,6 +347,90 @@ def test_bad_rbf_recipe_fields_fail_before_any_flow_runs(run_flow_calls, scenari
     with pytest.raises(ConfigError, match="bad manifold config"):
         execute_scenario(cfg)
     assert run_flow_calls == []
+
+
+def _king_kernel(**fields):
+    return {"scenario": "bimodal_compare", "kernels": {"king": {"kind": "rbf_scalar", **fields}}}
+
+
+def _ntk_kernel(**fields):
+    return {
+        "scenario": "bimodal_compare",
+        "methods": ["ntking"],
+        "kernels": {"ntking": {"kind": "empirical_ntk", **fields}},
+    }
+
+
+# Configs whose fields the library objects must check: a wrong type, an
+# unknown or misspelt field, or a dimension other than the data's.
+CHECKED_FIELD_CONFIGS = [
+    {
+        "scenario": "manifold_guidance",
+        "manifold": {"kind": "rbf_features", "centers": [[0.0]], "bandwidth": [1]},
+    },
+    {"scenario": "manifold_guidance", "manifold": {"kind": "rbf_recipe", "bandwidth": [1]}},
+    {"scenario": "manifold_guidance", "manifold": {"kind": "rbf_recipe", "bandwidth": True}},
+    _king_kernel(bandwitdh=1.0),
+    _king_kernel(bandwidth=True),
+    _king_kernel(bandwidth="2"),
+    _ntk_kernel(hidden_width=2.7),
+    _ntk_kernel(hidden_width="8"),
+    _ntk_kernel(bandwidth=1.0),
+    _ntk_kernel(input_dim=3),
+    {
+        "scenario": "stein_sampling",
+        "dataset": {"score": {"kind": "gaussian", "mean": [0.0], "variances": [1.0], "bogus": 1}},
+    },
+    {
+        "scenario": "stein_sampling",
+        "dataset": {"base": {"kind": "gaussian_quadratic", "input_dim": 1, "bogus": 1}},
+    },
+    {
+        "scenario": "stein_sampling",
+        "dataset": {"base": {"kind": "gaussian_quadratic", "input_dim": 2}},
+    },
+    {
+        "scenario": "manifold_guidance",
+        "manifold": {"kind": "gaussian_quadratic", "input_dim": 7, "bogus": 1},
+    },
+    {"scenario": "manifold_guidance", "manifold": {"kind": "gaussian_quadratic", "input_dim": 7}},
+    {"scenario": "manifold_guidance", "manifold": {"kind": "gaussian_quadratic", "input_dim": 2.7}},
+    {
+        "scenario": "bimodal_compare",
+        "methods": ["wgf", "king"],
+        "manifold": {"kind": "custom_linear", "weight": [[1.0, 0.0]]},
+    },
+    {
+        "scenario": "manifold_guidance",
+        "manifold": {"kind": "stein", "base": [1], "score": {"kind": "gaussian", "mean": [0.0]}},
+    },
+    {
+        "scenario": "manifold_guidance",
+        "manifold": {
+            "kind": "stein", "base": {"kind": "gaussian_quadratic", "input_dim": 1}, "score": 5,
+        },
+    },
+    {"scenario": "bimodal_compare", "flow": {"step": True, "iterations": 2}},
+    {"scenario": "bimodal_compare", "flow": {"step": 0.5, "iterations": 2, "ridge": False}},
+]
+
+
+@pytest.mark.parametrize("data", CHECKED_FIELD_CONFIGS)
+def test_config_fields_are_checked_before_any_flow_runs(run_flow_calls, data):
+    with pytest.raises(ConfigError):
+        execute_scenario(RunConfig.from_dict(data))
+    assert run_flow_calls == []
+
+
+def test_input_dim_may_be_given_when_it_matches_the_data(run_flow_calls):
+    cfg = RunConfig(
+        scenario="manifold_guidance",
+        manifold={"kind": "gaussian_quadratic", "input_dim": 1},
+        flow={"step": 0.5, "iterations": 1},
+    )
+    execute_scenario(cfg)
+    (call,) = run_flow_calls
+    assert call[1] == GaussianQuadraticMap(input_dim=1)
 
 
 def test_scenarios_share_one_run_path():
@@ -582,6 +688,7 @@ def test_cli_run_reports_config_errors(tmp_path, capsys, run_flow_calls):
         {"scenario": "stein_sampling", "out_dir": 5},
         {"scenario": "stein_sampling", "seed": 2.5},
         *UNRUNNABLE_CONFIGS,
+        *CHECKED_FIELD_CONFIGS,
     ):
         bad.write_text(json.dumps(config))
         assert main(["run", "--config", str(bad)]) == 2

@@ -293,6 +293,41 @@ def test_kernel_spec_config_round_trips_every_kind(spec):
     assert KernelSpec.from_config(json.loads(json.dumps(spec.to_config()))) == spec
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"kind": "rbf_scalar", "bandwitdh": 1.0},
+        {"kind": "diagonalized_scalar", "bandwidth": 1.0, "seed": 0},
+        {"kind": "rbf_scalar", "bandwidth": True},
+        {"kind": "rbf_scalar", "bandwidth": "2"},
+        {"kind": "rbf_scalar", "bandwidth": [1]},
+        {"kind": "empirical_ntk", "input_dim": 2, "bandwidth": 1.0},
+        {"kind": "empirical_ntk", "input_dim": 2, "hidden_width": 2.7},
+        {"kind": "empirical_ntk", "input_dim": 2, "hidden_width": True},
+        {"kind": "empirical_ntk", "input_dim": "2"},
+        {"kind": "empirical_ntk", "input_dim": 2, "seed": 1.5},
+        {"kind": "empirical_ntk", "hidden_width": 8},
+        {"kind": "nope"},
+        {"bandwidth": 1.0},
+    ],
+)
+def test_kernel_config_takes_exactly_its_kinds_numeric_fields(cfg):
+    with pytest.raises(ValueError):
+        KernelSpec.from_config(cfg)
+
+
+def test_kernel_numbers_are_checked_not_cast():
+    assert KernelSpec.from_config({"kind": "rbf_scalar", "bandwidth": 2}).bandwidth == 2.0
+    ntk = KernelSpec.from_config({"kind": "empirical_ntk", "input_dim": 2, "hidden_width": 8.0}).ntk
+    assert ntk == NtkSpec(input_dim=2, hidden_width=8)
+    assert type(ntk.hidden_width) is int
+    for bad in (True, "2", float("nan"), 0.0):
+        with pytest.raises(ValueError):
+            rbf_kernel(bad)
+    with pytest.raises(ValueError):
+        NtkSpec(input_dim=2, hidden_width=2.7)
+
+
 def test_matrix_kernel_rejected_by_scalar_entry_points():
     spec = ntk_kernel(input_dim=2)
     with pytest.raises(ValueError):

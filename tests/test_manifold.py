@@ -21,8 +21,8 @@ from kingflow import (
     fisher_estimate,
     rbf_map_from_samples,
 )
-from kingflow.manifold import feature_moments, vech_pairs
-from kingflow.stein import STEIN_MODES
+from kingflow.manifold import _REGISTRY, feature_moments, vech_pairs
+from kingflow.stein import _SCORE_KINDS, STEIN_MODES
 
 
 def fd_jacobian(fmap, x, h=1e-6):
@@ -373,6 +373,81 @@ def test_config_round_trips_every_map_kind(case):
 def test_unknown_feature_map_kind_rejected():
     with pytest.raises(ValueError):
         feature_map_from_config({"kind": "mystery"})
+
+
+# One instance of every registered map and score kind, and the fields a
+# config of that kind may leave out.
+CONFIG_EXAMPLES = {
+    "gaussian_quadratic": GaussianQuadraticMap(input_dim=2),
+    "rbf_features": RbfFeatureMap(centers=[[0.0, 1.0], [2.0, -1.0]], bandwidth=0.5),
+    "informed_pairwise": InformedPairwiseMap(
+        centers=[[0.0, 1.0], [2.0, -1.0]], bandwidth=0.5, pairs=((0, 1), (1, 1))
+    ),
+    "custom_linear": CustomLinearMap(weight=[[1.0, 2.0], [0.5, -3.0], [0.0, 1.0]]),
+    "stein": SteinFeatureMap(
+        GaussianQuadraticMap(input_dim=2), GaussianScore(mean=[0.0, 1.0], variances=[1.0, 2.0])
+    ),
+    "gaussian": GaussianScore(mean=[0.0, 1.0], variances=[1.0, 2.0]),
+    "gaussian_mixture": GaussianMixtureScore(means=[[-1.0, 0.0], [1.0, 0.0]], sigma=0.7),
+}
+OPTIONAL_FIELDS = {"stein": {"mode"}}
+
+
+@pytest.mark.parametrize("kind", [*_REGISTRY, *_SCORE_KINDS])
+def test_every_config_kind_takes_exactly_its_fields(kind):
+    from_config = {**_REGISTRY, **_SCORE_KINDS}[kind]
+    obj = CONFIG_EXAMPLES[kind]
+    cfg = obj.to_config()
+    assert cfg["kind"] == kind
+    assert json.loads(json.dumps(cfg)) == cfg
+    assert from_config(json.loads(json.dumps(cfg))).to_config() == cfg
+    with pytest.raises(ValueError, match="bogus"):
+        from_config({**cfg, "bogus": 1})
+    required = [k for k in cfg if k != "kind" and k not in OPTIONAL_FIELDS.get(kind, ())]
+    assert required
+    for name in required:
+        with pytest.raises(ValueError, match=name):
+            from_config({k: v for k, v in cfg.items() if k != name})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: GaussianQuadraticMap(input_dim=v),
+        lambda v: RbfFeatureMap(centers=[[0.0]], bandwidth=v),
+        lambda v: InformedPairwiseMap(centers=[[0.0, 1.0]], bandwidth=1.0, pairs=((0, v),)),
+        lambda v: GaussianMixtureScore(means=[[0.0]], sigma=v),
+    ],
+)
+@pytest.mark.parametrize("value", [True, "1", [1], 0.5 + 0.5j, None])
+def test_numeric_fields_take_only_numbers(build, value):
+    with pytest.raises(ValueError):
+        build(value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: RbfFeatureMap(centers=v, bandwidth=1.0),
+        lambda v: CustomLinearMap(weight=v),
+        lambda v: GaussianScore(mean=v, variances=[1.0]),
+        lambda v: GaussianMixtureScore(means=v, sigma=1.0),
+    ],
+)
+@pytest.mark.parametrize("value", [[[True]], [["1"]], [[None]]])
+def test_array_fields_take_only_numbers(build, value):
+    with pytest.raises(ValueError):
+        build(value)
+
+
+def test_integer_fields_take_integral_numbers_only():
+    assert GaussianQuadraticMap(input_dim=2.0).input_dim == 2
+    assert type(GaussianQuadraticMap(input_dim=np.int64(2)).input_dim) is int
+    for bad in (2.7, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            GaussianQuadraticMap(input_dim=bad)
+    with pytest.raises(ValueError):
+        InformedPairwiseMap(centers=[[0.0, 1.0]], bandwidth=1.0, pairs=((0, 0.5),))
 
 
 def test_rbf_map_from_samples_draws_centers_from_the_sample(rng):
