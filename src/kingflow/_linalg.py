@@ -54,9 +54,12 @@ def chol_spd(mat: np.ndarray, jitter: float) -> tuple[np.ndarray, np.ndarray, fl
 def spd_factor(mat, error: Exception) -> np.ndarray:
     """Lower Cholesky factor of the symmetrized ``mat``, with no diagonal load.
 
-    Raises ``error`` when the symmetrized matrix is not positive definite.
+    Raises ``error`` when the symmetrized matrix is not positive definite,
+    which includes any non-finite entry.
     """
     mat = np.asarray(mat, dtype=np.float64)
+    if not np.isfinite(mat).all():
+        raise error
     try:
         return np.linalg.cholesky(0.5 * (mat + mat.T))
     except np.linalg.LinAlgError as exc:
@@ -76,7 +79,7 @@ def chol_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def is_spd(mat: np.ndarray) -> bool:
-    """True when the symmetrized matrix admits a Cholesky factorization."""
+    """True when the symmetrized matrix is finite and admits a Cholesky factorization."""
     try:
         spd_factor(mat, np.linalg.LinAlgError())
     except np.linalg.LinAlgError:

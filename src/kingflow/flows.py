@@ -399,16 +399,13 @@ def run_flow(
     Scalar-kernel bandwidths left unset are refreshed each iteration to
     ``median_heuristic(particles, targets)`` unless
     ``config.freeze_bandwidth`` pins them to that value on the initial state.
-    With targets, the refresh comes from one ``kernels.PooledMedian`` per
-    flow: it sorts the target-target distances once and then, per iteration,
-    computes only the distances that involve particles and selects the
-    median from a bracket around the previous one, with the same value
-    bitwise.  The one ``observer``
-    callback, when given, is called on the initial state with empty
-    diagnostics and then every ``log_every`` iterations (always including the
-    last) with iteration number, flow time, the particle set, and a
-    diagnostics dict holding ``drift_norm``, the mean particle speed.  Other
-    per-iteration metrics are the observer's to compute.
+    With targets, one ``kernels.PooledMedian`` per flow gives that value.
+    The one ``observer`` callback, when given, is called on the initial
+    state with empty diagnostics and then every ``log_every`` iterations
+    (always including the last) with iteration number, flow time, the
+    particle set, and a diagnostics dict holding ``drift_norm``, the mean
+    particle speed.  Other per-iteration metrics are the observer's to
+    compute.
     """
     if method not in FLOW_METHODS:
         raise ValueError(f"unknown flow method: {method!r}")

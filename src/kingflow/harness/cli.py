@@ -40,14 +40,16 @@ def _read_points_csv(path: Path) -> ParticleSet:
     if ncols == 0:
         raise ConfigError(f"{path} has no header row")
     try:
-        data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=np.float64)
+        data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=np.float64, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from exc
     if data.size == 0:
         raise ConfigError(f"{path} contains no samples")
+    if data.shape[1] != ncols:
+        raise ConfigError(f"{path} has rows of {data.shape[1]} values under {ncols} header columns")
     if not np.isfinite(data).all():
         raise ConfigError(f"{path} contains non-finite or non-numeric entries")
-    return ParticleSet(data.reshape(-1, ncols))
+    return ParticleSet(data)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -155,19 +157,12 @@ def main(argv=None) -> int:
         if args.command == "gen":
             return _cmd_gen(args)
         return _cmd_eval_mmd(args)
-    except NumericalError as exc:
+    except (NumericalError, ValueError, OSError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,
         )
-        return 3
-    except (ConfigError, ValueError, OSError) as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2
-
+        return 3 if isinstance(exc, NumericalError) else 2
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._linalg import is_spd, spd_factor, spd_inverse
-from .._rng import as_generator
 from ..metrics import fit_gaussian
 from ..ngd import sample_gaussian
 from ..particles import ParticleSet, as_particles
@@ -40,7 +39,7 @@ def gen_gaussian_mixture(
         raise ValueError("weights and means must have the same length")
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-8:
         raise ValueError("weights must be nonnegative and sum to 1")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     comps = rng.choice(len(centers), size=n, p=weights)
     pts = np.stack(centers)[comps] + component_sd * rng.standard_normal((n, dim))
     return ParticleSet(pts)
@@ -55,7 +54,7 @@ def gen_scurve(n: int, noise_sd: float = 0.0, seed=0) -> ParticleSet:
         raise ValueError("n must be positive")
     if noise_sd < 0:
         raise ValueError("noise_sd must be nonnegative")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     u = rng.uniform(-1.5 * np.pi, 1.5 * np.pi, size=n)
     v = rng.uniform(0.0, 2.0, size=n)
     pts = np.stack([np.sin(u), np.sign(u) * (np.cos(u) - 1.0), v], axis=1)
@@ -83,7 +82,9 @@ class GgmSpec:
             raise ValueError("dim must be at least 2")
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ValueError("edge_prob must lie in [0, 1]")
-        rng = as_generator(self.seed)
+        if not np.isfinite(self.edge_value):
+            raise ValueError("edge_value must be finite")
+        rng = np.random.default_rng(self.seed)
         adj = np.zeros((self.dim, self.dim), dtype=bool)
         iu = np.triu_indices(self.dim, k=1)
         edges = rng.random(iu[0].size) < self.edge_prob

@@ -114,10 +114,6 @@ class ScenarioOutcome:
     logs: tuple[RunLog, ...]
 
 
-def _child_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
-    return np.random.SeedSequence(seed).spawn(n)
-
-
 def _methods(
     cfg: RunConfig, allowed: tuple[str, ...], default: tuple[str, ...], single: bool = False
 ) -> tuple[str, ...]:
@@ -170,13 +166,17 @@ def _drift_inputs(
     The map is built from ``cfg.manifold``, else ``recipe``, over ``init``
     and ``targets``, and only when a drift method runs; ``recipe=None``
     marks a scenario whose map is fixed.  A ``manifold`` that no flow would
-    read is rejected.  Each drift method takes the kernel ``cfg`` sets for
-    it, else its default kind at ``bandwidth``.  A map or tangent kernel
-    must have the data's dimension.
+    read is rejected, and so is a kernel override for a drift method that
+    does not run.  Each drift method takes the kernel ``cfg`` sets for it,
+    else its default kind at ``bandwidth``.  A map or tangent kernel must
+    have the data's dimension.
     """
     drift = [m for m in methods if m in DRIFT_KERNEL_KINDS]
     if cfg.manifold is not None and (recipe is None or not drift):
         raise ConfigError(f"no flow of {cfg.scenario} with {list(methods)} reads 'manifold'")
+    unread = sorted(set(cfg.kernels or {}) - set(drift))
+    if unread:
+        raise ConfigError(f"no flow of {cfg.scenario} with {list(methods)} reads kernels {unread}")
     kernels = {}
     for method in drift:
         default = {"kind": DRIFT_KERNEL_KINDS[method][0], "bandwidth": bandwidth}
@@ -216,7 +216,7 @@ def _mmd_metric(eval_targets: ParticleSet) -> Callable[[ParticleSet], dict]:
 def _bimodal_compare(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     methods = _methods(cfg, FLOW_METHODS, FLOW_METHODS)
     dim, offset = ds["dim"], ds["offset"]
-    seeds = _child_seeds(cfg.seed, 5)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(5)
     targets = gen_gaussian_mixture(dim, [-offset, offset], [0.5, 0.5], ds["n_targets"], seeds[0])
     init = gen_gaussian_mixture(dim, [0.0], [1.0], ds["n_particles"], seeds[1])
     eval_targets = gen_gaussian_mixture(dim, [-offset, offset], [0.5, 0.5], ds["n_eval"], seeds[2])
@@ -243,7 +243,7 @@ def _bimodal_compare(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
 def _manifold_guidance(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     methods = _methods(cfg, tuple(DRIFT_KERNEL_KINDS), (KING,))
     offset = ds["offset"]
-    seeds = _child_seeds(cfg.seed, 5)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(5)
     targets = gen_gaussian_mixture(1, [-offset, offset], [0.5, 0.5], ds["n_targets"], seeds[0])
     init = gen_gaussian_mixture(1, [0.0], [1.0], ds["n_particles"], seeds[1])
     eval_targets = gen_gaussian_mixture(1, [-offset, offset], [0.5, 0.5], ds["n_eval"], seeds[2])
@@ -279,7 +279,7 @@ def _ngd_tracking(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     if ds["checkpoints"] < 1:
         raise ConfigError(f"checkpoints must be at least 1, got {ds['checkpoints']}")
     dim = ds["dim"]
-    seeds = _child_seeds(cfg.seed, 5)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(5)
     rng = np.random.default_rng(seeds[0])
     target_mean = rng.uniform(-1.5, 1.5, size=dim)
     shape = rng.normal(size=(dim, dim))
@@ -334,7 +334,7 @@ def _graphical_model(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     # Only the drift methods use the feature map that sets the variants apart.
     (method,) = _methods(cfg, tuple(DRIFT_KERNEL_KINDS), (NTKING,), single=True)
     dim = ds["dim"]
-    seeds = _child_seeds(cfg.seed, 4)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(4)
     base_graph_seed = int(seeds[0].generate_state(1)[0])
     for attempt in range(200):
         spec = GgmSpec(
@@ -400,7 +400,7 @@ def _covariate_shift_rotation(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunL
         np.array([off, off]), np.array([off, -off]),
         np.array([-off, off]), np.array([-off, -off]),
     ]
-    seeds = _child_seeds(cfg.seed, 4)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(4)
     source = gen_gaussian_mixture(
         2, corners, [0.25] * 4, ds["n_source"], seeds[0], component_sd=ds["component_sd"]
     )
@@ -430,7 +430,7 @@ def _covariate_shift_rotation(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunL
 def _stein_sampling(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     (method,) = _methods(cfg, tuple(DRIFT_KERNEL_KINDS), (NTKING,), single=True)
     dim = ds["dim"]
-    seeds = _child_seeds(cfg.seed, 4)
+    seeds = np.random.SeedSequence(cfg.seed).spawn(4)
     rng = np.random.default_rng(seeds[0])
     noise = rng.standard_normal((ds["n_particles"], dim))
     init = ParticleSet(np.full(dim, ds["init_mean"]) + ds["init_sd"] * noise)

@@ -11,15 +11,8 @@ Three kinds are supported:
   initialized one-hidden-layer tanh network, evaluated in closed form.
 
 ``median_heuristic`` provides the default bandwidth rule: the median of all
-pairwise Euclidean distances of the pooled points.  A flow re-picks the
-bandwidth every iteration against a fixed target set, so ``PooledMedian``
-gives the same value for that case without redoing the fixed part: it
-computes and sorts the target-target distances once, and per call computes
-only the particle-particle and particle-target distances, a few rows at a
-time.  From those it counts the values below a bracket and keeps only the
-values inside it.  The bracket is a window of ranks in the sorted target
-distances around the previous median.  The median is then selected from that
-small window, and a bracket that misses it is widened and the pass retried.
+pairwise Euclidean distances of the pooled points.  ``PooledMedian`` gives
+the same value, bitwise, against a flow's fixed target set.
 """
 from __future__ import annotations
 
@@ -29,7 +22,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from ._rng import as_generator
 from .particles import ParticleSet
 
 RBF_SCALAR = "rbf_scalar"
@@ -85,7 +77,7 @@ class NtkSpec:
             object.__setattr__(self, name, _number(getattr(self, name), name, integral=True))
         if self.input_dim < 1 or self.hidden_width < 1:
             raise ValueError("input_dim and hidden_width must be positive")
-        rng = as_generator(self.seed)
+        rng = np.random.default_rng(self.seed)
         d, h = self.input_dim, self.hidden_width
         w1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(h, d))
         b1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=h)
@@ -326,10 +318,10 @@ class PooledMedian:
     half-width of twice the previous rank shift; a bracket that misses the
     middle ranks is widened fourfold and the pass retried, until it spans
     every value.  The first call centres it on the median of a strided
-    sample taken at one rate from all three distance sets.  The value, its
-    zero and all-zero fallbacks and its errors are those of
-    ``median_heuristic``, bitwise; the bracket only decides how much is
-    selected from.
+    sample taken at one rate from all three distance sets.  The value and
+    its errors are those of ``median_heuristic``, bitwise, and a zero median
+    is handed to ``median_heuristic`` itself for its fallbacks; the bracket
+    only decides how much is selected from.
     """
 
     # Pooled distances in the first call's sample, and the narrowest and the
@@ -373,9 +365,7 @@ class PooledMedian:
         med = _middle(window, half - below, even)
         shift = abs(int(np.searchsorted(dists, med)) - int(rank))
         self._centre, self._spread = med, max(self._min_spread, 2 * shift)
-        if med > 0:
-            return med
-        return self._smallest_positive(pts)
+        return med if med > 0 else median_heuristic(pts, self._targets)
 
     def _blocks(self, pts: np.ndarray):
         """The particle-particle and particle-target distances, a few particle rows at a time.
@@ -416,14 +406,3 @@ class PooledMedian:
             cdist(pts[::stride], self._targets[::stride]).ravel(),
         ])
         return _median(sample)
-
-    def _smallest_positive(self, pts: np.ndarray) -> float:
-        """The smallest nonzero pooled distance, or 1.0 when there is none."""
-        dists = self._sorted
-        first = np.searchsorted(dists, 0.0, "right")
-        smallest = dists[first] if first < dists.size else np.inf
-        for block in self._blocks(pts):
-            positive = block[block > 0]
-            if positive.size:
-                smallest = min(smallest, positive.min())
-        return float(smallest) if smallest < np.inf else 1.0

@@ -20,7 +20,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._linalg import chol_solve, chol_spd, mean_and_covariance
-from ._rng import as_generator
 from .errors import SingularFisherError
 from .kernels import _check_fields, _gaussian_gram, _number, _real_array, median_heuristic
 from .particles import ParticleSet
@@ -369,7 +368,7 @@ def rbf_map_from_samples(
     heuristic over ``bandwidth_samples`` (default: ``samples``) times
     ``bandwidth_scale``; an explicit ``bandwidth`` is used as given.
     """
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     n = samples.n
     k = min(int(n_centers), n)
     idx = rng.choice(n, size=k, replace=False)

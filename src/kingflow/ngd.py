@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import is_spd, spd_factor, spd_inverse
-from ._rng import as_generator
 from .errors import StepFailureError
 from .manifold import (
     FeatureMap,
@@ -109,7 +108,7 @@ def sample_gaussian(mean, cov, n: int, seed) -> np.ndarray:
     """
     mean = np.asarray(mean, dtype=np.float64).ravel()
     lower = spd_factor(cov, ValueError("covariance must be positive definite"))
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     z = rng.standard_normal((int(n), mean.size))
     return mean + z @ lower.T
 

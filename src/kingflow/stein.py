@@ -25,7 +25,6 @@ from .manifold import (
 )
 from .ngd import NatGradResult
 from .particles import ParticleSet
-from ._rng import as_generator
 
 STEIN_MODES = ("paired", "full")
 
@@ -60,7 +59,7 @@ class GaussianScore(Configurable):
         return np.broadcast_to(jac, (pts.shape[0], self.dim, self.dim)).copy()
 
     def sample(self, n: int, seed) -> np.ndarray:
-        rng = as_generator(seed)
+        rng = np.random.default_rng(seed)
         return self.mean + rng.standard_normal((n, self.dim)) * np.sqrt(self.variances)
 
 
@@ -110,7 +109,7 @@ class GaussianMixtureScore(Configurable):
         return second - outer - eye
 
     def sample(self, n: int, seed) -> np.ndarray:
-        rng = as_generator(seed)
+        rng = np.random.default_rng(seed)
         comps = rng.integers(0, self.means.shape[0], size=n)
         return self.means[comps] + rng.standard_normal((n, self.dim)) * self.sigma
 
@@ -141,6 +140,13 @@ class SteinFeatureMap(FeatureMap):
             raise ValueError(
                 f"score dimension {self.target.dim} does not match base input {self.base.input_dim}"
             )
+        # Stein feature k is the score operator along coords[k] applied to base row rows[k].
+        b, d = self.base.feature_dim, self.input_dim
+        if self.mode == "paired":
+            rows, coords = np.arange(b), np.arange(b) % d
+        else:
+            rows, coords = np.repeat(np.arange(b), d), np.tile(np.arange(d), b)
+        object.__setattr__(self, "_pairing", (rows, coords))
 
     @property
     def input_dim(self) -> int:
@@ -148,28 +154,14 @@ class SteinFeatureMap(FeatureMap):
 
     @property
     def feature_dim(self) -> int:
-        if self.mode == "paired":
-            return self.base.feature_dim
-        return self.base.feature_dim * self.input_dim
-
-    def _coords(self) -> np.ndarray:
-        b, d = self.base.feature_dim, self.input_dim
-        if self.mode == "paired":
-            return np.arange(b) % d
-        return np.tile(np.arange(d), b)
-
-    def _rows(self) -> np.ndarray:
-        b, d = self.base.feature_dim, self.input_dim
-        if self.mode == "paired":
-            return np.arange(b)
-        return np.repeat(np.arange(b), d)
+        return self._pairing[0].size
 
     def _derivatives(self, pts, order):
         if order == 2:
             raise NotImplementedError("second derivatives of Stein features are not provided")
         base = self.base.derivatives(pts, order + 1)
         score = self.target.score(pts)
-        rows, coords = self._rows(), self._coords()
+        rows, coords = self._pairing
         feats = score[:, coords] * base[0][:, rows] + base[1][:, rows, coords]
         if order == 0:
             return (feats,)

@@ -149,6 +149,13 @@ def test_ggm_spec_validation(kwargs):
         GgmSpec(**kwargs)
 
 
+@pytest.mark.parametrize("edge_value", [float("nan"), float("inf"), float("-inf")])
+def test_ggm_spec_rejects_a_non_finite_edge_value(edge_value):
+    for edge_prob in (0.0, 1.0):
+        with pytest.raises(ValueError, match="edge_value"):
+            GgmSpec(dim=3, edge_prob=edge_prob, edge_value=edge_value)
+
+
 def test_ggm_samples_match_the_model_covariance():
     spec = GgmSpec(dim=8, edge_prob=0.3, seed=2)
     pset = gen_ggm_samples(spec, n=100_000, seed=11)

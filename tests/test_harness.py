@@ -319,6 +319,12 @@ UNRUNNABLE_CONFIGS = [
         "methods": ["mmd_flow"],
         "manifold": {"kind": "rbf_recipe"},
     },
+    {"scenario": "ngd_tracking", "kernels": {"ntking": {"kind": "diagonalized_scalar"}}},
+    {
+        "scenario": "bimodal_compare",
+        "methods": ["wgf"],
+        "kernels": {"king": {"kind": "rbf_scalar", "bandwidth": 1.0}},
+    },
 ]
 
 
@@ -609,6 +615,37 @@ def test_cli_eval_mmd_error_paths(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x0,x1\n1,2,3,4\n5,6,7,8\n",
+        "x0,x1,x2\n1,2\n3,4\n5,6\n",
+        "x0,x1\n1,2,3\n",
+        "x0,x1,x2\n1,2\n",
+    ],
+    ids=["wider", "narrower", "wider-one-row", "narrower-one-row"],
+)
+def test_cli_eval_mmd_rejects_rows_not_as_wide_as_the_header(tmp_path, capsys, text):
+    a, bad = tmp_path / "a.csv", tmp_path / "bad.csv"
+    main(["gen", "mixture", "--dim", "2", "--n", "10", "--out", str(a)])
+    bad.write_text(text)
+    capsys.readouterr()
+    for args in ([str(bad), str(a)], [str(a), str(bad)]):
+        assert main(["eval-mmd", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ConfigError"
+
+
+def test_cli_eval_mmd_reads_single_row_and_single_column_files(tmp_path, capsys):
+    row, column = tmp_path / "row.csv", tmp_path / "column.csv"
+    row.write_text("x0,x1,x2\n1,2,3\n")
+    column.write_text("x0\n1\n2\n3\n")
+    assert main(["eval-mmd", str(row), str(row), "--bandwidth", "1.0"]) == 0
+    assert main(["eval-mmd", str(column), str(column)]) == 0
+    assert [json.loads(line)["mmd"] for line in capsys.readouterr().out.splitlines()] == [0.0, 0.0]
 
 
 def test_cli_run_executes_a_config(tmp_path, capsys):

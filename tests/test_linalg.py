@@ -129,6 +129,16 @@ def test_strict_helpers_raise_the_given_error_when_barely_indefinite(spectrum, d
     assert not is_spd(mat)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrices_are_not_positive_definite(bad):
+    for mat in (np.full((2, 2), bad), np.diag([1.0, bad]), np.array([[1.0, bad], [bad, 1.0]])):
+        assert not is_spd(mat)
+        with pytest.raises(NotPositiveDefinite):
+            spd_factor(mat, NotPositiveDefinite())
+        with pytest.raises(NotPositiveDefinite):
+            spd_inverse(mat, NotPositiveDefinite())
+
+
 def test_factorization_decisions_live_in_one_module():
     # Only _linalg calls numpy's Cholesky; the diagonal-loading chol_spd and
     # the LinAlgError it raises are used only by the one Fisher constructor.

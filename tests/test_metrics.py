@@ -173,3 +173,12 @@ def test_w2_input_validation():
         gaussian_w2([0.0, 0.0], np.diag([1.0, -1.0]), [0.0, 0.0], np.eye(2))
     with pytest.raises(ValueError):
         gaussian_w2([0.0, 0.0], np.eye(2), [0.0, 0.0], np.diag([1.0, -1e-4]))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_w2_rejects_a_non_finite_covariance(bad):
+    cov = np.array([[1.0, bad], [bad, 1.0]])
+    with pytest.raises(ValueError, match="positive definite"):
+        gaussian_w2([0.0, 0.0], cov, [0.0, 0.0], np.eye(2))
+    with pytest.raises(ValueError, match="positive definite"):
+        gaussian_w2([0.0, 0.0], np.eye(2), [0.0, 0.0], np.full((2, 2), bad))
