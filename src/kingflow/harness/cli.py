@@ -35,16 +35,16 @@ def _read_points_csv(path: Path) -> ParticleSet:
     if not path.exists():
         raise ConfigError(f"file not found: {path}")
     with path.open() as fh:
-        header = fh.readline()
-    ncols = len([c for c in header.strip().split(",") if c])
-    if ncols == 0:
-        raise ConfigError(f"{path} has no header row")
+        ncols = len([c for c in fh.readline().strip().split(",") if c])
+        if ncols == 0:
+            raise ConfigError(f"{path} has no header row")
+        # A body of blank and comment lines would make genfromtxt warn on stderr.
+        if not any(line.split("#", 1)[0].strip() for line in fh):
+            raise ConfigError(f"{path} contains no samples")
     try:
         data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=np.float64, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from exc
-    if data.size == 0:
-        raise ConfigError(f"{path} contains no samples")
     if data.shape[1] != ncols:
         raise ConfigError(f"{path} has rows of {data.shape[1]} values under {ncols} header columns")
     if not np.isfinite(data).all():

@@ -9,14 +9,65 @@ from pathlib import Path
 from ..errors import ConfigError
 from ..flows import DRIFT_KERNEL_KINDS, FLOW_METHODS, FlowConfig
 
-SCENARIOS = (
-    "bimodal_compare",
-    "manifold_guidance",
-    "ngd_tracking",
-    "graphical_model",
-    "covariate_shift_rotation",
-    "stein_sampling",
-)
+# Each scenario's dataset fields with their defaults, keyed by scenario name.
+DATASET_DEFAULTS = {
+    "bimodal_compare": {
+        "dim": 5,
+        "n_targets": 100,
+        "n_particles": 100,
+        "offset": 2.0,
+        "n_eval": 200,
+    },
+    "manifold_guidance": {
+        "n_targets": 200,
+        "n_particles": 200,
+        "offset": 2.0,
+        "n_eval": 200,
+    },
+    "ngd_tracking": {
+        "dim": 2,
+        "n_targets": 500,
+        "n_particles": 400,
+        "mc_samples": 4096,
+        "checkpoints": 10,
+    },
+    # The 10-dim desk version needs a denser graph than the full-size default
+    # edge probability: at 0.05 the handful of edges is recovered by plain RBF
+    # features just as well, and the informed-statistics contrast disappears.
+    "graphical_model": {
+        "dim": 10,
+        "edge_prob": 0.25,
+        "edge_value": 0.3,
+        "n_targets": 200,
+        "n_particles": 200,
+        "threshold": 0.1,
+        "min_edges": 5,
+        "informed_iterations": 30,
+        "plain_iterations": 30,
+        "long_iterations": 300,
+        "include_long": True,
+    },
+    "covariate_shift_rotation": {
+        "n_source": 300,
+        "n_shift": 300,
+        "blob_offset": 2.0,
+        "component_sd": 0.4,
+        "degrees": 45.0,
+    },
+    "stein_sampling": {
+        "dim": 1,
+        "n_particles": 200,
+        "init_mean": 3.0,
+        "init_sd": 1.0,
+        "score": {"kind": "gaussian", "mean": [0.0], "variances": [1.0]},
+        "base": {"kind": "gaussian_quadratic"},
+        "mode": "paired",
+        "n_eval": 200,
+    },
+}
+
+SCENARIOS = tuple(DATASET_DEFAULTS)
+
 
 def take_fields(given: dict, defaults: dict, context: str) -> dict:
     """Merge a user dict over defaults, rejecting keys outside the defaults.
@@ -51,8 +102,9 @@ class RunConfig:
 
     ``seed`` is an integer (not a bool) and ``out_dir`` a string or ``None``.
     ``methods``, ``manifold`` and ``kernels`` may be left unset to take the
-    scenario defaults; ``dataset`` carries scenario-specific knobs that the
-    scenario validates against its own defaults.  The config keeps its own
+    scenario defaults.  ``dataset`` carries scenario-specific knobs; each must
+    be a field of the scenario's ``DATASET_DEFAULTS`` entry and have its
+    default's type, which the constructor checks.  The config keeps its own
     copies of ``dataset``, ``manifold`` and ``kernels``, and ``to_dict``
     returns new ones, so no caller's dict is shared with it.
     """
@@ -104,6 +156,11 @@ class RunConfig:
                 raise ConfigError(
                     f"kernel override for {key} must be an object, got {type(override).__name__}"
                 )
+        self.dataset_fields()
+
+    def dataset_fields(self) -> dict:
+        """``dataset`` merged over the scenario's defaults (see ``take_fields``)."""
+        return take_fields(self.dataset, DATASET_DEFAULTS[self.scenario], "dataset")
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":

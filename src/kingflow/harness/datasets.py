@@ -68,8 +68,8 @@ class GgmSpec:
     """A random sparse Gaussian graphical model.
 
     The precision matrix has unit diagonal, value ``edge_value`` on sampled
-    edges, and is diagonally loaded (in steps of 0.05) until positive
-    definite; loading never changes the edge support.
+    edges, and is diagonally loaded by the fewest steps of 0.05 that make it
+    positive definite; loading never changes the edge support.
     """
 
     dim: int = 30
@@ -90,9 +90,15 @@ class GgmSpec:
         edges = rng.random(iu[0].size) < self.edge_prob
         adj[iu[0][edges], iu[1][edges]] = True
         adj |= adj.T
-        precision = np.eye(self.dim) + self.edge_value * adj
-        while not is_spd(precision):
-            precision = precision + 0.05 * np.eye(self.dim)
+        precision = unloaded = np.eye(self.dim) + self.edge_value * adj
+        if not is_spd(unloaded):
+            # One step below the count the smallest eigenvalue asks for, then
+            # up while rounding leaves the Cholesky factorization failing.
+            # (The first eigvalsh call maps about 0.6 MiB of LAPACK, so an
+            # unloaded graph skips it.)
+            steps = max(int(-np.linalg.eigvalsh(unloaded).min() // 0.05), 0)
+            while not is_spd(precision := unloaded + 0.05 * steps * np.eye(self.dim)):
+                steps += 1
         adj.setflags(write=False)
         precision.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)

@@ -4,7 +4,7 @@ Each scenario builds its datasets and manifolds from the run seed, executes
 one or more flows, and produces a JSON-safe summary plus per-run snapshot and
 metric logs.  With an output directory set, every run writes
 ``particles.csv`` and ``metrics.csv`` into its own subdirectory and the
-scenario writes a ``run.json`` with the resolved configuration and summary.
+scenario writes a ``run.json`` with the configuration as given and the summary.
 All randomness descends from ``RunConfig.seed``, so outputs are reproducible
 byte for byte.
 """
@@ -107,7 +107,7 @@ class RunLog:
 
 @dataclass(frozen=True)
 class ScenarioOutcome:
-    """Resolved config, JSON-safe summary, and per-run logs."""
+    """The config as given, the JSON-safe summary, and per-run logs."""
 
     config: dict
     summary: dict
@@ -462,63 +462,7 @@ def _stein_sampling(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     return summary, [log]
 
 
-# Each scenario's dataset fields with their defaults.
-_DATASET_DEFAULTS = {
-    "bimodal_compare": {
-        "dim": 5,
-        "n_targets": 100,
-        "n_particles": 100,
-        "offset": 2.0,
-        "n_eval": 200,
-    },
-    "manifold_guidance": {
-        "n_targets": 200,
-        "n_particles": 200,
-        "offset": 2.0,
-        "n_eval": 200,
-    },
-    "ngd_tracking": {
-        "dim": 2,
-        "n_targets": 500,
-        "n_particles": 400,
-        "mc_samples": 4096,
-        "checkpoints": 10,
-    },
-    # The 10-dim desk version needs a denser graph than the full-size default
-    # edge probability: at 0.05 the handful of edges is recovered by plain RBF
-    # features just as well, and the informed-statistics contrast disappears.
-    "graphical_model": {
-        "dim": 10,
-        "edge_prob": 0.25,
-        "edge_value": 0.3,
-        "n_targets": 200,
-        "n_particles": 200,
-        "threshold": 0.1,
-        "min_edges": 5,
-        "informed_iterations": 30,
-        "plain_iterations": 30,
-        "long_iterations": 300,
-        "include_long": True,
-    },
-    "covariate_shift_rotation": {
-        "n_source": 300,
-        "n_shift": 300,
-        "blob_offset": 2.0,
-        "component_sd": 0.4,
-        "degrees": 45.0,
-    },
-    "stein_sampling": {
-        "dim": 1,
-        "n_particles": 200,
-        "init_mean": 3.0,
-        "init_sd": 1.0,
-        "score": {"kind": "gaussian", "mean": [0.0], "variances": [1.0]},
-        "base": {"kind": "gaussian_quadratic"},
-        "mode": "paired",
-        "n_eval": 200,
-    },
-}
-
+# Each scenario's function, keyed as ``DATASET_DEFAULTS`` is.
 _SCENARIO_FNS = {
     "bimodal_compare": _bimodal_compare,
     "manifold_guidance": _manifold_guidance,
@@ -601,14 +545,13 @@ def execute_scenario(cfg: RunConfig) -> ScenarioOutcome:
     heap_retained = _retain_heap()
     faults = _minor_page_faults()
     start = time.perf_counter()
-    ds = take_fields(cfg.dataset, _DATASET_DEFAULTS[cfg.scenario], "dataset")
-    summary, logs = _SCENARIO_FNS[cfg.scenario](cfg, ds)
+    summary, logs = _SCENARIO_FNS[cfg.scenario](cfg, cfg.dataset_fields())
     elapsed = time.perf_counter() - start
     if faults is not None:
         faults = _minor_page_faults() - faults
-    resolved = cfg.to_dict()
+    config = cfg.to_dict()
     record = {
-        "config": resolved,
+        "config": config,
         "summary": summary,
         "package_version": _pkg_version,
         "numpy_version": np.__version__,
@@ -624,4 +567,4 @@ def execute_scenario(cfg: RunConfig) -> ScenarioOutcome:
             _write_particles_csv(run_dir / "particles.csv", log)
             _write_metrics_csv(run_dir / "metrics.csv", log)
         (out / "run.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return ScenarioOutcome(config=resolved, summary=summary, logs=tuple(logs))
+    return ScenarioOutcome(config=config, summary=summary, logs=tuple(logs))

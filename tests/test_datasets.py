@@ -1,9 +1,12 @@
 """Seeded synthetic datasets and dataset transforms used by the scenarios."""
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from kingflow import ParticleSet, sample_gaussian
+from kingflow._linalg import is_spd
 from kingflow.harness.datasets import (
     GgmSpec,
     gen_gaussian_mixture,
@@ -131,6 +134,34 @@ def test_ggm_complete_graph_stays_positive_definite():
     spec = GgmSpec(dim=8, edge_prob=1.0, seed=0)
     assert spec.adjacency.sum() == 8 * 7
     assert np.linalg.eigvalsh(spec.precision).min() > 0.0
+
+
+@pytest.mark.parametrize("edge_value", [-2.0, 0.3, 10.0, 1e3, 1e6])
+@pytest.mark.parametrize("edge_prob", [0.3, 1.0])
+def test_ggm_loads_the_fewest_diagonal_steps(edge_prob, edge_value):
+    for seed in range(5):
+        spec = GgmSpec(dim=12, edge_prob=edge_prob, edge_value=edge_value, seed=seed)
+        unloaded = np.eye(12) + edge_value * spec.adjacency
+        steps = round((spec.precision[0, 0] - 1.0) / 0.05)
+        # Only the diagonal moves, so the edge support is the sampled one.
+        assert_array_equal(spec.precision, unloaded + 0.05 * steps * np.eye(12))
+        assert is_spd(spec.precision)
+        assert steps == 0 or not is_spd(unloaded + 0.05 * (steps - 1) * np.eye(12))
+        if abs(edge_value) <= 10:
+            # Reference: repeated 0.05 steps.  Their rounding differs from one
+            # load of k steps, so at an exact multiple the load may need one more.
+            loop = unloaded
+            while not is_spd(loop):
+                loop = loop + 0.05 * np.eye(12)
+            assert steps - round((loop[0, 0] - 1.0) / 0.05) in (0, 1)
+
+
+def test_ggm_with_a_huge_edge_value_builds_quickly():
+    # Loading in repeated 0.05 steps would take about 2e7 Cholesky factorizations.
+    start = time.perf_counter()
+    spec = GgmSpec(dim=30, edge_prob=1.0, edge_value=1e6)
+    assert time.perf_counter() - start < 0.1
+    assert is_spd(spec.precision)
 
 
 def test_ggm_spec_is_seeded_and_immutable():

@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from kingflow.errors import SingularFisherError, SolverError
 from kingflow.flows import DRIFT_KERNEL_KINDS, FLOW_METHODS
 from kingflow.harness import scenarios
 from kingflow.harness.cli import main
-from kingflow.harness.config import SCENARIOS, RunConfig, take_fields
+from kingflow.harness.config import DATASET_DEFAULTS, SCENARIOS, RunConfig, take_fields
 from kingflow.harness.scenarios import execute_scenario
 
 SMALL_BIMODAL = {
@@ -234,14 +235,21 @@ def test_scenario_registry_is_complete():
         "covariate_shift_rotation",
         "stein_sampling",
     }
+    assert SCENARIOS == tuple(DATASET_DEFAULTS) == tuple(scenarios._SCENARIO_FNS)
+    for defaults in DATASET_DEFAULTS.values():
+        # Each default passes its own type rule and survives a JSON round trip.
+        assert take_fields(defaults, defaults, "dataset") == defaults
+        assert json.loads(json.dumps(defaults)) == defaults
 
 
 # -- scenario execution ----------------------------------------------------------------
 
 def test_unknown_dataset_fields_are_rejected():
-    cfg = RunConfig(scenario="bimodal_compare", dataset={"n_target": 10})
-    with pytest.raises(ConfigError):
-        execute_scenario(cfg)
+    for dataset in ({"n_target": 10}, {"bogus": 1}):
+        with pytest.raises(ConfigError, match="unknown dataset fields"):
+            RunConfig(scenario="bimodal_compare", dataset=dataset)
+        with pytest.raises(ConfigError, match="unknown dataset fields"):
+            RunConfig.from_dict({"scenario": "bimodal_compare", "dataset": dataset})
 
 
 @pytest.mark.parametrize(
@@ -258,8 +266,13 @@ def test_unknown_dataset_fields_are_rejected():
     ],
 )
 def test_dataset_fields_must_match_their_default_types(data):
-    with pytest.raises(ConfigError):
-        execute_scenario(RunConfig.from_dict(data))
+    if "dataset" in data:  # checked when the config is built
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(data)
+    else:  # an rbf_recipe's fields are checked when the scenario builds the map
+        cfg = RunConfig.from_dict(data)
+        with pytest.raises(ConfigError):
+            execute_scenario(cfg)
 
 
 @pytest.fixture
@@ -639,6 +652,19 @@ def test_cli_eval_mmd_rejects_rows_not_as_wide_as_the_header(tmp_path, capsys, t
         assert json.loads(captured.err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("text", ["x0,x1\n", "x0,x1\n\n# no rows\n"], ids=["header", "comment"])
+def test_cli_eval_mmd_reports_a_file_without_rows_in_one_line(tmp_path, capsys, text):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eval-mmd", str(empty), str(empty)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert "contains no samples" in json.loads(line)["message"]
+
+
 def test_cli_eval_mmd_reads_single_row_and_single_column_files(tmp_path, capsys):
     row, column = tmp_path / "row.csv", tmp_path / "column.csv"
     row.write_text("x0,x1,x2\n1,2,3\n")
@@ -724,6 +750,9 @@ def test_cli_run_reports_config_errors(tmp_path, capsys, run_flow_calls):
         ),
         {"scenario": "stein_sampling", "out_dir": 5},
         {"scenario": "stein_sampling", "seed": 2.5},
+        {"scenario": "bimodal_compare", "dataset": {"bogus": 1}},
+        {"scenario": "bimodal_compare", "dataset": {"n_targets": 30.9}},
+        {"scenario": "graphical_model", "dataset": {"include_long": "false"}},
         *UNRUNNABLE_CONFIGS,
         *CHECKED_FIELD_CONFIGS,
     ):
