@@ -8,6 +8,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+#: starting relative load on the Fisher estimate's diagonal
+FISHER_JITTER = 1e-6
 #: relative jitter is escalated by factors of 10 up to this cap before giving up
 JITTER_CAP = 1e-2
 
@@ -24,8 +26,8 @@ def chol_spd(mat: np.ndarray, jitter: float) -> tuple[np.ndarray, np.ndarray, fl
     that was actually factorized and ``jitter_applied`` the absolute amount
     added to each diagonal entry.  Raises ``np.linalg.LinAlgError`` if the
     matrix stays non-positive-definite at the cap.  Its one caller is
-    ``manifold.FisherMatrix.from_covariance``, which records the load in
-    ``FisherMatrix.jitter_applied``.
+    ``manifold.FisherMatrix.from_covariance``, which starts from
+    ``FISHER_JITTER`` and records the load in ``FisherMatrix.jitter_applied``.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:

@@ -27,7 +27,7 @@ class StepFailureError(NumericalError):
 
 
 class DivergenceError(NumericalError):
-    """Particles became non-finite during a flow."""
+    """Particles became non-finite, or too spread for finite distances, during a flow."""
 
     def __init__(self, message: str, iteration: int):
         super().__init__(message)

@@ -52,13 +52,12 @@ from .kernels import (
     RBF_SCALAR,
     KernelSpec,
     PooledMedian,
-    _as_points,
     _gaussian_gram,
     _number,
     median_heuristic,
 )
 from .manifold import FeatureMap, feature_mean, feature_moments
-from .particles import ParticleSet
+from .particles import ParticleSet, as_particles
 from .stein import GaussianMixtureScore
 
 KING = "king"
@@ -115,14 +114,12 @@ class FlowConfig:
     step: float
     iterations: int
     ridge: float = 1e-3
-    jitter: float = 1e-6
     log_every: int = 10
     freeze_bandwidth: bool = False
 
     def __post_init__(self):
-        for name in ("step", "ridge", "jitter"):
-            if not np.isfinite(_number(getattr(self, name), name)):
-                raise ValueError(f"{name} must be finite")
+        for name in ("step", "ridge"):
+            _number(getattr(self, name), name)
         for name in ("iterations", "log_every"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -135,8 +132,6 @@ class FlowConfig:
             raise ValueError("iterations must be at least 1")
         if self.ridge <= 0:
             raise ValueError("ridge must be positive")
-        if self.jitter < 0:
-            raise ValueError("jitter must be nonnegative")
         if self.log_every < 1:
             raise ValueError("log_every must be at least 1")
 
@@ -249,7 +244,6 @@ def _solve_drift(
     particles: ParticleSet,
     targets: ParticleSet | None,
     ridge: float,
-    jitter: float,
     target_mean: np.ndarray | None,
 ) -> DriftSolution:
     check_drift_kernel(method, kernel)
@@ -261,7 +255,7 @@ def _solve_drift(
         )
     kernel = _resolve_bandwidth(kernel, particles, targets)
     feats, jac = fmap.derivatives(particles.points, 1)
-    model_mean, fisher = feature_moments(fmap, feats, jitter)
+    model_mean, fisher = feature_moments(fmap, feats)
     if target_mean is None and targets is not None:
         target_mean = feature_mean(fmap, targets)
     gap = -model_mean if target_mean is None else -model_mean + target_mean
@@ -286,7 +280,6 @@ def solve_king_drift(
     particles: ParticleSet,
     targets: ParticleSet | None,
     ridge: float,
-    jitter: float = 1e-6,
     *,
     target_mean: np.ndarray | None = None,
 ) -> DriftSolution:
@@ -296,7 +289,7 @@ def solve_king_drift(
     it; by default it is computed from ``targets``.  A drift system that is
     not positive definite raises ``SolverError``, with no diagonal load.
     """
-    return _solve_drift(KING, fmap, kernel, particles, targets, ridge, jitter, target_mean)
+    return _solve_drift(KING, fmap, kernel, particles, targets, ridge, target_mean)
 
 
 def solve_ntking_drift(
@@ -305,7 +298,6 @@ def solve_ntking_drift(
     particles: ParticleSet,
     targets: ParticleSet | None,
     ridge: float,
-    jitter: float = 1e-6,
     *,
     target_mean: np.ndarray | None = None,
 ) -> DriftSolution:
@@ -313,7 +305,7 @@ def solve_ntking_drift(
 
     ``target_mean`` and the ``SolverError`` are as for ``solve_king_drift``.
     """
-    return _solve_drift(NTKING, fmap, kernel, particles, targets, ridge, jitter, target_mean)
+    return _solve_drift(NTKING, fmap, kernel, particles, targets, ridge, target_mean)
 
 
 def eval_drift(solution: DriftSolution, queries) -> np.ndarray:
@@ -322,7 +314,7 @@ def eval_drift(solution: DriftSolution, queries) -> np.ndarray:
     At the anchors themselves ``solution.anchor_velocity()`` gives the same
     field from the solve's products.
     """
-    pts = _as_points(queries)
+    pts = as_particles(queries).points
     if pts.shape[1] != solution.anchors.dim:
         raise ValueError(
             f"queries have dimension {pts.shape[1]}, anchors {solution.anchors.dim}"
@@ -426,6 +418,10 @@ def run_flow(
         pooled_median = PooledMedian(targets)
     bw_targets = median_heuristic(targets) if method == WGF else None
     target_mean = feature_mean(fmap, targets) if drift and targets is not None else None
+    # The targets' coordinate range, which the particles' joins in the divergence check.
+    low, high = (np.inf, -np.inf)
+    if targets is not None:
+        low, high = targets.points.min(), targets.points.max()
 
     particles = init
     if observer is not None:
@@ -438,17 +434,19 @@ def run_flow(
             if pooled_median is not None:
                 kernel = kernel.with_bandwidth(pooled_median(particles))
             velocity = solve(
-                fmap, kernel, particles, targets, config.ridge, config.jitter,
-                target_mean=target_mean,
+                fmap, kernel, particles, targets, config.ridge, target_mean=target_mean
             ).anchor_velocity()
         elif method == WGF:
             velocity = wgf_velocity(targets, particles, bandwidth_targets=bw_targets)
         else:
             velocity = mmd_flow_velocity(targets, particles)
         moved = particles.points + config.step * velocity
-        if not np.isfinite(moved).all():
+        # Every squared distance a bandwidth heuristic takes is at most dim times
+        # the squared coordinate range; a non-finite point makes that non-finite.
+        spread = np.maximum(moved.max(), high) - np.minimum(moved.min(), low)
+        if not np.isfinite(moved.shape[1] * spread * spread):
             raise DivergenceError(
-                f"particles became non-finite at iteration {iteration}", iteration
+                f"particles became non-finite or too spread at iteration {iteration}", iteration
             )
         particles = ParticleSet(moved, t=particles.t + config.step)
         logged = iteration % config.log_every == 0 or iteration == config.iterations

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -74,6 +75,7 @@ def take_fields(given: dict, defaults: dict, context: str) -> dict:
 
     A value must have its default's type, except that a float default also
     takes an int (returned as a float) and a ``None`` default takes anything.
+    A float value must be finite.
     """
     if not isinstance(given, dict):
         raise ConfigError(f"{context} must be an object, got {type(given).__name__}")
@@ -92,6 +94,8 @@ def take_fields(given: dict, defaults: dict, context: str) -> dict:
             raise ConfigError(
                 f"{context} field {key!r} must be a {type(default).__name__}, got {value!r}"
             )
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{context} field {key!r} must be finite, got {value!r}")
         merged[key] = value
     return merged
 

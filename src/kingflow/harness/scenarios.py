@@ -296,8 +296,7 @@ def _ngd_tracking(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     param_moments = {0: gaussian_natural_to_moment(params)}
     for k, step_seed in enumerate(seeds[3].spawn(flow.iterations), start=1):
         params = exact_ngd_step(
-            params, targets, flow.step,
-            mc_samples=ds["mc_samples"], seed=step_seed, jitter=flow.jitter,
+            params, targets, flow.step, mc_samples=ds["mc_samples"], seed=step_seed
         )
         param_moments[k] = gaussian_natural_to_moment(params)
 

@@ -16,13 +16,14 @@ the same value, bitwise, against a flow's fixed target set.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .particles import ParticleSet
+from .particles import as_particles
 
 RBF_SCALAR = "rbf_scalar"
 DIAGONALIZED_SCALAR = "diagonalized_scalar"
@@ -34,19 +35,24 @@ _BLOCK_VALUES = 1 << 17
 
 
 def _number(value, name: str, integral: bool = False):
-    """``value`` as a float, or an int if ``integral``; bools, strings and fractions raise."""
+    """``value`` as a finite float, or an int if ``integral``; bools, text and fractions raise."""
     if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
         if not integral or isinstance(value, numbers.Integral) or float(value).is_integer():
-            return int(value) if integral else float(value)
-    raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+            number = int(value) if integral else float(value)
+            if integral or math.isfinite(number):
+                return number
+    kind = "an integer" if integral else "a finite number"
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def _real_array(value, name: str) -> np.ndarray:
-    """A new read-only float64 array of ``value``, which must hold numbers (no bools or text)."""
+    """A new read-only float64 array of ``value``, which must hold finite numbers only."""
     arr = np.asarray(value)
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name} must hold numbers, got {value!r}")
     arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must hold finite numbers, got {value!r}")
     arr.setflags(write=False)
     return arr
 
@@ -118,8 +124,8 @@ class KernelSpec:
                 raise ValueError(f"{self.kind} kernel takes no NtkSpec")
             if self.bandwidth is not None:
                 object.__setattr__(self, "bandwidth", _number(self.bandwidth, "bandwidth"))
-                if not 0 < self.bandwidth < np.inf:
-                    raise ValueError("bandwidth must be positive and finite")
+                if self.bandwidth <= 0:
+                    raise ValueError("bandwidth must be positive")
 
     def with_bandwidth(self, bandwidth: float) -> "KernelSpec":
         return KernelSpec(kind=self.kind, bandwidth=bandwidth, ntk=self.ntk)
@@ -155,13 +161,6 @@ def ntk_kernel(input_dim: int, hidden_width: int = 64, seed: int = 0) -> KernelS
     )
 
 
-def _as_points(x) -> np.ndarray:
-    if isinstance(x, ParticleSet):
-        return x.points
-    arr = np.asarray(x, dtype=np.float64)
-    return arr[:, None] if arr.ndim == 1 else arr
-
-
 def _require_bandwidth(spec: KernelSpec) -> float:
     if spec.bandwidth is None:
         raise ValueError("kernel bandwidth is unresolved; pass one or use the median heuristic")
@@ -184,7 +183,7 @@ def kernel_gram(spec: KernelSpec, xs, ys) -> np.ndarray:
     """Scalar Gram matrix ``k(x_i, y_j)`` for the scalar kinds."""
     if spec.kind == EMPIRICAL_NTK:
         raise ValueError("empirical_ntk is matrix valued; use ntk_gram_blocks")
-    xs, ys = _as_points(xs), _as_points(ys)
+    xs, ys = as_particles(xs).points, as_particles(ys).points
     if xs.shape[1] != ys.shape[1]:
         raise ValueError(f"dimension mismatch: {xs.shape} vs {ys.shape}")
     return _gaussian_gram(_require_bandwidth(spec), xs, ys)
@@ -250,7 +249,7 @@ def ntk_gram_blocks(spec: NtkSpec, xs, ys) -> np.ndarray:
     two rank structures come from the output-layer and input-layer weight
     gradients respectively (biases supply the ``+1`` terms).
     """
-    xs, ys = _as_points(xs), _as_points(ys)
+    xs, ys = as_particles(xs).points, as_particles(ys).points
     d = spec.input_dim
     if xs.shape[1] != d or ys.shape[1] != d:
         raise ValueError(f"points must have dimension {d}")
@@ -273,9 +272,9 @@ def median_heuristic(points_a, points_b=None) -> float:
     Falls back to the smallest nonzero distance when the median is zero, and
     to 1.0 when every pairwise distance is zero.
     """
-    pool = _as_points(points_a)
+    pool = as_particles(points_a).points
     if points_b is not None:
-        other = _as_points(points_b)
+        other = as_particles(points_b).points
         if other.shape[1] != pool.shape[1]:
             raise ValueError(f"dimension mismatch: {pool.shape} vs {other.shape}")
         pool = np.vstack([pool, other])
@@ -331,7 +330,7 @@ class PooledMedian:
     _SEED_SHARE = 1 / 64
 
     def __init__(self, targets):
-        self._targets = _as_points(targets)
+        self._targets = as_particles(targets).points
         self._sorted = pdist(self._targets)
         self._sorted.sort()
         self._min_spread = 16 + int(self._sorted.size * self._MIN_SHARE)
@@ -339,7 +338,7 @@ class PooledMedian:
         self._spread = None
 
     def __call__(self, particles) -> float:
-        pts = _as_points(particles)
+        pts = as_particles(particles).points
         tgt, dists = self._targets, self._sorted
         if tgt.shape[1] != pts.shape[1]:
             raise ValueError(f"dimension mismatch: {pts.shape} vs {tgt.shape}")

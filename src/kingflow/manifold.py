@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._linalg import chol_solve, chol_spd, mean_and_covariance
+from ._linalg import FISHER_JITTER, chol_solve, chol_spd, mean_and_covariance
 from .errors import SingularFisherError
 from .kernels import _check_fields, _gaussian_gram, _number, _real_array, median_heuristic
 from .particles import ParticleSet
@@ -183,8 +183,8 @@ class RbfFeatureMap(FeatureMap):
             raise ValueError(f"centers must be a nonempty (m, d) array, got shape {centers.shape}")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "bandwidth", _number(self.bandwidth, "bandwidth"))
-        if not 0 < self.bandwidth < np.inf:
-            raise ValueError("bandwidth must be positive and finite")
+        if self.bandwidth <= 0:
+            raise ValueError("bandwidth must be positive")
 
     @property
     def input_dim(self) -> int:
@@ -304,13 +304,14 @@ class FisherMatrix:
     jitter_applied: float
 
     @classmethod
-    def from_covariance(cls, cov: np.ndarray, jitter: float, what: str) -> "FisherMatrix":
+    def from_covariance(cls, cov: np.ndarray, what: str) -> "FisherMatrix":
         """Factor a feature covariance, diagonally loaded as ``chol_spd`` describes.
 
-        Past the escalation cap a ``SingularFisherError`` naming ``what`` is raised.
+        The relative load starts at ``FISHER_JITTER``.  Past the escalation cap
+        a ``SingularFisherError`` naming ``what`` is raised.
         """
         try:
-            loaded, lower, applied = chol_spd(cov, jitter)
+            loaded, lower, applied = chol_spd(cov, FISHER_JITTER)
         except np.linalg.LinAlgError as exc:
             raise SingularFisherError(
                 f"{what} is not positive definite after jitter escalation"
@@ -327,31 +328,30 @@ def feature_mean(fmap: FeatureMap, particles: ParticleSet) -> np.ndarray:
 
 
 def feature_moments(
-    fmap: FeatureMap, particles: ParticleSet | np.ndarray, jitter: float = 1e-6
+    fmap: FeatureMap, particles: ParticleSet | np.ndarray
 ) -> tuple[np.ndarray, FisherMatrix]:
     """Feature mean and Fisher estimate from one evaluation of the features.
 
     ``particles`` is a ``ParticleSet``, whose features are evaluated here, or
     the ``(n, feature_dim)`` features a caller already evaluated at one.  The
     Fisher matrix is the empirical feature covariance, diagonally loaded
-    until factorizable as ``FisherMatrix.from_covariance`` describes.
+    from a relative ``FISHER_JITTER`` until factorizable as
+    ``FisherMatrix.from_covariance`` describes.
     """
     if isinstance(particles, ParticleSet):
         particles = fmap.features(particles.points)
     if particles.shape[0] < 2:
         raise ValueError("the Fisher estimate needs at least 2 particles")
     mean, cov = mean_and_covariance(particles)
-    return mean, FisherMatrix.from_covariance(cov, jitter, f"feature covariance ({fmap.kind})")
+    return mean, FisherMatrix.from_covariance(cov, f"feature covariance ({fmap.kind})")
 
 
-def fisher_estimate(
-    fmap: FeatureMap, particles: ParticleSet, jitter: float = 1e-6
-) -> FisherMatrix:
+def fisher_estimate(fmap: FeatureMap, particles: ParticleSet) -> FisherMatrix:
     """Empirical feature covariance, diagonally loaded until factorizable.
 
     See ``feature_moments`` for the loading rule.
     """
-    return feature_moments(fmap, particles, jitter)[1]
+    return feature_moments(fmap, particles)[1]
 
 
 def rbf_map_from_samples(

@@ -25,12 +25,12 @@ def mmd(sample_a, sample_b, bandwidth: float | None = None) -> MmdEstimate:
     pooled samples is used.  The squared estimate is clipped at zero before
     the square root.
     """
-    a = as_particles(sample_a).points
-    b = as_particles(sample_b).points
+    sample_a, sample_b = as_particles(sample_a), as_particles(sample_b)
+    a, b = sample_a.points, sample_b.points
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if bandwidth is None:
-        bandwidth = median_heuristic(a, b)
+        bandwidth = median_heuristic(sample_a, sample_b)
     elif not 0 < bandwidth < np.inf:
         raise ValueError("bandwidth must be positive and finite")
 

@@ -39,7 +39,6 @@ def natural_gradient_kl(
     fmap: FeatureMap,
     targets: ParticleSet,
     particles: ParticleSet,
-    jitter: float = 1e-6,
 ) -> NatGradResult:
     """Monte Carlo natural gradient of KL(target || model) in natural coordinates.
 
@@ -48,7 +47,7 @@ def natural_gradient_kl(
     """
     if targets.dim != particles.dim:
         raise ValueError(f"dimension mismatch: targets {targets.dim}, particles {particles.dim}")
-    model_mean, fisher = feature_moments(fmap, particles, jitter)
+    model_mean, fisher = feature_moments(fmap, particles)
     gap = feature_mean(fmap, targets) - model_mean
     return NatGradResult(gap=gap, fisher=fisher, natural_direction=fisher.solve(gap))
 
@@ -139,7 +138,6 @@ def exact_ngd_step(
     step: float,
     mc_samples: int = 4096,
     seed=0,
-    jitter: float = 1e-6,
 ) -> GaussianNaturalParams:
     """One natural-gradient step on the Gaussian family in natural coordinates.
 
@@ -153,7 +151,7 @@ def exact_ngd_step(
     draws = sample_gaussian(mean, cov, mc_samples, seed)
     model_particles = ParticleSet(draws)
     fmap = GaussianQuadraticMap(params.dim)
-    result = natural_gradient_kl(fmap, targets, model_particles, jitter)
+    result = natural_gradient_kl(fmap, targets, model_particles)
     theta = _pack_theta(params)
     for halving in range(11):
         candidate = _unpack_theta(

@@ -23,11 +23,17 @@ from typing import Callable
 import numpy as np
 
 from ._linalg import mean_and_covariance
+from .kernels import _number
 from .manifold import FeatureMap, FisherMatrix, feature_moments
 from .ngd import NatGradResult
 from .particles import ParticleSet
 
 ALIGNMENT_MODES = ("euclidean", "fisher")
+
+# A quadrature grid covers this many window sigmas on each side of the center;
+# ``default_grid`` spaces this many nodes over that span.
+_WINDOW_SIGMAS = 5.0
+_GRID_NODES = 81
 
 
 @dataclass(frozen=True)
@@ -38,10 +44,10 @@ class TimeKernel:
     sigma: float
 
     def __post_init__(self):
+        for name in ("center", "sigma"):
+            object.__setattr__(self, name, _number(getattr(self, name), name))
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        object.__setattr__(self, "center", float(self.center))
-        object.__setattr__(self, "sigma", float(self.sigma))
 
     def value(self, t) -> np.ndarray | float:
         t = np.asarray(t, dtype=np.float64)
@@ -70,16 +76,16 @@ def _window_grid(tk: TimeKernel, grid: np.ndarray) -> np.ndarray:
         raise ValueError("grid must be a 1-d array with at least 41 nodes")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    lo, hi = tk.center - 5.0 * tk.sigma, tk.center + 5.0 * tk.sigma
-    if grid[0] > lo or grid[-1] < hi:
+    half = _WINDOW_SIGMAS * tk.sigma
+    if grid[0] > tk.center - half or grid[-1] < tk.center + half:
         raise ValueError("grid must cover at least 5 sigma on each side of the window center")
     return grid
 
 
-def default_grid(tk: TimeKernel, half_width_sigmas: float = 5.0, nodes: int = 81) -> np.ndarray:
-    """Uniform quadrature grid covering the window support."""
-    half = half_width_sigmas * tk.sigma
-    return np.linspace(tk.center - half, tk.center + half, nodes)
+def default_grid(tk: TimeKernel) -> np.ndarray:
+    """Uniform 81-node quadrature grid covering 5 sigma on each side of the window center."""
+    half = _WINDOW_SIGMAS * tk.sigma
+    return np.linspace(tk.center - half, tk.center + half, _GRID_NODES)
 
 
 def project_change_quadrature(
@@ -87,7 +93,6 @@ def project_change_quadrature(
     trajectory: Callable[[float], ParticleSet],
     tk: TimeKernel,
     grid: np.ndarray,
-    jitter: float = 1e-6,
 ) -> ProjectionResult:
     """Quadrature estimate of the projected parameter change.
 
@@ -110,7 +115,7 @@ def project_change_quadrature(
         weights_mean[k] = tk.deriv(float(t))
     int_cov = np.trapezoid(weights_cov[:, None, None] * covs, x=grid, axis=0)
     int_mean = np.trapezoid(weights_mean[:, None] * means, x=grid, axis=0)
-    fisher = FisherMatrix.from_covariance(int_cov, jitter, "window-integrated feature covariance")
+    fisher = FisherMatrix.from_covariance(int_cov, "window-integrated feature covariance")
     return ProjectionResult(delta=-fisher.solve(int_mean), fisher_used=fisher)
 
 
@@ -118,7 +123,6 @@ def project_change_limit(
     fmap: FeatureMap,
     particles: ParticleSet,
     velocities: np.ndarray,
-    jitter: float = 1e-6,
 ) -> ProjectionResult:
     """Vanishing-window projection: Fisher solve of mean gradient-velocity contraction."""
     velocities = np.asarray(velocities, dtype=np.float64)
@@ -129,7 +133,7 @@ def project_change_limit(
             f"velocities shape {velocities.shape} does not match particles {particles.points.shape}"
         )
     feats, jac = fmap.derivatives(particles.points, 1)
-    fisher = feature_moments(fmap, feats, jitter)[1]
+    fisher = feature_moments(fmap, feats)[1]
     contraction = np.einsum("nad,nd->a", jac, velocities) / particles.n
     return ProjectionResult(delta=fisher.solve(contraction), fisher_used=fisher)
 

@@ -195,14 +195,12 @@ class SteinFeatureMap(FeatureMap):
 register_feature_map(SteinFeatureMap.kind, SteinFeatureMap.from_config)
 
 
-def stein_natural_gradient(
-    smap: SteinFeatureMap, particles: ParticleSet, jitter: float = 1e-6
-) -> NatGradResult:
+def stein_natural_gradient(smap: SteinFeatureMap, particles: ParticleSet) -> NatGradResult:
     """Natural gradient toward the score's density, using no target samples.
 
     Stein features have zero mean under the target, so the feature-mean gap
     is simply the negated model feature mean.
     """
-    model_mean, fisher = feature_moments(smap, particles, jitter)
+    model_mean, fisher = feature_moments(smap, particles)
     gap = -model_mean
     return NatGradResult(gap=gap, fisher=fisher, natural_direction=fisher.solve(gap))

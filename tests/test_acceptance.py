@@ -101,7 +101,7 @@ def test_criterion_01_dual_solve_matches_weight_regression(criterion):
 
         jac = fmap.jacobian(particles.points)
         phi = phi_map.features(particles.points)
-        fisher = fisher_estimate(fmap, particles, 1e-6)
+        fisher = fisher_estimate(fmap, particles)
         flat = (np.einsum("iar,ic->arc", jac, phi) / n).reshape(fmap.feature_dim, -1)
         gap = feature_mean(fmap, targets) - feature_mean(fmap, particles)
         normal = flat.T @ fisher.solve(flat) + ridge * np.eye(flat.shape[1])

@@ -59,7 +59,6 @@ def drift_case(rng, n=20, dim=2, shift=0.8):
 def test_flow_config_defaults():
     config = FlowConfig(step=0.5, iterations=3)
     assert config.ridge == 1e-3
-    assert config.jitter == 1e-6
     assert config.log_every == 10
     assert config.freeze_bandwidth is False
 
@@ -72,12 +71,10 @@ def test_flow_config_defaults():
         {"iterations": 0},
         {"ridge": 0.0},
         {"ridge": -1e-3},
-        {"jitter": -1e-9},
         {"log_every": 0},
         {"step": float("nan")},
         {"step": float("inf")},
         {"ridge": float("nan")},
-        {"jitter": float("inf")},
         {"iterations": 2.5},
         {"iterations": True},
         {"log_every": True},
@@ -133,7 +130,7 @@ def test_solution_satisfies_the_dual_system(rng):
     solution = solve_king_drift(fmap, kernel, particles, targets, ridge=ridge)
 
     jac = fmap.jacobian(particles.points)
-    fisher = fisher_estimate(fmap, particles, 1e-6)
+    fisher = fisher_estimate(fmap, particles)
     quad = np.zeros((fmap.feature_dim, fmap.feature_dim))
     for i in range(n):
         for j in range(n):
@@ -167,7 +164,7 @@ def test_dual_solve_matches_explicit_weight_regression(rng):
 
     jac = fmap.jacobian(particles.points)
     phi = phi_map.features(particles.points)
-    fisher = fisher_estimate(fmap, particles, 1e-6)
+    fisher = fisher_estimate(fmap, particles)
     dim_t, n_feat = fmap.feature_dim, phi.shape[1]
     coupling = np.einsum("iar,ic->arc", jac, phi) / n
     flat = coupling.reshape(dim_t, dim * n_feat)
@@ -205,6 +202,20 @@ def test_eval_drift_with_zero_coefficients_is_zero(rng):
     )
     silenced = dataclasses.replace(solution, coeff=np.zeros_like(solution.coeff))
     assert_array_equal(eval_drift(silenced, rng.standard_normal((6, 2))), 0.0)
+
+
+@pytest.mark.parametrize("queries", [[[0.0, np.nan]], [[np.inf, 0.0]], np.zeros((0, 2))])
+def test_eval_drift_rejects_non_finite_or_empty_queries(rng, queries):
+    particles, targets = drift_case(rng)
+    solution = solve_king_drift(
+        GaussianQuadraticMap(input_dim=2),
+        KernelSpec("rbf_scalar", bandwidth=1.0),
+        particles,
+        targets,
+        ridge=1e-2,
+    )
+    with pytest.raises(ValueError, match="non-finite|at least one point"):
+        eval_drift(solution, queries)
 
 
 def test_coincident_particles_drift_toward_a_single_target():
@@ -272,7 +283,7 @@ def test_tangent_kernel_system_is_positive_definite(rng):
     jac = fmap.jacobian(particles.points)
     blocks = ntk_gram_blocks(kernel.ntk, particles.points, particles.points)
     quad = np.einsum("iad,ijde,jbe->ab", jac, blocks, jac) / n**2
-    fisher = fisher_estimate(fmap, particles, 1e-6)
+    fisher = fisher_estimate(fmap, particles)
     system = ridge * fisher.matrix + quad
     assert np.linalg.eigvalsh(system).min() > 0.0
     assert_allclose(solution.gamma_factor @ solution.gamma_factor.T, system, rtol=1e-8)
@@ -295,9 +306,9 @@ def test_indefinite_drift_system_raises_solver_error(rng):
     # system turns indefinite, by far less than the old diagonal-load cap.
     particles, targets = drift_case(rng)
     fmap = GaussianQuadraticMap(input_dim=2)
-    ridge, jitter = 1e-2, 1e-6
+    ridge = 1e-2
     jac = fmap.jacobian(particles.points)
-    loaded = ridge * fisher_estimate(fmap, particles, jitter).matrix
+    loaded = ridge * fisher_estimate(fmap, particles).matrix
     jac_t = jac.transpose(0, 2, 1)
     removed = -_gram_quadratic(ConstantKernel(-1.0), particles.points, jac_t)[0]
     critical = 1.0 / scipy.linalg.eigh(removed, loaded, eigvals_only=True).max()
@@ -308,8 +319,8 @@ def test_indefinite_drift_system_raises_solver_error(rng):
 
     for solve in (solve_king_drift, solve_ntking_drift):
         with pytest.raises(SolverError):
-            solve(fmap, kernel, particles, targets, ridge, jitter)
-    config = FlowConfig(step=0.1, iterations=1, ridge=ridge, jitter=jitter)
+            solve(fmap, kernel, particles, targets, ridge)
+    config = FlowConfig(step=0.1, iterations=1, ridge=ridge)
     with pytest.raises(SolverError):
         run_flow("king", fmap, kernel, targets, particles, config)
 
@@ -645,6 +656,16 @@ def test_run_flow_flags_divergence_with_the_iteration(rng):
         run_flow("wgf", None, None, targets, init, FlowConfig(step=1e8, iterations=100))
     assert isinstance(excinfo.value.iteration, int)
     assert 1 <= excinfo.value.iteration <= 100
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_flow_flags_particles_too_spread_for_finite_distances(rng):
+    # Finite points whose pairwise distances overflow, which no bandwidth survives.
+    init = ParticleSet(np.array([[-1e200, 0.0], [1e200, 0.0], [0.0, 1.0]]))
+    targets = ParticleSet(rng.standard_normal((10, 2)))
+    with pytest.raises(DivergenceError) as excinfo:
+        run_flow("mmd_flow", None, None, targets, init, FlowConfig(step=0.1, iterations=3))
+    assert excinfo.value.iteration == 1
 
 
 def test_run_flow_closes_a_mean_shift():

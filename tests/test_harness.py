@@ -48,7 +48,8 @@ def test_take_fields_checks_each_value_against_its_default_type():
     assert merged["any"] == "free"
     for key, value in (
         ("n", True), ("n", 2.0), ("n", "2"),
-        ("x", False), ("x", "2.0"),
+        ("x", False), ("x", "2.0"), ("x", float("nan")), ("x", float("inf")),
+        ("any", float("-inf")),
         ("on", "false"), ("on", 1),
         ("name", 3), ("sub", [1]),
     ):
@@ -75,7 +76,6 @@ def test_run_config_round_trips_losslessly():
             "step": 0.5,
             "iterations": 20,
             "ridge": 1e-2,
-            "jitter": 1e-7,
             "log_every": 5,
             "freeze_bandwidth": True,
         },
@@ -96,7 +96,6 @@ flow_configs = st.builds(
     step=positive,
     iterations=st.integers(1, 10_000),
     ridge=positive,
-    jitter=st.floats(min_value=0.0, max_value=1.0),
     log_every=st.integers(1, 100),
     freeze_bandwidth=st.booleans(),
 )
@@ -309,6 +308,20 @@ def test_methods_are_checked_before_any_flow_runs(run_flow_calls, scenario, meth
         execute_scenario(cfg)
     assert run_flow_calls == []
 
+
+# JSON's NaN and Infinity, which Python's reader accepts, in each kind of number field.
+NON_FINITE_CONFIGS = [
+    {"scenario": "graphical_model", "dataset": {"threshold": float("nan")}},
+    {"scenario": "bimodal_compare", "dataset": {"offset": float("inf")}},
+    {
+        "scenario": "manifold_guidance",
+        "manifold": {"kind": "rbf_features", "centers": [[float("nan")]], "bandwidth": 1.0},
+    },
+    {
+        "scenario": "stein_sampling",
+        "dataset": {"score": {"kind": "gaussian", "mean": [float("nan")], "variances": [1.0]}},
+    },
+]
 
 # Configs that no flow could run as written: a kernel kind its method does not
 # take, and a manifold that no flow reads, because the scenario fixes its map or
@@ -753,12 +766,19 @@ def test_cli_run_reports_config_errors(tmp_path, capsys, run_flow_calls):
         {"scenario": "bimodal_compare", "dataset": {"bogus": 1}},
         {"scenario": "bimodal_compare", "dataset": {"n_targets": 30.9}},
         {"scenario": "graphical_model", "dataset": {"include_long": "false"}},
+        *NON_FINITE_CONFIGS,
         *UNRUNNABLE_CONFIGS,
         *CHECKED_FIELD_CONFIGS,
     ):
         bad.write_text(json.dumps(config))
         assert main(["run", "--config", str(bad)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    # the Fisher load is a constant, not a flow field
+    flow = {"step": 1.0, "iterations": 5, "jitter": 1e-7}
+    bad.write_text(json.dumps({"scenario": "bimodal_compare", "flow": flow}))
+    assert main(["run", "--config", str(bad)]) == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "ConfigError" and "jitter" in report["message"]
     assert run_flow_calls == []
 
 

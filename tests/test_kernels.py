@@ -369,6 +369,40 @@ def test_median_heuristic_needs_two_points():
         median_heuristic(np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_inputs_must_be_finite(bad):
+    rng = np.random.default_rng(0)
+    particles, targets = rng.standard_normal((40, 2)), rng.standard_normal((50, 2))
+    particles[7, 1] = bad
+    spec, ntk = rbf_kernel(1.0), NtkSpec(input_dim=2, hidden_width=4)
+    for call in (
+        lambda: median_heuristic([[0.0], [bad], [1.0]]),
+        lambda: median_heuristic(particles, targets),
+        lambda: median_heuristic(targets, particles),
+        lambda: PooledMedian(targets)(particles),
+        lambda: PooledMedian(particles),
+        lambda: kernel_gram(spec, particles, targets),
+        lambda: kernel_gram(spec, targets, particles),
+        lambda: ntk_gram_blocks(ntk, particles, targets),
+        lambda: ntk_gram_blocks(ntk, targets, particles),
+    ):
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
+
+
+def test_point_inputs_must_not_be_empty():
+    empty, points = np.zeros((0, 2)), np.zeros((3, 2))
+    for call in (
+        lambda: median_heuristic(points, empty),
+        lambda: PooledMedian(points)(empty),
+        lambda: PooledMedian(empty),
+        lambda: kernel_gram(rbf_kernel(1.0), empty, points),
+        lambda: ntk_gram_blocks(NtkSpec(input_dim=2, hidden_width=4), points, empty),
+    ):
+        with pytest.raises(ValueError, match="at least one point"):
+            call()
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(
     n=st.integers(2, 40),

@@ -21,6 +21,7 @@ from kingflow import (
     fisher_estimate,
     rbf_map_from_samples,
 )
+from kingflow._linalg import FISHER_JITTER
 from kingflow.manifold import _REGISTRY, feature_moments, vech_pairs
 from kingflow.stein import _SCORE_KINDS, STEIN_MODES
 
@@ -308,9 +309,9 @@ def test_feature_mean_standard_normal_moments():
 def test_fisher_of_identical_points_is_the_jitter_load():
     fmap = GaussianQuadraticMap(input_dim=1)
     pset = ParticleSet(np.ones((10, 1)))
-    fisher = fisher_estimate(fmap, pset, jitter=1e-6)
-    assert_allclose(fisher.matrix, 1e-6 * np.eye(2))
-    assert fisher.jitter_applied == pytest.approx(1e-6)
+    fisher = fisher_estimate(fmap, pset)
+    assert_allclose(fisher.matrix, FISHER_JITTER * np.eye(2))
+    assert fisher.jitter_applied == pytest.approx(FISHER_JITTER)
 
 
 def test_fisher_standard_normal_quadratic_family():
@@ -322,7 +323,7 @@ def test_fisher_standard_normal_quadratic_family():
 
 def test_fisher_minimum_eigenvalue_respects_the_load(rng):
     fmap = RbfFeatureMap(centers=rng.standard_normal((6, 2)), bandwidth=1.0)
-    fisher = fisher_estimate(fmap, ParticleSet(rng.standard_normal((30, 2))), jitter=1e-6)
+    fisher = fisher_estimate(fmap, ParticleSet(rng.standard_normal((30, 2))))
     min_eig = np.linalg.eigvalsh(fisher.matrix).min()
     assert min_eig >= fisher.jitter_applied * (1.0 - 1e-10)
     assert fisher.jitter_applied > 0
@@ -344,9 +345,9 @@ def test_fisher_needs_two_particles():
 def test_feature_moments_return_the_feature_mean_with_the_fisher(rng):
     fmap = RbfFeatureMap(centers=rng.standard_normal((6, 2)), bandwidth=1.0)
     pset = ParticleSet(rng.standard_normal((30, 2)))
-    mean, fisher = feature_moments(fmap, pset, jitter=1e-6)
+    mean, fisher = feature_moments(fmap, pset)
     assert_array_equal(mean, feature_mean(fmap, pset))
-    assert_array_equal(fisher.matrix, fisher_estimate(fmap, pset, jitter=1e-6).matrix)
+    assert_array_equal(fisher.matrix, fisher_estimate(fmap, pset).matrix)
 
 
 # -- serialization and construction helpers -----------------------------------
@@ -419,7 +420,7 @@ def test_every_config_kind_takes_exactly_its_fields(kind):
         lambda v: GaussianMixtureScore(means=[[0.0]], sigma=v),
     ],
 )
-@pytest.mark.parametrize("value", [True, "1", [1], 0.5 + 0.5j, None])
+@pytest.mark.parametrize("value", [True, "1", [1], 0.5 + 0.5j, None, np.nan, np.inf, -np.inf])
 def test_numeric_fields_take_only_numbers(build, value):
     with pytest.raises(ValueError):
         build(value)
@@ -434,7 +435,9 @@ def test_numeric_fields_take_only_numbers(build, value):
         lambda v: GaussianMixtureScore(means=v, sigma=1.0),
     ],
 )
-@pytest.mark.parametrize("value", [[[True]], [["1"]], [[None]]])
+@pytest.mark.parametrize(
+    "value", [[[True]], [["1"]], [[None]], [[np.nan]], [[np.inf]], [[-np.inf]]]
+)
 def test_array_fields_take_only_numbers(build, value):
     with pytest.raises(ValueError):
         build(value)

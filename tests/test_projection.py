@@ -33,10 +33,16 @@ def linear_trajectory(points, velocities):
 
 # -- time window ----------------------------------------------------------------
 
-@pytest.mark.parametrize("sigma", [0.0, -0.5])
+@pytest.mark.parametrize("sigma", [0.0, -0.5, np.nan, np.inf, "0.1"])
 def test_time_kernel_rejects_bad_sigma(sigma):
     with pytest.raises(ValueError):
         TimeKernel(center=0.0, sigma=sigma)
+
+
+@pytest.mark.parametrize("center", [np.nan, -np.inf, "0.0"])
+def test_time_kernel_rejects_bad_center(center):
+    with pytest.raises(ValueError):
+        TimeKernel(center=center, sigma=0.1)
 
 
 @pytest.mark.parametrize("sigma", [0.05, 0.1, 0.5])

@@ -85,8 +85,9 @@ def test_mixture_score_near_a_far_mode_is_single_component():
 
 
 def test_mixture_rejects_bad_sigma():
-    with pytest.raises(ValueError):
-        GaussianMixtureScore(means=[[0.0]], sigma=0.0)
+    for sigma in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            GaussianMixtureScore(means=[[0.0]], sigma=sigma)
 
 
 @st.composite
