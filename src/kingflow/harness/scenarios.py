@@ -332,6 +332,8 @@ def _ngd_tracking(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
 def _graphical_model(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     # Only the drift methods use the feature map that sets the variants apart.
     (method,) = _methods(cfg, tuple(DRIFT_KERNEL_KINDS), (NTKING,), single=True)
+    if ds["threshold"] <= 0:
+        raise ConfigError(f"threshold must be positive, got {ds['threshold']}")
     dim = ds["dim"]
     seeds = np.random.SeedSequence(cfg.seed).spawn(4)
     base_graph_seed = int(seeds[0].generate_state(1)[0])

@@ -3,6 +3,8 @@
 The natural gradient of the KL divergence toward a target sample, taken in
 the natural parameters of the family spanned by a feature map, is the feature
 covariance inverse applied to the gap between target and model feature means.
+Without a target sample the target feature mean is taken as zero, as it is
+for Stein features under their score's density.
 For the Gaussian quadratic family the update can additionally be carried out
 exactly in closed-form natural coordinates; ``exact_ngd_step`` does that and
 serves as the parametric reference trajectory for particle flows.
@@ -15,6 +17,7 @@ import numpy as np
 
 from ._linalg import is_spd, spd_factor, spd_inverse
 from .errors import StepFailureError
+from .kernels import _number
 from .manifold import (
     FeatureMap,
     FisherMatrix,
@@ -37,18 +40,19 @@ class NatGradResult:
 
 def natural_gradient_kl(
     fmap: FeatureMap,
-    targets: ParticleSet,
+    targets: ParticleSet | None,
     particles: ParticleSet,
 ) -> NatGradResult:
     """Monte Carlo natural gradient of KL(target || model) in natural coordinates.
 
     ``gap`` is the target minus model feature mean and ``natural_direction``
-    is the Fisher solve of that gap.
+    is the Fisher solve of that gap.  With ``targets=None`` the target
+    feature mean is zero, so Stein features need no target samples.
     """
-    if targets.dim != particles.dim:
+    if targets is not None and targets.dim != particles.dim:
         raise ValueError(f"dimension mismatch: targets {targets.dim}, particles {particles.dim}")
     model_mean, fisher = feature_moments(fmap, particles)
-    gap = feature_mean(fmap, targets) - model_mean
+    gap = -model_mean if targets is None else feature_mean(fmap, targets) - model_mean
     return NatGradResult(gap=gap, fisher=fisher, natural_direction=fisher.solve(gap))
 
 
@@ -108,7 +112,7 @@ def sample_gaussian(mean, cov, n: int, seed) -> np.ndarray:
     mean = np.asarray(mean, dtype=np.float64).ravel()
     lower = spd_factor(cov, ValueError("covariance must be positive definite"))
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((int(n), mean.size))
+    z = rng.standard_normal((_number(n, "n", integral=True), mean.size))
     return mean + z @ lower.T
 
 
@@ -145,7 +149,7 @@ def exact_ngd_step(
     the full step leaves the Gaussian domain the step is halved, up to 10
     times, before raising ``StepFailureError``.
     """
-    if step <= 0:
+    if _number(step, "step") <= 0:
         raise ValueError("step must be positive")
     mean, cov = gaussian_natural_to_moment(params)
     draws = sample_gaussian(mean, cov, mc_samples, seed)

@@ -5,15 +5,16 @@ underlying distribution is summarized by the rate of change of the natural
 parameters of the best-matching family member.  Two estimators are provided:
 
 * ``project_change_quadrature`` integrates feature means and covariances
-  against a narrow Gaussian time window and its derivative on an explicit
-  quadrature grid.
+  against a narrow Gaussian time window and its derivative on the fixed
+  81-node grid ``default_grid``, which spans 5 window sigmas on each side of
+  the window center.
 * ``project_change_limit`` is the vanishing-window closed form: a Fisher
   solve of the mean feature-gradient contraction with the particle
   velocities.
 
-``alignment_residual`` measures how far such a projected change is from a
-natural-gradient reference direction, either in Euclidean or in local
-Fisher geometry.
+Both return the parameter change as an array.  ``alignment_residual``
+measures how far such a change is from a natural-gradient reference
+direction, either in Euclidean or in local Fisher geometry.
 """
 from __future__ import annotations
 
@@ -26,12 +27,12 @@ from ._linalg import mean_and_covariance
 from .kernels import _number
 from .manifold import FeatureMap, FisherMatrix, feature_moments
 from .ngd import NatGradResult
-from .particles import ParticleSet
+from .particles import ParticleSet, as_particles
 
 ALIGNMENT_MODES = ("euclidean", "fisher")
 
-# A quadrature grid covers this many window sigmas on each side of the center;
-# ``default_grid`` spaces this many nodes over that span.
+# ``default_grid`` covers this many window sigmas on each side of the center
+# and spaces this many nodes over that span.
 _WINDOW_SIGMAS = 5.0
 _GRID_NODES = 81
 
@@ -52,34 +53,12 @@ class TimeKernel:
     def value(self, t) -> np.ndarray | float:
         t = np.asarray(t, dtype=np.float64)
         z = (t - self.center) / self.sigma
-        out = np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi * self.sigma**2)
-        return float(out) if out.ndim == 0 else out
+        return np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi * self.sigma**2)
 
     def deriv(self, t) -> np.ndarray | float:
         """Derivative of the window with respect to time."""
         t = np.asarray(t, dtype=np.float64)
-        out = -(t - self.center) / self.sigma**2 * self.value(t)
-        return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class ProjectionResult:
-    """Estimated natural-parameter rate of change and the matrix solved."""
-
-    delta: np.ndarray
-    fisher_used: FisherMatrix
-
-
-def _window_grid(tk: TimeKernel, grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size < 41:
-        raise ValueError("grid must be a 1-d array with at least 41 nodes")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    half = _WINDOW_SIGMAS * tk.sigma
-    if grid[0] > tk.center - half or grid[-1] < tk.center + half:
-        raise ValueError("grid must cover at least 5 sigma on each side of the window center")
-    return grid
+        return -(t - self.center) / self.sigma**2 * self.value(t)
 
 
 def default_grid(tk: TimeKernel) -> np.ndarray:
@@ -92,38 +71,31 @@ def project_change_quadrature(
     fmap: FeatureMap,
     trajectory: Callable[[float], ParticleSet],
     tk: TimeKernel,
-    grid: np.ndarray,
-) -> ProjectionResult:
+) -> np.ndarray:
     """Quadrature estimate of the projected parameter change.
 
     Integrates the window-weighted feature covariance and the
-    window-derivative-weighted feature mean over ``grid`` with the trapezoid
-    rule, then solves the former against the negated latter.
+    window-derivative-weighted feature mean over ``default_grid(tk)`` with
+    the trapezoid rule, then solves the former against the negated latter.
     """
-    grid = _window_grid(tk, grid)
-    dim_t = fmap.feature_dim
-    weights_cov = np.empty(grid.size)
-    weights_mean = np.empty(grid.size)
-    covs = np.empty((grid.size, dim_t, dim_t))
-    means = np.empty((grid.size, dim_t))
-    for k, t in enumerate(grid):
-        pts = trajectory(float(t))
-        if not isinstance(pts, ParticleSet):
-            pts = ParticleSet(np.asarray(pts, dtype=np.float64), float(t))
-        means[k], covs[k] = mean_and_covariance(fmap.features(pts.points))
-        weights_cov[k] = tk.value(float(t))
-        weights_mean[k] = tk.deriv(float(t))
-    int_cov = np.trapezoid(weights_cov[:, None, None] * covs, x=grid, axis=0)
-    int_mean = np.trapezoid(weights_mean[:, None] * means, x=grid, axis=0)
+    grid = default_grid(tk)
+    moments = [
+        mean_and_covariance(fmap.features(as_particles(trajectory(t), t).points))
+        for t in grid.tolist()
+    ]
+    means = np.array([mean for mean, _ in moments])
+    covs = np.array([cov for _, cov in moments])
+    int_cov = np.trapezoid(tk.value(grid)[:, None, None] * covs, x=grid, axis=0)
+    int_mean = np.trapezoid(tk.deriv(grid)[:, None] * means, x=grid, axis=0)
     fisher = FisherMatrix.from_covariance(int_cov, "window-integrated feature covariance")
-    return ProjectionResult(delta=-fisher.solve(int_mean), fisher_used=fisher)
+    return -fisher.solve(int_mean)
 
 
 def project_change_limit(
     fmap: FeatureMap,
     particles: ParticleSet,
     velocities: np.ndarray,
-) -> ProjectionResult:
+) -> np.ndarray:
     """Vanishing-window projection: Fisher solve of mean gradient-velocity contraction."""
     velocities = np.asarray(velocities, dtype=np.float64)
     if velocities.ndim == 1:
@@ -135,25 +107,26 @@ def project_change_limit(
     feats, jac = fmap.derivatives(particles.points, 1)
     fisher = feature_moments(fmap, feats)[1]
     contraction = np.einsum("nad,nd->a", jac, velocities) / particles.n
-    return ProjectionResult(delta=fisher.solve(contraction), fisher_used=fisher)
+    return fisher.solve(contraction)
 
 
-def alignment_residual(
-    ngd_result: NatGradResult, projection: ProjectionResult, mode: str = "fisher"
-) -> float:
-    """Squared mismatch between a natural-gradient direction and a projection.
+def alignment_residual(ngd_result: NatGradResult, delta, mode: str = "fisher") -> float:
+    """Squared mismatch between a natural-gradient direction and a projected change.
 
     ``euclidean`` compares the two coordinate vectors directly.  ``fisher``
-    maps the projected change back through the Fisher matrix of the
+    maps the change ``delta`` back through the Fisher matrix of the
     natural-gradient result and measures the gap to the feature-mean gap in
     the inverse-Fisher norm; the two modes agree after whitening by the
-    Fisher Cholesky factor.
+    Fisher Cholesky factor.  ``delta`` must have the gap's shape.
     """
     if mode not in ALIGNMENT_MODES:
         raise ValueError(f"mode must be one of {ALIGNMENT_MODES}, got {mode!r}")
+    delta = np.asarray(delta, dtype=np.float64)
+    if delta.shape != ngd_result.gap.shape:
+        raise ValueError(f"delta shape {delta.shape} does not match gap {ngd_result.gap.shape}")
     if mode == "euclidean":
-        diff = ngd_result.natural_direction - projection.delta
+        diff = ngd_result.natural_direction - delta
         return float(diff @ diff)
-    mapped = ngd_result.fisher.matrix @ projection.delta
+    mapped = ngd_result.fisher.matrix @ delta
     resid = ngd_result.gap - mapped
     return float(resid @ ngd_result.fisher.solve(resid))

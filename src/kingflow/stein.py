@@ -4,7 +4,8 @@ Applying the score operator ``f -> s_c(x) f(x) + d f / d x_c`` to base
 features produces statistics whose expectation under the score's density is
 zero.  Flows on the resulting manifold therefore need no target samples: the
 feature-mean gap reduces to the negated model feature mean, and its Fisher
-solve is the sampling analogue of the natural gradient.
+solve, ``natural_gradient_kl(smap, None, particles)``, is the sampling
+analogue of the natural gradient.
 
 Each base feature ``i`` is paired with coordinate ``c = i mod d`` by default;
 ``mode="full"`` instead crosses every feature with every coordinate.
@@ -20,11 +21,8 @@ from .manifold import (
     Configurable,
     FeatureMap,
     feature_map_from_config,
-    feature_moments,
     register_feature_map,
 )
-from .ngd import NatGradResult
-from .particles import ParticleSet
 
 STEIN_MODES = ("paired", "full")
 
@@ -194,13 +192,3 @@ class SteinFeatureMap(FeatureMap):
 
 register_feature_map(SteinFeatureMap.kind, SteinFeatureMap.from_config)
 
-
-def stein_natural_gradient(smap: SteinFeatureMap, particles: ParticleSet) -> NatGradResult:
-    """Natural gradient toward the score's density, using no target samples.
-
-    Stein features have zero mean under the target, so the feature-mean gap
-    is simply the negated model feature mean.
-    """
-    model_mean, fisher = feature_moments(smap, particles)
-    gap = -model_mean
-    return NatGradResult(gap=gap, fisher=fisher, natural_direction=fisher.solve(gap))

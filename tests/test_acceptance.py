@@ -151,17 +151,14 @@ def test_criterion_03_quadrature_projection_converges_to_the_limit(criterion):
         kernel = KernelSpec("rbf_scalar", bandwidth=median_heuristic(particles, targets))
         solution = solve_king_drift(fmap, kernel, particles, targets, ridge=1e-3)
         velocity = eval_drift(solution, particles)
-        limit = project_change_limit(fmap, particles, velocity).delta
+        limit = project_change_limit(fmap, particles, velocity)
 
         errs = []
         for sigma in (0.5, 0.2, 0.1):
             tk = TimeKernel(center=0.0, sigma=sigma)
             quad = project_change_quadrature(
-                fmap,
-                lambda t: ParticleSet(particles.points + t * velocity, t),
-                tk,
-                default_grid(tk),
-            ).delta
+                fmap, lambda t: ParticleSet(particles.points + t * velocity, t), tk
+            )
             errs.append(np.linalg.norm(quad - limit) / np.linalg.norm(limit))
     ok = errs[0] > errs[1] > errs[2] and errs[2] < 5e-2 and budget.elapsed < budget.seconds
     criterion(

@@ -324,8 +324,8 @@ NON_FINITE_CONFIGS = [
 ]
 
 # Configs that no flow could run as written: a kernel kind its method does not
-# take, and a manifold that no flow reads, because the scenario fixes its map or
-# runs no drift method.
+# take, a manifold that no flow reads, because the scenario fixes its map or
+# runs no drift method, and a precision threshold that is not positive.
 UNRUNNABLE_CONFIGS = [
     {
         "scenario": "bimodal_compare",
@@ -351,6 +351,8 @@ UNRUNNABLE_CONFIGS = [
         "methods": ["wgf"],
         "kernels": {"king": {"kind": "rbf_scalar", "bandwidth": 1.0}},
     },
+    {"scenario": "graphical_model", "dataset": {"threshold": 0.0}},
+    {"scenario": "graphical_model", "dataset": {"threshold": -1.0}},
 ]
 
 

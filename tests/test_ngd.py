@@ -165,8 +165,19 @@ def test_oversized_step_halves_back_into_the_valid_domain():
 def test_invalid_step_rejected():
     params = gaussian_moment_to_natural([0.0], [[1.0]])
     targets = ParticleSet(np.array([[1.0]]))
+    for step in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            exact_ngd_step(params, targets, step=step)
+
+
+def test_fractional_sample_counts_rejected():
     with pytest.raises(ValueError):
-        exact_ngd_step(params, targets, step=0.0)
+        sample_gaussian([0.0], [[1.0]], 2.7, seed=0)
+    assert sample_gaussian([0.0], [[1.0]], 3.0, seed=0).shape == (3, 1)
+    params = gaussian_moment_to_natural([0.0], [[1.0]])
+    targets = ParticleSet(np.array([[1.0], [2.0]]))
+    with pytest.raises(ValueError):
+        exact_ngd_step(params, targets, step=0.5, mc_samples=3.9)
 
 
 def test_error_toward_target_decreases_after_burn_in():

@@ -10,7 +10,6 @@ from kingflow import (
     KernelSpec,
     NatGradResult,
     ParticleSet,
-    ProjectionResult,
     RbfFeatureMap,
     TimeKernel,
     alignment_residual,
@@ -84,36 +83,13 @@ def quadrature_case(rng, n=60, dim=2):
     return points, velocities
 
 
-@pytest.mark.parametrize(
-    "bad_grid",
-    [
-        np.linspace(-1.0, 1.0, 40),          # too few nodes
-        np.zeros(81),                          # not increasing
-        np.linspace(-0.4, 0.4, 81),           # does not span five sigma
-    ],
-)
-def test_quadrature_rejects_bad_grids(rng, bad_grid):
-    points, velocities = quadrature_case(rng)
-    tk = TimeKernel(center=0.0, sigma=0.1)
-    with pytest.raises(ValueError):
-        project_change_quadrature(
-            GaussianQuadraticMap(input_dim=2),
-            linear_trajectory(points, velocities),
-            tk,
-            bad_grid,
-        )
-
-
 def test_stationary_trajectory_projects_to_zero(rng):
     points, _ = quadrature_case(rng)
     tk = TimeKernel(center=0.0, sigma=0.1)
-    result = project_change_quadrature(
-        GaussianQuadraticMap(input_dim=2),
-        lambda t: ParticleSet(points, t),
-        tk,
-        default_grid(tk),
+    delta = project_change_quadrature(
+        GaussianQuadraticMap(input_dim=2), lambda t: ParticleSet(points, t), tk
     )
-    assert_allclose(result.delta, 0.0, atol=1e-8)
+    assert_allclose(delta, 0.0, atol=1e-8)
 
 
 def test_quadrature_approaches_the_limit_form(rng):
@@ -121,10 +97,8 @@ def test_quadrature_approaches_the_limit_form(rng):
     fmap = GaussianQuadraticMap(input_dim=2)
     limit = project_change_limit(fmap, ParticleSet(points), velocities)
     tk = TimeKernel(center=0.0, sigma=0.1)
-    quad = project_change_quadrature(
-        fmap, linear_trajectory(points, velocities), tk, default_grid(tk)
-    )
-    rel = np.linalg.norm(quad.delta - limit.delta) / np.linalg.norm(limit.delta)
+    quad = project_change_quadrature(fmap, linear_trajectory(points, velocities), tk)
+    rel = np.linalg.norm(quad - limit) / np.linalg.norm(limit)
     assert rel < 5e-2
 
 
@@ -135,10 +109,8 @@ def test_quadrature_error_shrinks_with_the_window(rng):
     errs = []
     for sigma in (0.5, 0.1, 0.05):
         tk = TimeKernel(center=0.0, sigma=sigma)
-        quad = project_change_quadrature(
-            fmap, linear_trajectory(points, velocities), tk, default_grid(tk)
-        )
-        errs.append(np.linalg.norm(quad.delta - limit.delta) / np.linalg.norm(limit.delta))
+        quad = project_change_quadrature(fmap, linear_trajectory(points, velocities), tk)
+        errs.append(np.linalg.norm(quad - limit) / np.linalg.norm(limit))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 5e-2
 
@@ -147,42 +119,58 @@ def test_quadrature_accepts_plain_array_trajectories(rng):
     points, velocities = quadrature_case(rng, n=30)
     tk = TimeKernel(center=0.0, sigma=0.1)
     fmap = GaussianQuadraticMap(input_dim=2)
-    as_sets = project_change_quadrature(
-        fmap, linear_trajectory(points, velocities), tk, default_grid(tk)
-    )
-    as_arrays = project_change_quadrature(
-        fmap, lambda t: points + t * velocities, tk, default_grid(tk)
-    )
-    assert_allclose(as_arrays.delta, as_sets.delta, atol=0.0)
+    as_sets = project_change_quadrature(fmap, linear_trajectory(points, velocities), tk)
+    as_arrays = project_change_quadrature(fmap, lambda t: points + t * velocities, tk)
+    assert_allclose(as_arrays, as_sets, atol=0.0)
+
+
+def test_quadrature_is_the_trapezoid_rule_on_the_default_grid(rng):
+    points, velocities = quadrature_case(rng, n=30)
+    tk = TimeKernel(center=0.2, sigma=0.1)
+    fmap = GaussianQuadraticMap(input_dim=2)
+    grid = default_grid(tk)
+    int_cov = np.zeros((fmap.feature_dim, fmap.feature_dim))
+    int_mean = np.zeros(fmap.feature_dim)
+    for left, right in zip(grid[:-1], grid[1:]):
+        half = 0.5 * (right - left)
+        for t in (left, right):
+            feats = fmap.features(points + t * velocities)
+            centered = feats - feats.mean(axis=0)
+            int_cov += half * tk.value(t) * centered.T @ centered / len(feats)
+            int_mean += half * tk.deriv(t) * feats.mean(axis=0)
+    loaded = int_cov + 1e-6 * np.mean(np.diag(int_cov)) * np.eye(fmap.feature_dim)
+    expected = -np.linalg.solve(loaded, int_mean)
+    delta = project_change_quadrature(fmap, lambda t: points + t * velocities, tk)
+    assert np.linalg.norm(delta - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 # -- limit projection -------------------------------------------------------------
 
 def test_limit_zero_velocities_give_zero_change(rng):
     points, _ = quadrature_case(rng)
-    result = project_change_limit(
+    delta = project_change_limit(
         GaussianQuadraticMap(input_dim=2), ParticleSet(points), np.zeros_like(points)
     )
-    assert_allclose(result.delta, 0.0, atol=0.0)
+    assert_allclose(delta, 0.0, atol=0.0)
 
 
 def test_limit_identity_features_recover_whitened_mean_velocity(rng):
     points = rng.standard_normal((200, 2))
     velocities = rng.standard_normal((200, 2))
-    result = project_change_limit(CustomLinearMap(np.eye(2)), ParticleSet(points), velocities)
+    delta = project_change_limit(CustomLinearMap(np.eye(2)), ParticleSet(points), velocities)
     centered = points - points.mean(axis=0)
     cov = centered.T @ centered / len(points)
     loaded = cov + 1e-6 * np.mean(np.diag(cov)) * np.eye(2)
     expected = np.linalg.solve(loaded, velocities.mean(axis=0))
-    assert_allclose(result.delta, expected, rtol=1e-10)
+    assert_allclose(delta, expected, rtol=1e-10)
 
 
 def test_limit_scalar_case_matches_hand_formula(rng):
     points = rng.standard_normal((150, 1))
     velocities = rng.standard_normal((150, 1)) + 0.3
-    result = project_change_limit(CustomLinearMap([[1.0]]), ParticleSet(points), velocities)
+    delta = project_change_limit(CustomLinearMap([[1.0]]), ParticleSet(points), velocities)
     var = points.var()
-    assert_allclose(result.delta, [velocities.mean() / (var * (1.0 + 1e-6))], rtol=1e-10)
+    assert_allclose(delta, [velocities.mean() / (var * (1.0 + 1e-6))], rtol=1e-10)
 
 
 def test_limit_is_linear_in_the_velocity_field(rng):
@@ -190,8 +178,8 @@ def test_limit_is_linear_in_the_velocity_field(rng):
     v2 = rng.standard_normal(v1.shape)
     fmap = GaussianQuadraticMap(input_dim=2)
     pset = ParticleSet(points)
-    combined = project_change_limit(fmap, pset, v1 + v2).delta
-    separate = project_change_limit(fmap, pset, v1).delta + project_change_limit(fmap, pset, v2).delta
+    combined = project_change_limit(fmap, pset, v1 + v2)
+    separate = project_change_limit(fmap, pset, v1) + project_change_limit(fmap, pset, v2)
     assert np.linalg.norm(combined - separate) <= 1e-10 * np.linalg.norm(separate)
 
 
@@ -215,31 +203,27 @@ def ngd_case(rng):
 @pytest.mark.parametrize("mode", ALIGNMENT_MODES)
 def test_perfect_projection_has_zero_residual(rng, mode):
     ngd_result = ngd_case(rng)
-    projection = ProjectionResult(
-        delta=ngd_result.natural_direction.copy(), fisher_used=ngd_result.fisher
-    )
-    assert alignment_residual(ngd_result, projection, mode=mode) <= 1e-12
+    delta = ngd_result.natural_direction.copy()
+    assert alignment_residual(ngd_result, delta, mode=mode) <= 1e-12
 
 
 def test_modes_agree_for_identity_fisher(rng):
     gap = rng.standard_normal(4)
     identity = FisherMatrix(matrix=np.eye(4), chol_lower=np.eye(4), jitter_applied=0.0)
     ngd_result = NatGradResult(gap=gap, fisher=identity, natural_direction=gap.copy())
-    projection = ProjectionResult(delta=rng.standard_normal(4), fisher_used=identity)
-    euclid = alignment_residual(ngd_result, projection, mode="euclidean")
-    fisher = alignment_residual(ngd_result, projection, mode="fisher")
+    delta = rng.standard_normal(4)
+    euclid = alignment_residual(ngd_result, delta, mode="euclidean")
+    fisher = alignment_residual(ngd_result, delta, mode="fisher")
     assert_allclose(fisher, euclid, rtol=1e-12)
 
 
 def test_fisher_mode_is_the_whitened_squared_norm(rng):
     ngd_result = ngd_case(rng)
-    projection = ProjectionResult(
-        delta=rng.standard_normal(ngd_result.gap.shape), fisher_used=ngd_result.fisher
-    )
-    residual = ngd_result.gap - ngd_result.fisher.matrix @ projection.delta
+    delta = rng.standard_normal(ngd_result.gap.shape)
+    residual = ngd_result.gap - ngd_result.fisher.matrix @ delta
     whitened = np.linalg.solve(ngd_result.fisher.chol_lower, residual)
     assert_allclose(
-        alignment_residual(ngd_result, projection, mode="fisher"),
+        alignment_residual(ngd_result, delta, mode="fisher"),
         whitened @ whitened,
         rtol=1e-10,
     )
@@ -247,9 +231,17 @@ def test_fisher_mode_is_the_whitened_squared_norm(rng):
 
 def test_unknown_mode_rejected(rng):
     ngd_result = ngd_case(rng)
-    projection = ProjectionResult(delta=np.zeros_like(ngd_result.gap), fisher_used=ngd_result.fisher)
     with pytest.raises(ValueError):
-        alignment_residual(ngd_result, projection, mode="mahalanobis")
+        alignment_residual(ngd_result, np.zeros_like(ngd_result.gap), mode="mahalanobis")
+
+
+@pytest.mark.parametrize("mode", ALIGNMENT_MODES)
+@pytest.mark.parametrize("size", [1, 4, 6])
+def test_delta_of_the_wrong_size_rejected(rng, mode, size):
+    ngd_result = ngd_case(rng)
+    assert ngd_result.gap.shape == (5,)
+    with pytest.raises(ValueError, match="shape"):
+        alignment_residual(ngd_result, np.full(size, 0.3), mode=mode)
 
 
 # -- projected drift against the natural gradient -----------------------------------
@@ -265,6 +257,6 @@ def test_small_ridge_drift_projects_onto_the_natural_gradient():
     for ridge in (1.0, 1e-8):
         solution = solve_king_drift(fmap, kernel, particles, targets, ridge=ridge)
         velocities = eval_drift(solution, particles)
-        projection = project_change_limit(fmap, particles, velocities)
-        residuals[ridge] = alignment_residual(reference, projection, mode="fisher")
+        delta = project_change_limit(fmap, particles, velocities)
+        residuals[ridge] = alignment_residual(reference, delta, mode="fisher")
     assert residuals[1e-8] <= 1e-4 * residuals[1.0]

@@ -14,8 +14,9 @@ from kingflow import (
     RbfFeatureMap,
     SteinFeatureMap,
     feature_map_from_config,
-    stein_natural_gradient,
+    natural_gradient_kl,
 )
+from kingflow.manifold import feature_moments
 from kingflow.stein import STEIN_MODES, score_from_config
 
 
@@ -266,9 +267,20 @@ def test_stein_gradient_detects_a_mean_shift(rng):
     # gap is minus its average and the Fisher is close to one
     smap = SteinFeatureMap(base=ConstantMap(), target=GaussianScore(mean=[2.0], variances=[1.0]))
     particles = ParticleSet(rng.standard_normal((100_000, 1)))
-    result = stein_natural_gradient(smap, particles)
+    result = natural_gradient_kl(smap, None, particles)
     assert_allclose(result.gap, [-2.0], atol=0.05)
     assert_allclose(result.natural_direction, [-2.0], atol=0.05)
+
+
+def test_score_target_gap_is_the_negated_model_mean(rng):
+    score = GaussianScore(mean=[0.5, -1.0], variances=[1.0, 2.0])
+    base = RbfFeatureMap(centers=rng.uniform(-2.0, 2.0, (4, 2)), bandwidth=1.5)
+    smap = SteinFeatureMap(base=base, target=score)
+    particles = ParticleSet(rng.standard_normal((200, 2)))
+    result = natural_gradient_kl(smap, None, particles)
+    model_mean, fisher = feature_moments(smap, particles)
+    assert_allclose(result.gap, -model_mean, rtol=0.0, atol=0.0)
+    assert_allclose(result.natural_direction, fisher.solve(result.gap), rtol=0.0, atol=0.0)
 
 
 def test_stein_gradient_vanishes_on_target_samples(rng):
@@ -276,7 +288,7 @@ def test_stein_gradient_vanishes_on_target_samples(rng):
     base = RbfFeatureMap(centers=rng.uniform(-2.0, 2.0, (4, 2)), bandwidth=1.5)
     smap = SteinFeatureMap(base=base, target=score)
     particles = ParticleSet(score.sample(100_000, seed=23))
-    result = stein_natural_gradient(smap, particles)
+    result = natural_gradient_kl(smap, None, particles)
     feats = smap.features(particles.points)
     bound = 4.0 * feats.std(axis=0) / np.sqrt(particles.n)
     assert np.all(np.abs(result.gap) <= bound)
@@ -290,6 +302,6 @@ def test_stein_direction_shrinks_with_more_target_samples():
     norms = []
     for n in (1_000, 10_000, 100_000):
         particles = ParticleSet(score.sample(n, seed=123))
-        norms.append(np.linalg.norm(stein_natural_gradient(smap, particles).natural_direction))
+        norms.append(np.linalg.norm(natural_gradient_kl(smap, None, particles).natural_direction))
     assert norms[1] < 0.5 * norms[0]
     assert norms[2] < 0.5 * norms[1]
