@@ -20,7 +20,10 @@ Jacobian, for every kind.  ``rbf_scalar`` uses the Gaussian kernel's
 mixed second derivative as the block, ``empirical_ntk`` a closed-form
 tangent kernel, and ``diagonalized_scalar`` substitutes ``k(x, y) * I``.
 Any object exposing ``pair_blocks(xs, ys) -> (n, m, d, d)`` works as a
-custom matrix kernel.
+custom matrix kernel.  Every kind builds its anchor-side terms once and
+then takes the query rows a block at a time, 1 MiB of kernel values per
+block, so a solve or an evaluation holds the ``(n, d, m)`` fields and one
+block of kernel values, never an ``(n, n)`` or ``(q, n)`` array.
 
 ``h`` is linear in ``coeff``, so the solve also yields the velocities at
 the particles it was built on: ``DriftSolution.anchor_velocity`` contracts
@@ -30,8 +33,9 @@ any other query points.
 ``run_flow`` advances particles by forward Euler, re-solving the drift (and,
 unless frozen, the bandwidth) every iteration and moving each particle by
 its anchor velocity, so every pairwise quantity is built once per
-iteration; the target-target distances of the bandwidth heuristic are built
-once per flow (``kernels.PooledMedian``).  Reverse-KL Wasserstein
+iteration; of the target-target distances the bandwidth heuristic keeps a
+sorted band for the whole flow, rebuilt only when the median leaves it
+(``kernels.PooledMedian``).  Reverse-KL Wasserstein
 gradient flow and energy-distance flow are provided as kernel-free baselines
 sharing the same loop; both are GEMMs over pairwise distances, with no
 ``(n, n, d)`` difference array.
@@ -50,6 +54,7 @@ from .kernels import (
     DIAGONALIZED_SCALAR,
     EMPIRICAL_NTK,
     RBF_SCALAR,
+    _BLOCK_VALUES,
     KernelSpec,
     PooledMedian,
     _gaussian_gram,
@@ -156,72 +161,114 @@ def _apply_kernel(kernel, queries: np.ndarray, anchors: np.ndarray, vels: np.nda
     """``(1/n) sum_i K(q, x_i) v_ik`` for each query row ``q`` and field ``k``.
 
     ``vels`` holds ``k`` velocity fields on the anchors, shape ``(n, d, k)``;
-    the result has shape ``(q, d, k)``.
+    the result has shape ``(q, d, k)``.  The anchor-side terms are built
+    once; the query rows are then taken ``_BLOCK_VALUES // n`` at a time
+    (1 MiB of kernel values), so the kernel values of one block are the only
+    ``(rows, n)`` array and none is ``(q, n)``.
+    """
+    n, d, k = vels.shape
+    fill = _query_rows(kernel, anchors, vels)
+    out = np.empty((queries.shape[0], d, k))
+    rows = max(1, _BLOCK_VALUES // n)
+    for start in range(0, queries.shape[0], rows):
+        fill(queries[start:start + rows], out[start:start + rows])
+    out /= n
+    return out
+
+
+def _query_rows(kernel, anchors: np.ndarray, vels: np.ndarray) -> Callable:
+    """A function writing ``sum_i K(q, x_i) v_ik`` for a block of query rows into ``out``.
+
+    Its arguments are the rows and their ``(rows, d, k)`` slice of the
+    result.  Everything that depends on the anchors alone is built here,
+    once.
     """
     n, d, k = vels.shape
     if not isinstance(kernel, KernelSpec):
-        blocks = kernel.pair_blocks(queries, anchors)
-        return np.einsum("qide,iek->qdk", blocks, vels, optimize=True) / n
-    if kernel.kind in (RBF_SCALAR, DIAGONALIZED_SCALAR):
-        gram = _gaussian_gram(kernel.bandwidth, queries, anchors)
-        if kernel.kind == RBF_SCALAR:
-            return _rbf_apply(kernel.bandwidth, gram, queries, anchors, vels)
-        return (gram @ vels.reshape(n, d * k)).reshape(-1, d, k) / n
-    if kernel.kind == EMPIRICAL_NTK:
-        ntk = kernel.ntk
-        h = ntk.hidden_width
-        act_q, deriv_q = ntk.activations(queries)
-        act_a, deriv_a = ntk.activations(anchors)
-        out_layer = act_q @ act_a.T + 1.0
-        in_layer = queries @ anchors.T + 1.0
-        # projected[i, k, :] = a'(x_i) * (W2^T v_ik)
-        projected = (vels.transpose(0, 2, 1).reshape(n * k, d) @ ntk.w2).reshape(n, k, h)
-        projected *= deriv_a[:, None, :]
-        hidden = (in_layer @ projected.reshape(n, k * h)).reshape(-1, k, h)
-        hidden *= deriv_q[:, None, :]
-        out = (out_layer @ vels.reshape(n, d * k)).reshape(-1, d, k)
-        out += (hidden.reshape(-1, h) @ ntk.w2.T).reshape(-1, k, d).transpose(0, 2, 1)
-        return out / n
-    raise ValueError(f"unsupported kernel kind: {kernel.kind!r}")
+        def fill(queries, out):
+            blocks = kernel.pair_blocks(queries, anchors)
+            np.einsum("qide,iek->qdk", blocks, vels, out=out, optimize=True)
+    elif kernel.kind == RBF_SCALAR:
+        finish = _rbf_rows(kernel.bandwidth, anchors, vels)
+
+        def fill(queries, out):
+            finish(_gaussian_gram(kernel.bandwidth, queries, anchors), queries, out)
+    elif kernel.kind == DIAGONALIZED_SCALAR:
+        flat = vels.reshape(n, d * k)
+
+        def fill(queries, out):
+            gram = _gaussian_gram(kernel.bandwidth, queries, anchors)
+            np.matmul(gram, flat, out=out.reshape(-1, d * k))
+    elif kernel.kind == EMPIRICAL_NTK:
+        fill = _ntk_rows(kernel.ntk, anchors, vels)
+    else:
+        raise ValueError(f"unsupported kernel kind: {kernel.kind!r}")
+    return fill
 
 
-def _rbf_apply(
-    bandwidth: float, gram: np.ndarray, queries: np.ndarray, anchors: np.ndarray, vels: np.ndarray
-) -> np.ndarray:
-    """The ``rbf_scalar`` case of ``_apply_kernel`` with its Gram ``k(q, x_i)`` given.
+def _rbf_rows(bandwidth: float, anchors: np.ndarray, vels: np.ndarray) -> Callable:
+    """The ``rbf_scalar`` case of ``_query_rows``, given the Gram rows ``k(q, x_i)`` of the queries.
 
     The block is ``k(q, x) (I / s^2 - (q - x)(q - x)^T / s^4)``, and
     ``(q - x)((q - x) . v) = q (q . v) - q (x . v) - x (q . v) + x (x . v)``.
     Every term is a product of the Gram with one of the anchor columns
-    ``v``, ``x . v``, ``x v^T`` and ``x (x . v)``, so one GEMM gives all of
-    them for every field, and the query factors are applied after it.  The
-    kernel is translation invariant; centring on the anchor mean, as the Gram
-    does, keeps the expanded products free of cancellation far from the
-    origin.
+    ``v``, ``x . v``, ``x v^T`` and ``x (x . v)``, written once into one
+    array, so one GEMM per block of query rows gives all of them for every
+    field, and the query factors are applied after it.  The kernel is
+    translation invariant; centring on the anchor mean, as the Gram does,
+    keeps the expanded products free of cancellation far from the origin.
     """
     n, d, k = vels.shape
     centre = anchors.mean(axis=0)
-    queries, anchors = queries - centre, anchors - centre
-    x_dot_v = np.einsum("id,idk->ik", anchors, vels)
-    columns = np.concatenate(
-        [
-            vels.reshape(n, d * k),
-            x_dot_v,
-            (anchors[:, :, None, None] * vels[:, None, :, :]).reshape(n, d * d * k),
-            (anchors[:, :, None] * x_dot_v[:, None, :]).reshape(n, d * k),
-        ],
-        axis=1,
+    anchors = anchors - centre
+    columns = np.empty((n, (d + 1) ** 2 * k))
+    columns[:, : d * k] = vels.reshape(n, d * k)
+    x_dot_v = columns[:, d * k : d * k + k]
+    np.einsum("id,idk->ik", anchors, vels, out=x_dot_v)
+    np.multiply(
+        anchors[:, :, None, None], vels[:, None, :, :],
+        out=columns[:, d * k + k : -d * k].reshape(n, d, d, k),
     )
-    prod = gram @ columns
-    g_v = prod[:, : d * k].reshape(-1, d, k)
-    g_x_dot_v = prod[:, d * k : d * k + k]
-    g_x_v = prod[:, d * k + k : -d * k].reshape(-1, d, d, k)  # [q, e, f, k] = sum_i k x_e v_f
-    g_x_x_dot_v = prod[:, -d * k :].reshape(-1, d, k)
-    outer = queries[:, :, None] * (np.einsum("qf,qfk->qk", queries, g_v) - g_x_dot_v)[:, None, :]
-    outer -= np.einsum("qf,qefk->qek", queries, g_x_v)
-    outer += g_x_x_dot_v
+    np.multiply(anchors[:, :, None], x_dot_v[:, None, :], out=columns[:, -d * k :].reshape(n, d, k))
     s2 = bandwidth**2
-    return (g_v / s2 - outer / s2**2) / n
+
+    def finish(gram: np.ndarray, queries: np.ndarray, out: np.ndarray) -> None:
+        queries = queries - centre
+        prod = gram @ columns
+        g_v = prod[:, : d * k].reshape(-1, d, k)
+        g_x_dot_v = prod[:, d * k : d * k + k]
+        g_x_v = prod[:, d * k + k : -d * k].reshape(-1, d, d, k)  # [q, e, f, k] = sum_i k x_e v_f
+        g_x_x_dot_v = prod[:, -d * k :].reshape(-1, d, k)
+        q_dot_v = np.einsum("qf,qfk->qk", queries, g_v)
+        outer = queries[:, :, None] * (q_dot_v - g_x_dot_v)[:, None, :]
+        outer -= np.einsum("qf,qefk->qek", queries, g_x_v)
+        outer += g_x_x_dot_v
+        outer /= s2**2
+        np.divide(g_v, s2, out=out)
+        out -= outer
+
+    return finish
+
+
+def _ntk_rows(ntk, anchors: np.ndarray, vels: np.ndarray) -> Callable:
+    """The ``empirical_ntk`` case of ``_query_rows``: both layers' terms of ``ntk_gram_blocks``."""
+    n, d, k = vels.shape
+    h = ntk.hidden_width
+    act_a, deriv_a = ntk.activations(anchors)
+    # projected[i, k, :] = a'(x_i) * (W2^T v_ik)
+    projected = (vels.transpose(0, 2, 1).reshape(n * k, d) @ ntk.w2).reshape(n, k, h)
+    projected *= deriv_a[:, None, :]
+    projected = projected.reshape(n, k * h)
+    flat = vels.reshape(n, d * k)
+
+    def fill(queries: np.ndarray, out: np.ndarray) -> None:
+        act_q, deriv_q = ntk.activations(queries)
+        hidden = ((queries @ anchors.T + 1.0) @ projected).reshape(-1, k, h)
+        hidden *= deriv_q[:, None, :]
+        np.matmul(act_q @ act_a.T + 1.0, flat, out=out.reshape(-1, d * k))
+        out += (hidden.reshape(-1, h) @ ntk.w2.T).reshape(-1, k, d).transpose(0, 2, 1)
+
+    return fill
 
 
 def _unresolved(kernel) -> bool:

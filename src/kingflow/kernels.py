@@ -203,13 +203,16 @@ def _sq_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     Centring on the ``ys`` mean keeps the expansion accurate far from the
     origin.  The expansion ``(|x|^2 + |y|^2) - (2 x) @ y^T`` is finished a few
     rows at a time in the product's own array, so the result is the only
-    array of its size.
+    array of its size.  Those pieces hold 1/16 of ``_BLOCK_VALUES`` (64 KiB),
+    which keeps the temporary sum under glibc's default mmap threshold: a
+    1 MiB temporary beside each 1 MiB Gram block of ``flows._apply_kernel``
+    makes glibc trim its heap top and fault it back in on every block.
     """
     centre = ys.mean(axis=0)
     xs, ys = xs - centre, ys - centre
     x_sq, y_sq = np.sum(xs**2, axis=1), np.sum(ys**2, axis=1)
     out = (2.0 * xs) @ ys.T
-    rows = max(1, _BLOCK_VALUES // max(out.shape[1], 1))
+    rows = max(1, (_BLOCK_VALUES // 16) // max(out.shape[1], 1))
     for start in range(0, out.shape[0], rows):
         block = out[start:start + rows]
         np.subtract(x_sq[start:start + rows, None] + y_sq[None, :], block, out=block)
@@ -305,41 +308,108 @@ def _middle(values: np.ndarray, half: int, even: bool) -> float:
     return float((values[:half].max() + values[half]) / 2.0)
 
 
+def _pair_distances(points: np.ndarray, tail: np.ndarray):
+    """The distances of ``pdist(vstack([points, tail]))`` that involve ``points``, in row blocks.
+
+    Rows ``i`` of a block pair with each later point and every ``tail``
+    point, in ``pdist``'s own arithmetic, so every value is bitwise the
+    pooled ``pdist`` entry.  A block holds about ``_BLOCK_VALUES`` values.
+    """
+    pool = np.vstack([points, tail])
+    rows = max(1, _BLOCK_VALUES // pool.shape[0])
+    for start in range(0, points.shape[0], rows):
+        stop = min(start + rows, points.shape[0])
+        yield pdist(points[start:stop])
+        yield cdist(points[start:stop], pool[stop:]).ravel()
+
+
+def _select(blocks, lo: float, hi: float) -> tuple[int, np.ndarray]:
+    """How many values of ``blocks`` lie below ``lo``, and a new array of those in ``[lo, hi]``."""
+    below, parts = 0, []
+    for block in blocks:
+        inside = block >= lo
+        below += block.size - int(np.count_nonzero(inside))
+        inside &= block <= hi
+        parts.append(block[inside])
+    return below, np.concatenate(parts)
+
+
+def _union_rank(first: np.ndarray, second: np.ndarray, rank: int) -> np.float64:
+    """The value of ``rank`` in the union of two sorted arrays."""
+    # The rank + 1 smallest values are the first i of ``first`` and the first
+    # rank + 1 - i of ``second``, for the smallest i with first[i] >= second[rank - i].
+    lo, hi = max(0, rank + 1 - second.size), min(rank + 1, first.size)
+    while lo < hi:
+        i = (lo + hi) // 2
+        if first[i] < second[rank - i]:
+            lo = i + 1
+        else:
+            hi = i
+    taken = rank + 1 - lo
+    return max(first[lo - 1] if lo else -np.inf, second[taken - 1] if taken else -np.inf)
+
+
 class PooledMedian:
     """``median_heuristic(particles, targets)`` for one fixed target set.
 
-    The target-target distances are computed once and kept sorted.  Each
-    call computes the particle-particle and particle-target distances a few
-    particle rows at a time, counts the values below a bracket and keeps the
-    values inside it; the median is selected from that window together with
-    the sorted target distances inside it.  The bracket is a window of ranks
-    in the sorted target distances, centred on the previous median, with a
-    half-width of twice the previous rank shift; a bracket that misses the
-    middle ranks is widened fourfold and the pass retried, until it spans
-    every value.  The first call centres it on the median of a strided
-    sample taken at one rate from all three distance sets.  The value and
-    its errors are those of ``median_heuristic``, bitwise, and a zero median
-    is handed to ``median_heuristic`` itself for its fallbacks; the bracket
-    only decides how much is selected from.
+    Of the target-target distances only a band is kept: those inside a value
+    interval, sorted, and the count of those below it.  Each call computes
+    the particle-particle and particle-target distances a few particle rows
+    at a time, counts the values below a bracket and keeps the values inside
+    it; the median is selected from those and the band's values inside the
+    bracket, which are not copied.  The bracket is a window of ranks in the
+    sorted target distances, centred on the previous median, with a
+    half-width of twice the previous rank shift, and cut to the band.  The
+    first call centres it on the median of the distances among every
+    ``stride``-th particle and target, about ``_SAMPLE`` of them.  A bracket
+    that misses the middle ranks is followed by one next to it on the
+    median's side, twice as wide as the missed ranks take at the missed
+    bracket's density of values, and at least twice as wide as the last
+    step and ``_MIN_SHARE`` of the target distances.
+
+    The first call builds the band around its centre, and a step past the
+    band builds it again around the step, each time from a row-blocked pass
+    over the target pairs: the band then holds the ranks asked for and
+    ``_BAND_SHARE`` of the target distances past them on either side.  The
+    pass keeps the values inside an interval read off a sorted sample, the
+    distances among a strided subset of the targets, with a margin; a pass
+    whose band falls short is repeated with twice the margin.  ``rebuilds``
+    counts the passes after the first.  A sample of every target distance
+    is itself the band, and no pass is made.  The value and its errors are
+    those of ``median_heuristic``, bitwise, and a zero median is handed to
+    ``median_heuristic`` itself for its fallbacks; the bracket and the band
+    only decide how much is selected from.
     """
 
-    # Pooled distances in the first call's sample, and the narrowest and the
-    # first bracket half-widths as shares of the target distances.
+    # Pooled distances in the first call's sample and target distances in
+    # the band's sample; the narrowest and the first bracket half-widths and
+    # the band's reach past the ranks asked for, as shares of the target
+    # distances.
     _SAMPLE = 8192
     _MIN_SHARE = 1 / 1024
     _SEED_SHARE = 1 / 64
+    _BAND_SHARE = 1 / 32
 
     def __init__(self, targets):
         self._targets = as_particles(targets).points
-        self._sorted = pdist(self._targets)
-        self._sorted.sort()
-        self._min_spread = 16 + int(self._sorted.size * self._MIN_SHARE)
+        count = self._targets.shape[0]
+        self._size = count * (count - 1) // 2
+        self._min_spread = 16 + int(self._size * self._MIN_SHARE)
+        self._reach = 16 + int(self._size * self._BAND_SHARE)
+        self._sample = pdist(self._targets[:: max(1, int(np.sqrt(self._size / self._SAMPLE)))])
+        self._sample.sort()
+        # The band: the sorted target distances in [_lo, _hi] and the count
+        # below _lo; none until the first call builds it, unless the sample
+        # holds every target distance.
+        self._lo, self._hi, self._below = -np.inf, np.inf, 0
+        self._band = self._sample if self._sample.size == self._size else None
+        self.rebuilds = 0
         self._centre = None
         self._spread = None
 
     def __call__(self, particles) -> float:
         pts = as_particles(particles).points
-        tgt, dists = self._targets, self._sorted
+        tgt = self._targets
         if tgt.shape[1] != pts.shape[1]:
             raise ValueError(f"dimension mismatch: {pts.shape} vs {tgt.shape}")
         pooled = pts.shape[0] + tgt.shape[0]
@@ -349,59 +419,105 @@ class PooledMedian:
         half, even = total // 2, total % 2 == 0
         lowest = half - 1 if even else half  # the lowest rank the median needs
         if self._centre is None:
-            centre = self._sample_median(pts, total)
-            spread = max(self._min_spread, int(dists.size * self._SEED_SHARE))
+            stride = max(1, int(np.sqrt(total / self._SAMPLE)))
+            centre = _median(pdist(np.vstack([pts[::stride], tgt[::stride]])))
+            spread = max(self._min_spread, int(self._size * self._SEED_SHARE))
         else:
             centre, spread = self._centre, self._spread
-        rank = np.searchsorted(dists, centre)
+        rank = self._rank(centre)
+        if rank is None:
+            rank = self._rebuild(centre, self._reach, self._reach)
+        first, last, step = rank - spread, rank + spread, 0
         while True:
-            lo = dists[rank - spread] if rank >= spread else -np.inf
-            hi = dists[rank + spread] if rank + spread < dists.size else np.inf
-            below, window = self._window(pts, lo, hi)
-            if below <= lowest and below + window.size > half:
+            if self._below > 0:
+                first = max(first, self._below)
+            if self._below + self._band.size < self._size:
+                last = min(last, self._below + self._band.size - 1)
+            lo, hi = self._value(first), self._value(last)
+            below, others = self._window(pts, lo, hi)
+            start = int(np.searchsorted(self._band, lo, "left"))
+            stop = int(np.searchsorted(self._band, hi, "right"))
+            inside = stop - start + others.size
+            if lowest < below:
+                missed = below - lowest
+            elif below + inside <= half:
+                missed = below + inside - half - 1
+            else:
                 break
-            spread *= 4
-        med = _middle(window, half - below, even)
-        shift = abs(int(np.searchsorted(dists, med)) - int(rank))
+            # The target ranks the missed pooled ranks span at the bracket's
+            # pooled values per target rank.
+            span = abs(missed) * (last - first + 1) // max(inside, 1)
+            step = max(2 * span, 2 * step, self._min_spread)
+            if missed > 0:
+                first, last = first - step, first
+                if not self._holds(first, last):
+                    self._rebuild(lo, step + self._reach, self._reach)
+            else:
+                first, last = last, last + step
+                if not self._holds(first, last):
+                    self._rebuild(hi, self._reach, step + self._reach)
+        band = self._band[start:stop]
+        others.sort()
+        med = _union_rank(band, others, half - below)
+        if even:
+            med = (_union_rank(band, others, half - below - 1) + med) / 2.0
+        med = float(med)
+        shift = abs(self._rank(med) - rank)
         self._centre, self._spread = med, max(self._min_spread, 2 * shift)
         return med if med > 0 else median_heuristic(pts, self._targets)
 
-    def _blocks(self, pts: np.ndarray):
-        """The particle-particle and particle-target distances, a few particle rows at a time.
+    def _rank(self, value: float) -> int | None:
+        """The count of target distances below ``value``, or ``None`` if the band cannot tell."""
+        band = self._band
+        if band is None:
+            return None
+        if value < self._lo and self._below > 0:
+            return None
+        if value > self._hi and self._below + band.size < self._size:
+            return None
+        return self._below + int(np.searchsorted(band, value))
 
-        Rows ``i`` of a block pair with each later particle and every target,
-        in ``pdist``'s own arithmetic, so every value is bitwise the pooled
-        ``pdist`` entry.
-        """
-        pool = np.vstack([pts, self._targets])
-        rows = max(1, _BLOCK_VALUES // pool.shape[0])
-        for start in range(0, pts.shape[0], rows):
-            stop = min(start + rows, pts.shape[0])
-            yield pdist(pts[start:stop])
-            yield cdist(pts[start:stop], pool[stop:]).ravel()
+    def _value(self, rank: int) -> float:
+        """The target distance of ``rank``, from the band; ``-inf`` and ``inf`` past either end."""
+        if rank < 0:
+            return -np.inf
+        if rank >= self._size:
+            return np.inf
+        return self._band[rank - self._below]
+
+    def _holds(self, first: int, last: int) -> bool:
+        """Whether the band holds the target distances of ranks ``first`` to ``last`` that exist."""
+        end = self._below + self._band.size
+        return self._below <= max(first, 0) and min(last, self._size - 1) < end
+
+    def _rebuild(self, centre: float, under: int, over: int) -> int:
+        """Build the band to hold ``under`` ranks below ``centre``'s and ``over`` above; return it."""
+        sample = self._sample
+        position = int(np.searchsorted(sample, centre))
+        # Sample values on each side of ``centre``: 1.5 times the share of
+        # the ranks to hold, and a few more.
+        scale = 1.5 * sample.size / self._size
+        under_reach, over_reach = 8 + int(scale * under), 8 + int(scale * over)
+        while True:
+            self.rebuilds += self._band is not None
+            self._band = None  # freed before the pass
+            lo = sample[position - under_reach] if position >= under_reach else -np.inf
+            hi = sample[position + over_reach] if position + over_reach < sample.size else np.inf
+            below, band = _select(_pair_distances(self._targets, self._targets[:0]), lo, hi)
+            band.sort()
+            self._lo, self._hi, self._band, self._below = lo, hi, band, below
+            rank = self._rank(centre)
+            if self._holds(rank - under, rank + over):
+                return rank
+            under_reach, over_reach = 2 * under_reach, 2 * over_reach
 
     def _window(self, pts: np.ndarray, lo: float, hi: float) -> tuple[int, np.ndarray]:
-        """The count of pooled distances below ``lo``, and a new array of those in ``[lo, hi]``."""
-        dists = self._sorted
-        below = int(np.searchsorted(dists, lo, "left"))
-        parts = [dists[below:np.searchsorted(dists, hi, "right")]]
-        for block in self._blocks(pts):
-            inside = block >= lo
-            below += block.size - int(np.count_nonzero(inside))
-            inside &= block <= hi
-            parts.append(block[inside])
-        return below, np.concatenate(parts)
+        """The count of pooled distances below ``lo``, and a new array of the particles' inside.
 
-    def _sample_median(self, pts: np.ndarray, total: int) -> float:
-        """The median of about ``_SAMPLE`` pooled distances, a ``1 / stride**2`` share of each set.
-
-        Those are every ``stride**2``-th sorted target distance and the
-        distances among every ``stride``-th particle and target.
+        The particles' distances inside are those in ``[lo, hi]`` that involve
+        a particle.  The band must hold ``[lo, hi]``; it gives the target
+        distances' count below ``lo``, and their values inside are left to the
+        caller.
         """
-        stride = max(1, int(np.sqrt(total / self._SAMPLE)))
-        sample = np.concatenate([
-            self._sorted[::stride**2],
-            pdist(pts[::stride]),
-            cdist(pts[::stride], self._targets[::stride]).ravel(),
-        ])
-        return _median(sample)
+        below, others = _select(_pair_distances(pts, self._targets), lo, hi)
+        return self._below + int(np.searchsorted(self._band, lo, "left")) + below, others

@@ -26,7 +26,7 @@ from .manifold import (
     feature_moments,
     vech_pairs,
 )
-from .particles import ParticleSet
+from .particles import ParticleSet, as_particles
 
 
 @dataclass(frozen=True)
@@ -40,17 +40,23 @@ class NatGradResult:
 
 def natural_gradient_kl(
     fmap: FeatureMap,
-    targets: ParticleSet | None,
-    particles: ParticleSet,
+    targets: ParticleSet | np.ndarray | None,
+    particles: ParticleSet | np.ndarray,
 ) -> NatGradResult:
     """Monte Carlo natural gradient of KL(target || model) in natural coordinates.
 
     ``gap`` is the target minus model feature mean and ``natural_direction``
     is the Fisher solve of that gap.  With ``targets=None`` the target
-    feature mean is zero, so Stein features need no target samples.
+    feature mean is zero, so Stein features need no target samples.  Point
+    sets may be ``ParticleSet``s or arrays.
     """
-    if targets is not None and targets.dim != particles.dim:
-        raise ValueError(f"dimension mismatch: targets {targets.dim}, particles {particles.dim}")
+    particles = as_particles(particles)
+    if targets is not None:
+        targets = as_particles(targets)
+        if targets.dim != particles.dim:
+            raise ValueError(
+                f"dimension mismatch: targets {targets.dim}, particles {particles.dim}"
+            )
     model_mean, fisher = feature_moments(fmap, particles)
     gap = -model_mean if targets is None else feature_mean(fmap, targets) - model_mean
     return NatGradResult(gap=gap, fisher=fisher, natural_direction=fisher.solve(gap))

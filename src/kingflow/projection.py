@@ -93,10 +93,11 @@ def project_change_quadrature(
 
 def project_change_limit(
     fmap: FeatureMap,
-    particles: ParticleSet,
+    particles: ParticleSet | np.ndarray,
     velocities: np.ndarray,
 ) -> np.ndarray:
     """Vanishing-window projection: Fisher solve of mean gradient-velocity contraction."""
+    particles = as_particles(particles)
     velocities = np.asarray(velocities, dtype=np.float64)
     if velocities.ndim == 1:
         velocities = velocities[:, None]

@@ -1,4 +1,6 @@
 """Shared pytest fixtures and the acceptance-summary report hook."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,3 +34,18 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def _traced_peak(call) -> int:
+    """The ``tracemalloc`` peak, in bytes, of one call of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    return _traced_peak

@@ -1,6 +1,10 @@
 """Drift solvers, baseline velocity fields, and the forward-Euler flow loop."""
 import dataclasses
-import tracemalloc
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +37,7 @@ from kingflow import (
     wgf_velocity,
 )
 from kingflow import flows, kernels, manifold
-from kingflow.flows import FLOW_METHODS, _apply_kernel, _gram_quadratic, _rbf_apply
+from kingflow.flows import FLOW_METHODS, _apply_kernel, _gram_quadratic, _rbf_rows
 from kingflow.kernels import _gaussian_gram
 
 
@@ -426,7 +430,91 @@ def test_anchor_velocity_matches_eval_drift_at_the_anchors(kind, offset, rng):
     assert_array_equal(silenced.anchor_velocity(), 0.0)
 
 
-def test_rbf_system_term_stays_within_its_memory_budget(rng):
+def test_custom_kernel_is_applied_one_row_block_at_a_time(rng):
+    # More queries than one block of _BLOCK_VALUES // n rows: pair_blocks
+    # only ever sees one block's rows, and the blocks add up to the
+    # unblocked application.
+    n, d, k = 300, 2, 3
+    rows = kernels._BLOCK_VALUES // n
+    anchors = rng.standard_normal((n, d))
+    queries = rng.standard_normal((2 * rows + 5, d))
+    vels = rng.standard_normal((n, d, k))
+    skew = SkewKernel(rng.standard_normal((d, d)))
+    seen = []
+
+    class RecordingKernel:
+        def pair_blocks(self, xs, ys):
+            seen.append(xs.shape[0])
+            return skew.pair_blocks(xs, ys)
+
+    applied = _apply_kernel(RecordingKernel(), queries, anchors, vels)
+    assert seen == [rows, rows, 5]
+    expected = np.einsum("qide,iek->qdk", skew.pair_blocks(queries, anchors), vels) / n
+    assert_matches_reference(applied, expected)
+
+
+def test_drift_iteration_memory_stays_bounded_at_large_n(rng, traced_peak):
+    # Each kernel is applied a block of rows at a time and only the fields
+    # are whole, so no (n, n) or (q, n) array is made.  The whole-Gram
+    # applications peaked at 106 MiB (rbf_scalar, d = 5, m = 50) and 68 MiB
+    # (diagonalized_scalar, d = 10, m = 60) at n = 2000.
+    n = 2000
+    for dim, m, kind, solve, budget in (
+        (5, 50, "rbf_scalar", solve_king_drift, 48),
+        (10, 60, "diagonalized_scalar", solve_ntking_drift, 40),
+    ):
+        particles = ParticleSet(rng.standard_normal((n, dim)))
+        targets = ParticleSet(rng.standard_normal((n, dim)) + 0.5)
+        fmap = RbfFeatureMap(centers=rng.standard_normal((m, dim)), bandwidth=2.0)
+        kernel = KernelSpec(kind, bandwidth=1.5)
+
+        def iteration():
+            solve(fmap, kernel, particles, targets, ridge=1e-3).anchor_velocity()
+
+        assert traced_peak(iteration) < budget * 2**20, kind
+    # 20 000 queries against 200 anchors: their (q, n) Gram alone is 30.5 MiB.
+    particles, targets = drift_case(rng, n=200, dim=5)
+    fmap = RbfFeatureMap(centers=rng.standard_normal((50, 5)), bandwidth=2.0)
+    kernel = KernelSpec("rbf_scalar", bandwidth=1.5)
+    solution = solve_king_drift(fmap, kernel, particles, targets, ridge=1e-3)
+    queries = rng.standard_normal((20_000, 5))
+    assert traced_peak(lambda: eval_drift(solution, queries)) < 8 * 2**20
+
+
+BLOCK_FAULT_PROBE = """
+import resource
+import numpy as np
+from kingflow import KernelSpec
+from kingflow.flows import _apply_kernel
+
+rng = np.random.default_rng(0)
+pts = rng.standard_normal((800, 2))
+vels = rng.standard_normal((800, 2, 5))
+kernel = KernelSpec("rbf_scalar", bandwidth=1.5)
+for _ in range(3):
+    _apply_kernel(kernel, pts, pts, vels)
+start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    _apply_kernel(kernel, pts, pts, vels)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+def test_row_blocks_do_not_fault_under_the_default_heap_policy():
+    # With glibc's default thresholds, a 1 MiB temporary beside each 1 MiB
+    # Gram block had the freed heap top trimmed and faulted back in, about
+    # 2400 page faults per application at this shape.
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", BLOCK_FAULT_PROBE], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert float(done.stdout) < 50
+
+
+def test_rbf_system_term_stays_within_its_memory_budget(rng, traced_peak):
     # The rbf_scalar system term is built from the per-feature fields, one
     # GEMM of the Gram with the anchor columns whose widest block is
     # n*d^2*m (3.8 MiB here); any (n, m, n) intermediate would take 61 MiB.
@@ -434,29 +522,18 @@ def test_rbf_system_term_stays_within_its_memory_budget(rng):
     pts = 3.0 + rng.standard_normal((n, d))
     jac_t = rng.standard_normal((n, d, m))
     kernel = KernelSpec("rbf_scalar", bandwidth=1.5)
-    tracemalloc.start()
-    try:
-        _gram_quadratic(kernel, pts, jac_t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * 2**20
+    assert traced_peak(lambda: _gram_quadratic(kernel, pts, jac_t)) < 20 * 2**20
 
 
-def test_rbf_apply_stays_within_its_memory_budget(rng):
+def test_rbf_apply_stays_within_its_memory_budget(rng, traced_peak):
     # One GEMM of the Gram with the anchor columns; the former (q, k, n)
     # weighted-difference array alone was 5 MiB here.
     n, d = 800, 2
     pts = rng.standard_normal((n, d))
     vels = rng.standard_normal((n, d, 1))
     gram = _gaussian_gram(1.0, pts, pts)
-    tracemalloc.start()
-    try:
-        _rbf_apply(1.0, gram, pts, pts, vels)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    out = np.empty((n, d, 1))
+    assert traced_peak(lambda: _rbf_rows(1.0, pts, vels)(gram, pts, out)) < 2**20
 
 
 # -- baseline velocities -------------------------------------------------------------

@@ -548,3 +548,36 @@ def test_pooled_median_call_stays_within_its_memory_budget(rng):
             tracemalloc.stop()
         assert value == median_heuristic(moved, targets)
         assert peak < 6 * 2**20
+
+
+def test_pooled_median_band_is_rebuilt_on_both_sides(rng, monkeypatch):
+    # With a reach of 16 ranks past what each call asks for, the band is a
+    # sliver of the 79 800 target distances: shrinking the particles pushes
+    # the median below it and growing them above, and each time the band is
+    # built again from a pass over the target pairs.
+    monkeypatch.setattr(PooledMedian, "_BAND_SHARE", 0.0)
+    targets = rng.standard_normal((400, 2))
+    base = rng.standard_normal((150, 2))
+    pooled = PooledMedian(targets)
+    moves = []
+    for scale in (1.0, 0.3, 0.31, 1.0, 3.0, 3.02):
+        below, rebuilds = pooled._below, pooled.rebuilds
+        particles = scale * base
+        assert pooled(particles) == median_heuristic(particles, targets)
+        if pooled.rebuilds > rebuilds:
+            moves.append("down" if pooled._below < below else "up")
+    assert "down" in moves and "up" in moves
+
+
+def test_pooled_median_band_keeps_a_share_of_the_target_distances(rng):
+    # 1000 targets have 499 500 distances (3.8 MiB); the band keeps about
+    # three times _BAND_SHARE of them, and a particle set moving a little
+    # needs no rebuild.
+    targets = 1.0 + rng.standard_normal((1000, 2))
+    particles = rng.standard_normal((300, 2))
+    pooled = PooledMedian(targets)
+    for step in range(5):
+        moved = (1.0 + 0.01 * step) * particles
+        assert pooled(moved) == median_heuristic(moved, targets)
+    assert pooled.rebuilds == 0
+    assert pooled._band.size < 4 * PooledMedian._BAND_SHARE * pdist(targets).size

@@ -70,6 +70,33 @@ def test_dimension_mismatch_rejected(rng):
         )
 
 
+def test_arrays_give_the_same_direction_as_particle_sets(rng):
+    fmap = GaussianQuadraticMap(input_dim=2)
+    targets = rng.standard_normal((30, 2)) + 0.5
+    particles = rng.standard_normal((25, 2))
+    expected = natural_gradient_kl(fmap, ParticleSet(targets), ParticleSet(particles))
+    for given_targets, given_particles in (
+        (targets, particles),
+        (targets, ParticleSet(particles)),
+        (ParticleSet(targets), particles),
+    ):
+        result = natural_gradient_kl(fmap, given_targets, given_particles)
+        assert np.array_equal(result.gap, expected.gap)
+        assert np.array_equal(result.natural_direction, expected.natural_direction)
+    no_targets = natural_gradient_kl(fmap, None, ParticleSet(particles))
+    assert np.array_equal(natural_gradient_kl(fmap, None, particles).gap, no_targets.gap)
+
+
+def test_non_finite_points_rejected(rng):
+    fmap = GaussianQuadraticMap(input_dim=2)
+    good = rng.standard_normal((10, 2))
+    bad = good.copy()
+    bad[3, 1] = np.nan
+    for targets, particles in ((bad, good), (good, bad), (None, bad)):
+        with pytest.raises(ValueError, match="non-finite"):
+            natural_gradient_kl(fmap, targets, particles)
+
+
 # -- Gaussian natural-parameter conversions ------------------------------------
 
 def test_standard_gaussian_natural_parameters():

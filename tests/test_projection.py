@@ -191,6 +191,21 @@ def test_limit_rejects_mismatched_velocities(rng):
         )
 
 
+def test_limit_accepts_an_array_of_points(rng):
+    points, velocities = quadrature_case(rng)
+    fmap = GaussianQuadraticMap(input_dim=2)
+    expected = project_change_limit(fmap, ParticleSet(points), velocities)
+    assert np.array_equal(project_change_limit(fmap, points, velocities), expected)
+
+
+def test_limit_rejects_non_finite_points(rng):
+    points, velocities = quadrature_case(rng)
+    points = points.copy()
+    points[0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        project_change_limit(GaussianQuadraticMap(input_dim=2), points, velocities)
+
+
 # -- alignment residual ------------------------------------------------------------
 
 def ngd_case(rng):
