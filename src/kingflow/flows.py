@@ -33,12 +33,12 @@ any other query points.
 ``run_flow`` advances particles by forward Euler, re-solving the drift (and,
 unless frozen, the bandwidth) every iteration and moving each particle by
 its anchor velocity, so every pairwise quantity is built once per
-iteration; of the target-target distances the bandwidth heuristic keeps a
-sorted band for the whole flow, rebuilt only when the median leaves it
-(``kernels.PooledMedian``).  Reverse-KL Wasserstein
-gradient flow and energy-distance flow are provided as kernel-free baselines
-sharing the same loop; both are GEMMs over pairwise distances, with no
-``(n, n, d)`` difference array.
+iteration; of the target-target distances the bandwidth heuristic keeps,
+for the whole flow, a sorted band of those inside a value interval, built
+again only when a bracket steps past it (``kernels.PooledMedian``).
+Reverse-KL Wasserstein gradient flow and energy-distance flow are provided
+as kernel-free baselines sharing the same loop; both are GEMMs over
+pairwise distances, with no ``(n, n, d)`` difference array.
 """
 from __future__ import annotations
 

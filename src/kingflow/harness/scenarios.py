@@ -366,20 +366,22 @@ def _graphical_model(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     ]
     if ds["include_long"]:
         variants.append(("plain_long", ds["long_iterations"], plain))
+    # Every variant's flow is checked before any flow runs.
+    with _config_errors("flow"):
+        variants = [(label, replace(flow, iterations=n), fmap) for label, n, fmap in variants]
 
     summary_variants = {}
     logs = []
-    for label, iterations, fmap in variants:
+    for label, variant_flow, fmap in variants:
         log = _flow(
-            method, init, targets, replace(flow, iterations=iterations),
-            label=label, fmap=fmap, kernel=kernels[method],
+            method, init, targets, variant_flow, label=label, fmap=fmap, kernel=kernels[method]
         )
         logs.append(log)
         support = precision_support(log.final, ds["threshold"])
         found = {(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(support, k=1)))}
         recovered = len(found & true_edges)
         summary_variants[label] = {
-            "iterations": iterations,
+            "iterations": variant_flow.iterations,
             "true_edges": len(true_edges),
             "recovered": recovered,
             "spurious": len(found - true_edges),

@@ -352,39 +352,31 @@ def _union_rank(first: np.ndarray, second: np.ndarray, rank: int) -> np.float64:
 class PooledMedian:
     """``median_heuristic(particles, targets)`` for one fixed target set.
 
-    Of the target-target distances only a band is kept: those inside a value
-    interval, sorted, and the count of those below it.  Each call computes
-    the particle-particle and particle-target distances a few particle rows
-    at a time, counts the values below a bracket and keeps the values inside
-    it; the median is selected from those and the band's values inside the
-    bracket, which are not copied.  The bracket is a window of ranks in the
-    sorted target distances, centred on the previous median, with a
-    half-width of twice the previous rank shift, and cut to the band.  The
-    first call centres it on the median of the distances among every
-    ``stride``-th particle and target, about ``_SAMPLE`` of them.  A bracket
-    that misses the middle ranks is followed by one next to it on the
-    median's side, twice as wide as the missed ranks take at the missed
-    bracket's density of values, and at least twice as wide as the last
-    step and ``_MIN_SHARE`` of the target distances.
+    Ranks are counted in one sorted sample, the distances among every
+    ``stride``-th target, about ``_SAMPLE`` of them.  Of the target-target
+    distances only a band is kept: those in a value interval ``[_lo, _hi]``,
+    sorted, and the count of those below it.  A call selects the median
+    from the band's values inside a bracket, which are not copied, and the
+    particles' distances inside it, computed a few particle rows at a time.
 
-    The first call builds the band around its centre, and a step past the
-    band builds it again around the step, each time from a row-blocked pass
-    over the target pairs: the band then holds the ranks asked for and
-    ``_BAND_SHARE`` of the target distances past them on either side.  The
-    pass keeps the values inside an interval read off a sorted sample, the
-    distances among a strided subset of the targets, with a margin; a pass
-    whose band falls short is repeated with twice the margin.  ``rebuilds``
-    counts the passes after the first.  A sample of every target distance
-    is itself the band, and no pass is made.  The value and its errors are
-    those of ``median_heuristic``, bitwise, and a zero median is handed to
-    ``median_heuristic`` itself for its fallbacks; the bracket and the band
-    only decide how much is selected from.
+    The bracket is the sample values within ``_spread`` ranks of the
+    previous median, twice the ranks the median last moved, cut to the
+    band; the first is ``_SEED_SHARE`` of the sample on either side of the
+    median among every ``stride``-th particle and target.  A bracket that
+    misses the middle ranks is followed by one next to it on the median's
+    side, twice the sample ranks the missed ranks take at the missed
+    bracket's density and at least twice the last step.  Half-widths and
+    steps are at least ``_MIN_SHARE`` of the sample.  The first bracket and
+    a step past the band build the band again in one row-blocked pass over
+    the target pairs, reaching ``_BAND_SHARE`` of the sample past each end;
+    ``rebuilds`` counts the passes after the first.  A sample of every
+    target distance is itself the band.  The value and its errors are
+    ``median_heuristic``'s, bitwise; a zero median is left to its fallbacks.
     """
 
-    # Pooled distances in the first call's sample and target distances in
-    # the band's sample; the narrowest and the first bracket half-widths and
-    # the band's reach past the ranks asked for, as shares of the target
-    # distances.
+    # Target distances in the sample; the narrowest and the first bracket
+    # half-widths and the band's reach past an interval, as shares of the
+    # sample.
     _SAMPLE = 8192
     _MIN_SHARE = 1 / 1024
     _SEED_SHARE = 1 / 64
@@ -393,19 +385,17 @@ class PooledMedian:
     def __init__(self, targets):
         self._targets = as_particles(targets).points
         count = self._targets.shape[0]
-        self._size = count * (count - 1) // 2
-        self._min_spread = 16 + int(self._size * self._MIN_SHARE)
-        self._reach = 16 + int(self._size * self._BAND_SHARE)
-        self._sample = pdist(self._targets[:: max(1, int(np.sqrt(self._size / self._SAMPLE)))])
+        stride = max(1, int(np.sqrt(count * (count - 1) / 2 / self._SAMPLE)))
+        self._sample = pdist(self._targets[::stride])
         self._sample.sort()
         # The band: the sorted target distances in [_lo, _hi] and the count
         # below _lo; none until the first call builds it, unless the sample
         # holds every target distance.
-        self._lo, self._hi, self._below = -np.inf, np.inf, 0
-        self._band = self._sample if self._sample.size == self._size else None
+        self._lo, self._hi, self._band, self._below = np.inf, -np.inf, None, 0
+        if stride == 1:
+            self._lo, self._hi, self._band = -np.inf, np.inf, self._sample
         self.rebuilds = 0
-        self._centre = None
-        self._spread = None
+        self._centre = self._spread = None
 
     def __call__(self, particles) -> float:
         pts = as_particles(particles).points
@@ -418,22 +408,19 @@ class PooledMedian:
         total = pooled * (pooled - 1) // 2
         half, even = total // 2, total % 2 == 0
         lowest = half - 1 if even else half  # the lowest rank the median needs
-        if self._centre is None:
+        sample = self._sample
+        narrowest = 1 + int(sample.size * self._MIN_SHARE)
+        centre, spread = self._centre, self._spread
+        if centre is None:
             stride = max(1, int(np.sqrt(total / self._SAMPLE)))
             centre = _median(pdist(np.vstack([pts[::stride], tgt[::stride]])))
-            spread = max(self._min_spread, int(self._size * self._SEED_SHARE))
-        else:
-            centre, spread = self._centre, self._spread
-        rank = self._rank(centre)
-        if rank is None:
-            rank = self._rebuild(centre, self._reach, self._reach)
-        first, last, step = rank - spread, rank + spread, 0
+            spread = max(narrowest, int(sample.size * self._SEED_SHARE))
+        rank = int(np.searchsorted(sample, centre))
+        lo, hi = self._at(rank - spread), self._at(rank + spread)
+        if not self._lo <= centre <= self._hi:  # no band yet, or a centre set from outside
+            self._cover(lo, hi)
+        lo, hi, step = max(lo, self._lo), min(hi, self._hi), 0
         while True:
-            if self._below > 0:
-                first = max(first, self._below)
-            if self._below + self._band.size < self._size:
-                last = min(last, self._below + self._band.size - 1)
-            lo, hi = self._value(first), self._value(last)
             below, others = self._window(pts, lo, hi)
             start = int(np.searchsorted(self._band, lo, "left"))
             stop = int(np.searchsorted(self._band, hi, "right"))
@@ -444,72 +431,48 @@ class PooledMedian:
                 missed = below + inside - half - 1
             else:
                 break
-            # The target ranks the missed pooled ranks span at the bracket's
-            # pooled values per target rank.
+            # The sample ranks the missed pooled ranks span at the bracket's
+            # pooled values per sample rank.
+            first = int(np.searchsorted(sample, lo, "left"))
+            last = int(np.searchsorted(sample, hi, "right"))
             span = abs(missed) * (last - first + 1) // max(inside, 1)
-            step = max(2 * span, 2 * step, self._min_spread)
+            step = max(2 * span, 2 * step, narrowest)
             if missed > 0:
-                first, last = first - step, first
-                if not self._holds(first, last):
-                    self._rebuild(lo, step + self._reach, self._reach)
+                lo, hi = self._at(first - step), lo
             else:
-                first, last = last, last + step
-                if not self._holds(first, last):
-                    self._rebuild(hi, self._reach, step + self._reach)
+                lo, hi = hi, self._at(last + step - 1)
+            self._cover(lo, hi)
         band = self._band[start:stop]
         others.sort()
         med = _union_rank(band, others, half - below)
         if even:
             med = (_union_rank(band, others, half - below - 1) + med) / 2.0
         med = float(med)
-        shift = abs(self._rank(med) - rank)
-        self._centre, self._spread = med, max(self._min_spread, 2 * shift)
+        shift = abs(int(np.searchsorted(sample, med)) - rank)
+        self._centre, self._spread = med, max(narrowest, 2 * shift)
         return med if med > 0 else median_heuristic(pts, self._targets)
 
-    def _rank(self, value: float) -> int | None:
-        """The count of target distances below ``value``, or ``None`` if the band cannot tell."""
-        band = self._band
-        if band is None:
-            return None
-        if value < self._lo and self._below > 0:
-            return None
-        if value > self._hi and self._below + band.size < self._size:
-            return None
-        return self._below + int(np.searchsorted(band, value))
-
-    def _value(self, rank: int) -> float:
-        """The target distance of ``rank``, from the band; ``-inf`` and ``inf`` past either end."""
+    def _at(self, rank: int) -> float:
+        """The sample value of ``rank``; ``-inf`` and ``inf`` past either end."""
         if rank < 0:
             return -np.inf
-        if rank >= self._size:
-            return np.inf
-        return self._band[rank - self._below]
+        return self._sample[rank] if rank < self._sample.size else np.inf
 
-    def _holds(self, first: int, last: int) -> bool:
-        """Whether the band holds the target distances of ranks ``first`` to ``last`` that exist."""
-        end = self._below + self._band.size
-        return self._below <= max(first, 0) and min(last, self._size - 1) < end
+    def _cover(self, lo: float, hi: float) -> None:
+        """Unless the band holds ``[lo, hi]``, build it from one pass over the target pairs.
 
-    def _rebuild(self, centre: float, under: int, over: int) -> int:
-        """Build the band to hold ``under`` ranks below ``centre``'s and ``over`` above; return it."""
-        sample = self._sample
-        position = int(np.searchsorted(sample, centre))
-        # Sample values on each side of ``centre``: 1.5 times the share of
-        # the ranks to hold, and a few more.
-        scale = 1.5 * sample.size / self._size
-        under_reach, over_reach = 8 + int(scale * under), 8 + int(scale * over)
-        while True:
-            self.rebuilds += self._band is not None
-            self._band = None  # freed before the pass
-            lo = sample[position - under_reach] if position >= under_reach else -np.inf
-            hi = sample[position + over_reach] if position + over_reach < sample.size else np.inf
-            below, band = _select(_pair_distances(self._targets, self._targets[:0]), lo, hi)
-            band.sort()
-            self._lo, self._hi, self._band, self._below = lo, hi, band, below
-            rank = self._rank(centre)
-            if self._holds(rank - under, rank + over):
-                return rank
-            under_reach, over_reach = 2 * under_reach, 2 * over_reach
+        The new band reaches ``_BAND_SHARE`` of the sample past each end.
+        """
+        if self._lo <= lo and hi <= self._hi:
+            return
+        sample, reach = self._sample, int(self._sample.size * self._BAND_SHARE)
+        lo = min(lo, self._at(int(np.searchsorted(sample, lo)) - reach))
+        hi = max(hi, self._at(int(np.searchsorted(sample, hi)) + reach))
+        self.rebuilds += self._band is not None
+        self._band = None  # freed before the pass
+        self._below, band = _select(_pair_distances(self._targets, self._targets[:0]), lo, hi)
+        band.sort()
+        self._lo, self._hi, self._band = lo, hi, band
 
     def _window(self, pts: np.ndarray, lo: float, hi: float) -> tuple[int, np.ndarray]:
         """The count of pooled distances below ``lo``, and a new array of the particles' inside.

@@ -768,6 +768,8 @@ def test_cli_run_reports_config_errors(tmp_path, capsys, run_flow_calls):
         {"scenario": "bimodal_compare", "dataset": {"bogus": 1}},
         {"scenario": "bimodal_compare", "dataset": {"n_targets": 30.9}},
         {"scenario": "graphical_model", "dataset": {"include_long": "false"}},
+        {"scenario": "graphical_model", "dataset": {"long_iterations": -3}},
+        {"scenario": "graphical_model", "dataset": {"plain_iterations": 0}},
         *NON_FINITE_CONFIGS,
         *UNRUNNABLE_CONFIGS,
         *CHECKED_FIELD_CONFIGS,

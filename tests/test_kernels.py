@@ -551,9 +551,9 @@ def test_pooled_median_call_stays_within_its_memory_budget(rng):
 
 
 def test_pooled_median_band_is_rebuilt_on_both_sides(rng, monkeypatch):
-    # With a reach of 16 ranks past what each call asks for, the band is a
-    # sliver of the 79 800 target distances: shrinking the particles pushes
-    # the median below it and growing them above, and each time the band is
+    # With no reach past the interval it is built for, the band is a sliver
+    # of the 79 800 target distances: shrinking the particles pushes the
+    # median below it and growing them above, and each time the band is
     # built again from a pass over the target pairs.
     monkeypatch.setattr(PooledMedian, "_BAND_SHARE", 0.0)
     targets = rng.standard_normal((400, 2))
@@ -581,3 +581,53 @@ def test_pooled_median_band_keeps_a_share_of_the_target_distances(rng):
         assert pooled(moved) == median_heuristic(moved, targets)
     assert pooled.rebuilds == 0
     assert pooled._band.size < 4 * PooledMedian._BAND_SHARE * pdist(targets).size
+
+
+@pytest.mark.parametrize("band_share", [PooledMedian._BAND_SHARE, 0.0])
+@settings(max_examples=50, deadline=None, database=None)
+@given(
+    m=st.integers(260, 360),
+    n=st.integers(1, 60),
+    dim=st.integers(1, 3),
+    grid=st.sampled_from([3, 8, None]),
+    scales=st.lists(st.sampled_from([0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 8.0]), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pooled_median_band_is_the_target_distances_in_its_interval(
+    band_share, m, n, dim, grid, scales, seed
+):
+    # Over 256 targets the band is not every target distance.  A drifting
+    # flow moves the median about; with no reach past the interval asked
+    # for, many calls build the band again.  After every call the band is
+    # exactly the target distances in [_lo, _hi] and _below counts those
+    # under _lo.
+    rng = np.random.default_rng(seed)
+    targets = grid_points(rng, m, dim, grid)
+    base = grid_points(rng, n, dim, grid)
+    target_dists = np.sort(pdist(targets))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PooledMedian, "_BAND_SHARE", band_share)
+        pooled = PooledMedian(targets)
+        for step, scale in enumerate(scales):
+            particles = scale * base + 0.1 * step
+            assert pooled(particles) == median_heuristic(particles, targets)
+            inside = (target_dists >= pooled._lo) & (target_dists <= pooled._hi)
+            assert np.array_equal(pooled._band, target_dists[inside])
+            assert pooled._below == np.count_nonzero(target_dists < pooled._lo)
+
+
+def test_pooled_median_cuts_a_wide_bracket_to_the_band(rng):
+    # 1000 targets have 499 500 distances and the band holds a share of
+    # them.  A bracket wider than the whole sample is cut to the band, and
+    # particles that barely moved find their median there: no pass over the
+    # target pairs is made.
+    targets = 1.0 + rng.standard_normal((1000, 2))
+    particles = rng.standard_normal((300, 2))
+    pooled = PooledMedian(targets)
+    assert pooled(particles) == median_heuristic(particles, targets)
+    band, rebuilds = pooled._band, pooled.rebuilds
+    assert band.size < pdist(targets).size
+    pooled._spread = pooled._sample.size + 1
+    moved = 1.001 * particles
+    assert pooled(moved) == median_heuristic(moved, targets)
+    assert pooled.rebuilds == rebuilds and pooled._band is band
