@@ -93,7 +93,8 @@ class DriftSolution:
     ``anchor_velocity()`` gives the drift at the anchors from products the
     solve already built; ``eval_drift`` evaluates it at other query points.
     ``jacobian`` holds the feature Jacobians at the anchors, shape
-    ``(n, feature_dim, dim)``.  ``products`` holds the per-feature fields
+    ``(n, feature_dim, dim)``, as a view of the transposed copy the kernel
+    was applied to.  ``products`` holds the per-feature fields
     ``(1/n) sum_i K(x_q, x_i) J_i^T`` at the anchors, shape
     ``(n, dim, feature_dim)``, from which the system's kernel term was
     built.  Neither depends on ``coeff``.
@@ -307,6 +308,7 @@ def _solve_drift(
         target_mean = feature_mean(fmap, targets)
     gap = -model_mean if target_mean is None else -model_mean + target_mean
     jac_t = np.ascontiguousarray(jac.transpose(0, 2, 1))
+    jac = jac_t.transpose(0, 2, 1)
     quad, products = _gram_quadratic(kernel, particles.points, jac_t)
     system = ridge * fisher.matrix + quad
     lower = spd_factor(system, SolverError("drift system is not positive definite"))

@@ -146,21 +146,6 @@ class KernelSpec:
         return KernelSpec(kind=kind, **fields)
 
 
-def rbf_kernel(bandwidth: float | None = None) -> KernelSpec:
-    return KernelSpec(kind=RBF_SCALAR, bandwidth=bandwidth)
-
-
-def diagonalized_kernel(bandwidth: float | None = None) -> KernelSpec:
-    return KernelSpec(kind=DIAGONALIZED_SCALAR, bandwidth=bandwidth)
-
-
-def ntk_kernel(input_dim: int, hidden_width: int = 64, seed: int = 0) -> KernelSpec:
-    return KernelSpec(
-        kind=EMPIRICAL_NTK,
-        ntk=NtkSpec(input_dim=input_dim, hidden_width=hidden_width, seed=seed),
-    )
-
-
 def _require_bandwidth(spec: KernelSpec) -> float:
     if spec.bandwidth is None:
         raise ValueError("kernel bandwidth is unresolved; pass one or use the median heuristic")
@@ -170,7 +155,7 @@ def _require_bandwidth(spec: KernelSpec) -> float:
 def kernel_value(spec: KernelSpec, x, y) -> float:
     """Scalar kernel value ``k(x, y)`` for the scalar kinds."""
     if spec.kind == EMPIRICAL_NTK:
-        raise ValueError("empirical_ntk is matrix valued; use ntk_value")
+        raise ValueError("empirical_ntk is matrix valued; use ntk_gram_blocks")
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.shape != y.shape:
@@ -236,12 +221,6 @@ def kernel_cross_grad(spec: KernelSpec, x, y) -> np.ndarray:
     diff = x - y
     k = np.exp(-np.sum(diff**2) / (2.0 * s2))
     return k * (np.eye(x.shape[0]) / s2 - np.outer(diff, diff) / s2**2)
-
-
-def ntk_value(spec: NtkSpec, x, y) -> np.ndarray:
-    """Matrix tangent-kernel block ``K(x, y)`` of shape ``(d, d)``."""
-    blocks = ntk_gram_blocks(spec, np.atleast_2d(x), np.atleast_2d(y))
-    return blocks[0, 0]
 
 
 def ntk_gram_blocks(spec: NtkSpec, xs, ys) -> np.ndarray:

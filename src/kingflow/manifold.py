@@ -346,14 +346,6 @@ def feature_moments(
     return mean, FisherMatrix.from_covariance(cov, f"feature covariance ({fmap.kind})")
 
 
-def fisher_estimate(fmap: FeatureMap, particles: ParticleSet) -> FisherMatrix:
-    """Empirical feature covariance, diagonally loaded until factorizable.
-
-    See ``feature_moments`` for the loading rule.
-    """
-    return feature_moments(fmap, particles)[1]
-
-
 def rbf_map_from_samples(
     samples: ParticleSet,
     n_centers: int = 50,

@@ -24,10 +24,10 @@ from kingflow import (
     default_grid,
     eval_drift,
     feature_mean,
-    fisher_estimate,
+    feature_moments,
     median_heuristic,
     mmd,
-    ntk_value,
+    ntk_gram_blocks,
     project_change_limit,
     project_change_quadrature,
     solve_king_drift,
@@ -101,7 +101,7 @@ def test_criterion_01_dual_solve_matches_weight_regression(criterion):
 
         jac = fmap.jacobian(particles.points)
         phi = phi_map.features(particles.points)
-        fisher = fisher_estimate(fmap, particles)
+        fisher = feature_moments(fmap, particles)[1]
         flat = (np.einsum("iar,ic->arc", jac, phi) / n).reshape(fmap.feature_dim, -1)
         gap = feature_mean(fmap, targets) - feature_mean(fmap, particles)
         normal = flat.T @ fisher.solve(flat) + ridge * np.eye(flat.shape[1])
@@ -354,7 +354,8 @@ def test_criterion_09_numerical_hygiene(criterion):
             for x in pts:
                 err = np.linalg.norm(fmap.jacobian(x) - fd_jacobian(fmap, x))
                 worst_jac = max(worst_jac, err / max(np.linalg.norm(fd_jacobian(fmap, x)), 1.0))
-            fisher = fisher_estimate(fmap, ParticleSet(rng.standard_normal((40, fmap.input_dim))))
+            draws = ParticleSet(rng.standard_normal((40, fmap.input_dim)))
+            fisher = feature_moments(fmap, draws)[1]
             min_fisher_eig = min(min_fisher_eig, float(np.linalg.eigvalsh(fisher.matrix).min()))
 
         particles = ParticleSet(rng.standard_normal((20, 2)))
@@ -390,7 +391,8 @@ def test_criterion_09_numerical_hygiene(criterion):
         for i in range(3):
             for j in range(3):
                 expected = jacs[i] @ jacs[j].T
-                err = np.linalg.norm(ntk_value(ntk, points[i], points[j]) - expected)
+                block = ntk_gram_blocks(ntk, [points[i]], [points[j]])[0, 0]
+                err = np.linalg.norm(block - expected)
                 worst_ntk = max(worst_ntk, err / np.linalg.norm(expected))
 
         a = rng.standard_normal((20, 2))

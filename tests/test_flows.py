@@ -25,7 +25,7 @@ from kingflow import (
     SolverError,
     eval_drift,
     feature_mean,
-    fisher_estimate,
+    feature_moments,
     kernel_cross_grad,
     kernel_value,
     median_heuristic,
@@ -134,7 +134,7 @@ def test_solution_satisfies_the_dual_system(rng):
     solution = solve_king_drift(fmap, kernel, particles, targets, ridge=ridge)
 
     jac = fmap.jacobian(particles.points)
-    fisher = fisher_estimate(fmap, particles)
+    fisher = feature_moments(fmap, particles)[1]
     quad = np.zeros((fmap.feature_dim, fmap.feature_dim))
     for i in range(n):
         for j in range(n):
@@ -168,7 +168,7 @@ def test_dual_solve_matches_explicit_weight_regression(rng):
 
     jac = fmap.jacobian(particles.points)
     phi = phi_map.features(particles.points)
-    fisher = fisher_estimate(fmap, particles)
+    fisher = feature_moments(fmap, particles)[1]
     dim_t, n_feat = fmap.feature_dim, phi.shape[1]
     coupling = np.einsum("iar,ic->arc", jac, phi) / n
     flat = coupling.reshape(dim_t, dim * n_feat)
@@ -287,7 +287,7 @@ def test_tangent_kernel_system_is_positive_definite(rng):
     jac = fmap.jacobian(particles.points)
     blocks = ntk_gram_blocks(kernel.ntk, particles.points, particles.points)
     quad = np.einsum("iad,ijde,jbe->ab", jac, blocks, jac) / n**2
-    fisher = fisher_estimate(fmap, particles)
+    fisher = feature_moments(fmap, particles)[1]
     system = ridge * fisher.matrix + quad
     assert np.linalg.eigvalsh(system).min() > 0.0
     assert_allclose(solution.gamma_factor @ solution.gamma_factor.T, system, rtol=1e-8)
@@ -312,7 +312,7 @@ def test_indefinite_drift_system_raises_solver_error(rng):
     fmap = GaussianQuadraticMap(input_dim=2)
     ridge = 1e-2
     jac = fmap.jacobian(particles.points)
-    loaded = ridge * fisher_estimate(fmap, particles).matrix
+    loaded = ridge * feature_moments(fmap, particles)[1].matrix
     jac_t = jac.transpose(0, 2, 1)
     removed = -_gram_quadratic(ConstantKernel(-1.0), particles.points, jac_t)[0]
     critical = 1.0 / scipy.linalg.eigh(removed, loaded, eigvals_only=True).max()

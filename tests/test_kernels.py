@@ -13,18 +13,15 @@ from kingflow import (
     KernelSpec,
     NtkSpec,
     ParticleSet,
-    diagonalized_kernel,
     kernel_cross_grad,
     kernel_gram,
     kernel_value,
     median_heuristic,
     ntk_gram_blocks,
-    ntk_kernel,
-    ntk_value,
-    rbf_kernel,
 )
 from kingflow.kernels import (
     DIAGONALIZED_SCALAR,
+    EMPIRICAL_NTK,
     RBF_SCALAR,
     PooledMedian,
     _gaussian_gram,
@@ -35,13 +32,13 @@ from kingflow.kernels import (
 # -- scalar kernel ------------------------------------------------------------
 
 def test_kernel_value_at_zero_distance_is_one(rng):
-    spec = rbf_kernel(0.9)
+    spec = KernelSpec(RBF_SCALAR, bandwidth=0.9)
     x = rng.standard_normal(3)
     assert kernel_value(spec, x, x) == pytest.approx(1.0)
 
 
 def test_kernel_value_is_symmetric(rng):
-    spec = rbf_kernel(1.3)
+    spec = KernelSpec(RBF_SCALAR, bandwidth=1.3)
     for _ in range(5):
         x, y = rng.standard_normal(2), rng.standard_normal(2)
         assert kernel_value(spec, x, y) == pytest.approx(kernel_value(spec, y, x))
@@ -49,12 +46,12 @@ def test_kernel_value_is_symmetric(rng):
 
 def test_kernel_value_one_bandwidth_apart():
     sigma = 0.7
-    spec = rbf_kernel(sigma)
+    spec = KernelSpec(RBF_SCALAR, bandwidth=sigma)
     assert kernel_value(spec, [0.0], [sigma]) == pytest.approx(np.exp(-0.5))
 
 
 def test_kernel_gram_matches_entrywise_values(rng):
-    spec = rbf_kernel(1.1)
+    spec = KernelSpec(RBF_SCALAR, bandwidth=1.1)
     xs, ys = rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
     # far from the origin too: the expanded squared distances must not cancel
     for offset in (0.0, 1e4):
@@ -115,7 +112,7 @@ def test_gaussian_gram_peaks_near_its_own_size(rng):
 
 
 def test_kernel_gram_is_psd(rng):
-    spec = rbf_kernel(0.8)
+    spec = KernelSpec(RBF_SCALAR, bandwidth=0.8)
     pts = rng.standard_normal((12, 3))
     eigs = np.linalg.eigvalsh(kernel_gram(spec, pts, pts))
     assert eigs.min() > -1e-8 * eigs.max()
@@ -123,19 +120,19 @@ def test_kernel_gram_is_psd(rng):
 
 def test_unresolved_bandwidth_rejected():
     with pytest.raises(ValueError):
-        kernel_value(rbf_kernel(), [0.0], [1.0])
+        kernel_value(KernelSpec(RBF_SCALAR), [0.0], [1.0])
 
 
 # -- cross gradient -----------------------------------------------------------
 
 def test_cross_grad_at_coincidence():
     sigma = 0.6
-    grad = kernel_cross_grad(rbf_kernel(sigma), [1.0, 2.0], [1.0, 2.0])
+    grad = kernel_cross_grad(KernelSpec(RBF_SCALAR, bandwidth=sigma), [1.0, 2.0], [1.0, 2.0])
     assert_allclose(grad, np.eye(2) / sigma**2)
 
 
 def test_cross_grad_matches_double_finite_differences(rng):
-    spec = rbf_kernel(0.9)
+    spec = KernelSpec(RBF_SCALAR, bandwidth=0.9)
     h = 1e-4
     for _ in range(5):
         x, y = rng.standard_normal(2), rng.standard_normal(2)
@@ -155,7 +152,7 @@ def test_cross_grad_matches_double_finite_differences(rng):
 
 
 def test_cross_grad_transpose_relation(rng):
-    spec = rbf_kernel(1.2)
+    spec = KernelSpec(RBF_SCALAR, bandwidth=1.2)
     x, y = rng.standard_normal(3), rng.standard_normal(3)
     assert_allclose(
         kernel_cross_grad(spec, x, y), kernel_cross_grad(spec, y, x).T, rtol=1e-12
@@ -165,7 +162,7 @@ def test_cross_grad_transpose_relation(rng):
 def test_cross_grad_is_jacobian_of_y_gradient(rng):
     # column j of the cross gradient is d/dx of (dk/dy_j)
     sigma = 0.8
-    spec = rbf_kernel(sigma)
+    spec = KernelSpec(RBF_SCALAR, bandwidth=sigma)
     x, y = rng.standard_normal(2), rng.standard_normal(2)
 
     def grad_y(xp):
@@ -182,9 +179,9 @@ def test_cross_grad_is_jacobian_of_y_gradient(rng):
 
 def test_cross_grad_requires_the_differentiable_kind():
     with pytest.raises(ValueError):
-        kernel_cross_grad(diagonalized_kernel(1.0), [0.0], [1.0])
+        kernel_cross_grad(KernelSpec(DIAGONALIZED_SCALAR, bandwidth=1.0), [0.0], [1.0])
     with pytest.raises(ValueError):
-        kernel_cross_grad(ntk_kernel(input_dim=1), [0.0], [1.0])
+        kernel_cross_grad(KernelSpec(EMPIRICAL_NTK, ntk=NtkSpec(input_dim=1)), [0.0], [1.0])
 
 
 # -- tangent kernel -----------------------------------------------------------
@@ -212,7 +209,7 @@ def network_param_jacobian(spec: NtkSpec, x, h=1e-5):
 def test_ntk_at_coincidence_is_symmetric_psd(rng):
     spec = NtkSpec(input_dim=3, hidden_width=8, seed=2)
     x = rng.standard_normal(3)
-    block = ntk_value(spec, x, x)
+    block = ntk_gram_blocks(spec, [x], [x])[0, 0]
     assert_allclose(block, block.T, rtol=1e-12)
     assert np.linalg.eigvalsh(block).min() > -1e-12
 
@@ -224,7 +221,7 @@ def test_ntk_equals_parameter_jacobian_outer_product(hidden, dim, rng):
     jacs = [network_param_jacobian(spec, x) for x in pts]
     for i in range(3):
         for j in range(3):
-            block = ntk_value(spec, pts[i], pts[j])
+            block = ntk_gram_blocks(spec, [pts[i]], [pts[j]])[0, 0]
             oracle = jacs[i] @ jacs[j].T
             assert np.linalg.norm(block - oracle) <= 1e-4 * np.linalg.norm(oracle)
 
@@ -263,7 +260,11 @@ def test_kernel_spec_validation():
 
 
 def test_kernel_spec_config_round_trip(rng):
-    for spec in (rbf_kernel(0.5), diagonalized_kernel(), ntk_kernel(2, hidden_width=8, seed=4)):
+    for spec in (
+        KernelSpec(RBF_SCALAR, bandwidth=0.5),
+        KernelSpec(DIAGONALIZED_SCALAR),
+        KernelSpec(EMPIRICAL_NTK, ntk=NtkSpec(2, hidden_width=8, seed=4)),
+    ):
         rebuilt = KernelSpec.from_config(spec.to_config())
         assert rebuilt.kind == spec.kind
         assert rebuilt.bandwidth == spec.bandwidth
@@ -280,11 +281,11 @@ kernel_specs = st.builds(
     kind=st.sampled_from([RBF_SCALAR, DIAGONALIZED_SCALAR]),
     bandwidth=st.none() | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
 ) | st.builds(
-    ntk_kernel,
+    NtkSpec,
     input_dim=st.integers(1, 5),
     hidden_width=st.integers(1, 16),
     seed=st.integers(0, 2**32 - 1),
-)
+).map(lambda ntk: KernelSpec(EMPIRICAL_NTK, ntk=ntk))
 
 
 @settings(max_examples=100, deadline=None, database=None)
@@ -323,14 +324,14 @@ def test_kernel_numbers_are_checked_not_cast():
     assert type(ntk.hidden_width) is int
     for bad in (True, "2", float("nan"), 0.0):
         with pytest.raises(ValueError):
-            rbf_kernel(bad)
+            KernelSpec(RBF_SCALAR, bandwidth=bad)
     with pytest.raises(ValueError):
         NtkSpec(input_dim=2, hidden_width=2.7)
 
 
 def test_matrix_kernel_rejected_by_scalar_entry_points():
-    spec = ntk_kernel(input_dim=2)
-    with pytest.raises(ValueError):
+    spec = KernelSpec(EMPIRICAL_NTK, ntk=NtkSpec(input_dim=2))
+    with pytest.raises(ValueError, match="ntk_gram_blocks"):
         kernel_value(spec, [0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         kernel_gram(spec, np.zeros((2, 2)), np.zeros((2, 2)))
@@ -374,7 +375,7 @@ def test_point_inputs_must_be_finite(bad):
     rng = np.random.default_rng(0)
     particles, targets = rng.standard_normal((40, 2)), rng.standard_normal((50, 2))
     particles[7, 1] = bad
-    spec, ntk = rbf_kernel(1.0), NtkSpec(input_dim=2, hidden_width=4)
+    spec, ntk = KernelSpec(RBF_SCALAR, bandwidth=1.0), NtkSpec(input_dim=2, hidden_width=4)
     for call in (
         lambda: median_heuristic([[0.0], [bad], [1.0]]),
         lambda: median_heuristic(particles, targets),
@@ -396,7 +397,7 @@ def test_point_inputs_must_not_be_empty():
         lambda: median_heuristic(points, empty),
         lambda: PooledMedian(points)(empty),
         lambda: PooledMedian(empty),
-        lambda: kernel_gram(rbf_kernel(1.0), empty, points),
+        lambda: kernel_gram(KernelSpec(RBF_SCALAR, bandwidth=1.0), empty, points),
         lambda: ntk_gram_blocks(NtkSpec(input_dim=2, hidden_width=4), points, empty),
     ):
         with pytest.raises(ValueError, match="at least one point"):

@@ -18,11 +18,11 @@ from kingflow import (
     SteinFeatureMap,
     feature_map_from_config,
     feature_mean,
-    fisher_estimate,
+    feature_moments,
     rbf_map_from_samples,
 )
 from kingflow._linalg import FISHER_JITTER
-from kingflow.manifold import _REGISTRY, feature_moments, vech_pairs
+from kingflow.manifold import _REGISTRY, vech_pairs
 from kingflow.stein import _SCORE_KINDS, STEIN_MODES
 
 
@@ -309,7 +309,7 @@ def test_feature_mean_standard_normal_moments():
 def test_fisher_of_identical_points_is_the_jitter_load():
     fmap = GaussianQuadraticMap(input_dim=1)
     pset = ParticleSet(np.ones((10, 1)))
-    fisher = fisher_estimate(fmap, pset)
+    fisher = feature_moments(fmap, pset)[1]
     assert_allclose(fisher.matrix, FISHER_JITTER * np.eye(2))
     assert fisher.jitter_applied == pytest.approx(FISHER_JITTER)
 
@@ -317,13 +317,13 @@ def test_fisher_of_identical_points_is_the_jitter_load():
 def test_fisher_standard_normal_quadratic_family():
     fmap = GaussianQuadraticMap(input_dim=1)
     draws = np.random.default_rng(7).standard_normal((100_000, 1))
-    fisher = fisher_estimate(fmap, ParticleSet(draws))
+    fisher = feature_moments(fmap, ParticleSet(draws))[1]
     assert_allclose(fisher.matrix, [[1.0, 0.0], [0.0, 2.0]], atol=0.05)
 
 
 def test_fisher_minimum_eigenvalue_respects_the_load(rng):
     fmap = RbfFeatureMap(centers=rng.standard_normal((6, 2)), bandwidth=1.0)
-    fisher = fisher_estimate(fmap, ParticleSet(rng.standard_normal((30, 2))))
+    fisher = feature_moments(fmap, ParticleSet(rng.standard_normal((30, 2))))[1]
     min_eig = np.linalg.eigvalsh(fisher.matrix).min()
     assert min_eig >= fisher.jitter_applied * (1.0 - 1e-10)
     assert fisher.jitter_applied > 0
@@ -331,7 +331,7 @@ def test_fisher_minimum_eigenvalue_respects_the_load(rng):
 
 def test_fisher_solve_inverts_the_loaded_matrix(rng):
     fmap = GaussianQuadraticMap(input_dim=2)
-    fisher = fisher_estimate(fmap, ParticleSet(rng.standard_normal((50, 2))))
+    fisher = feature_moments(fmap, ParticleSet(rng.standard_normal((50, 2))))[1]
     b = rng.standard_normal(fmap.feature_dim)
     assert_allclose(fisher.matrix @ fisher.solve(b), b, rtol=1e-10, atol=1e-12)
 
@@ -339,7 +339,7 @@ def test_fisher_solve_inverts_the_loaded_matrix(rng):
 def test_fisher_needs_two_particles():
     fmap = GaussianQuadraticMap(input_dim=1)
     with pytest.raises(ValueError):
-        fisher_estimate(fmap, ParticleSet(np.zeros((1, 1))))
+        feature_moments(fmap, ParticleSet(np.zeros((1, 1))))
 
 
 def test_feature_moments_return_the_feature_mean_with_the_fisher(rng):
@@ -347,7 +347,6 @@ def test_feature_moments_return_the_feature_mean_with_the_fisher(rng):
     pset = ParticleSet(rng.standard_normal((30, 2)))
     mean, fisher = feature_moments(fmap, pset)
     assert_array_equal(mean, feature_mean(fmap, pset))
-    assert_array_equal(fisher.matrix, fisher_estimate(fmap, pset).matrix)
 
 
 # -- serialization and construction helpers -----------------------------------
