@@ -22,8 +22,18 @@ tangent kernel, and ``diagonalized_scalar`` substitutes ``k(x, y) * I``.
 Any object exposing ``pair_blocks(xs, ys) -> (n, m, d, d)`` works as a
 custom matrix kernel.  Every kind builds its anchor-side terms once and
 then takes the query rows a block at a time, 1 MiB of kernel values per
-block, so a solve or an evaluation holds the ``(n, d, m)`` fields and one
-block of kernel values, never an ``(n, n)`` or ``(q, n)`` array.
+block, so a solve or an evaluation holds the ``(n, d, m)`` fields, one
+block of kernel values and, for ``rbf_scalar``, its anchor columns of
+``(d+1)^2`` values per anchor and field, never an ``(n, n)`` or ``(q, n)``
+array.
+
+In the solve the queries are the anchors, and the Gram of the two
+Gaussian kinds is symmetric.  When the GEMM products of all ``n`` rows
+fit in one block, the solve takes the Gram in row strips ``x[s:e] x x[s:]``
+instead and applies each strip and its transpose, so each Gram entry is
+built once, a little over ``n^2 / 2`` entries in all.  The products of all
+rows and the strips then fill about one block.  Larger
+shapes, the tangent kernel and custom kernels keep the row blocks.
 
 ``h`` is linear in ``coeff``, so the solve also yields the velocities at
 the particles it was built on: ``DriftSolution.anchor_velocity`` contracts
@@ -42,6 +52,7 @@ pairwise distances, with no ``(n, n, d)`` difference array.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -151,10 +162,17 @@ def _gram_quadratic(
 
     ``jac_t`` holds the Jacobians transposed, shape ``(n, d, m)``.  The
     fields are ``_apply_kernel`` applied to the Jacobian rows, the
-    ``DriftSolution.products`` of the solve.
+    ``DriftSolution.products`` of the solve.  The two Gaussian kinds have
+    symmetric Grams; when the GEMM products of all ``n`` rows fit in one
+    ``_BLOCK_VALUES`` block (``n (d+1)^2 m`` values for ``rbf_scalar``,
+    ``n d m`` for ``diagonalized_scalar``), ``_self_apply`` builds each
+    Gram entry once.  Every other case takes ``_apply_kernel``'s row blocks.
     """
     n, d, m = jac_t.shape
-    fields = _apply_kernel(kernel, pts, pts, jac_t)
+    if n * _gaussian_width(kernel, d, m) <= _BLOCK_VALUES:
+        fields = _self_apply(kernel, pts, jac_t)
+    else:
+        fields = _apply_kernel(kernel, pts, pts, jac_t)
     return jac_t.reshape(n * d, m).T @ fields.reshape(n * d, m) / n, fields
 
 
@@ -177,6 +195,78 @@ def _apply_kernel(kernel, queries: np.ndarray, anchors: np.ndarray, vels: np.nda
     return out
 
 
+def _self_apply(kernel, pts: np.ndarray, vels: np.ndarray) -> np.ndarray:
+    """``_apply_kernel(kernel, pts, pts, vels)`` for a Gaussian kind, building each Gram entry once.
+
+    The Gram is taken in row strips ``pts[s:e] x pts[s:]``.  Each strip's
+    product with the anchor columns is added to its own rows and the
+    product of its transpose, past the diagonal block, to the rows after
+    them, so the strips build about half the Gram plus its diagonal
+    blocks.  The products of all rows are kept until the last strip, then
+    ``rbf_scalar``'s query factors are applied once.  The first strip
+    writes its products rather than adding them, so when all ``n`` rows fit
+    in one strip the arithmetic is that of one row block of
+    ``_apply_kernel``.
+
+    The strips and the products of all rows fill one block,
+    ``_BLOCK_VALUES`` values, the size of a row block; where the products
+    take more than half of it, the strips keep half a block.  For
+    ``rbf_scalar`` the two share one array: a separate products array
+    beside strips of a whole block leaves a freed heap top of more than
+    twice a row block, which glibc's default policy trims and faults back
+    in on every solve.  For ``diagonalized_scalar`` the products are the
+    fields themselves.
+    """
+    n, d, k = vels.shape
+    columns, finish = _gaussian_columns(kernel, pts, vels)
+    rows = max(1, max(_BLOCK_VALUES - columns.size, _BLOCK_VALUES // 2) // n)
+    out = np.empty((n, d, k))
+    if finish is None:
+        total, strips = out.reshape(n, d * k), np.empty(min(rows, n) * n)
+    else:
+        work = np.empty(columns.size + min(rows, n) * n)
+        total, strips = work[: columns.size].reshape(columns.shape), work[columns.size :]
+    # rows per 64 KiB product when a strip's transpose is added in pieces
+    piece = max(1, (_BLOCK_VALUES // 16) // columns.shape[1])
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        size = (stop - start, n - start)
+        strip = strips[: size[0] * size[1]].reshape(size)
+        _gaussian_gram(kernel.bandwidth, pts[start:stop], pts[start:], out=strip)
+        if start == 0:
+            np.matmul(strip, columns, out=total[:stop])
+            np.matmul(strip[:, stop:].T, columns[:stop], out=total[stop:])
+        else:
+            total[start:stop] += strip @ columns[start:]
+            for low in range(stop, n, piece):
+                high = min(low + piece, n)
+                total[low:high] += strip[:, low - start:high - start].T @ columns[start:stop]
+    if finish is not None:
+        finish(total, pts, out)
+    out /= n
+    return out
+
+
+def _gaussian_width(kernel, d: int, k: int) -> float:
+    """Values per anchor row of a Gaussian kind's anchor columns; infinite for other kernels."""
+    if not isinstance(kernel, KernelSpec) or kernel.kind == EMPIRICAL_NTK:
+        return math.inf
+    return (d + 1) ** 2 * k if kernel.kind == RBF_SCALAR else d * k
+
+
+def _gaussian_columns(kernel: KernelSpec, anchors: np.ndarray, vels: np.ndarray):
+    """A Gaussian kind's anchor columns and its query finish, ``None`` if the product is the field.
+
+    A field at the query rows ``q`` comes from the GEMM ``k(q, x) @ columns``
+    alone for ``diagonalized_scalar`` and after ``finish(product, q, out)``
+    for ``rbf_scalar`` (see ``_rbf_columns``).
+    """
+    if kernel.kind == RBF_SCALAR:
+        return _rbf_columns(kernel.bandwidth, anchors, vels)
+    n, d, k = vels.shape
+    return vels.reshape(n, d * k), None
+
+
 def _query_rows(kernel, anchors: np.ndarray, vels: np.ndarray) -> Callable:
     """A function writing ``sum_i K(q, x_i) v_ik`` for a block of query rows into ``out``.
 
@@ -184,40 +274,36 @@ def _query_rows(kernel, anchors: np.ndarray, vels: np.ndarray) -> Callable:
     result.  Everything that depends on the anchors alone is built here,
     once.
     """
-    n, d, k = vels.shape
     if not isinstance(kernel, KernelSpec):
         def fill(queries, out):
             blocks = kernel.pair_blocks(queries, anchors)
             np.einsum("qide,iek->qdk", blocks, vels, out=out, optimize=True)
-    elif kernel.kind == RBF_SCALAR:
-        finish = _rbf_rows(kernel.bandwidth, anchors, vels)
-
-        def fill(queries, out):
-            finish(_gaussian_gram(kernel.bandwidth, queries, anchors), queries, out)
-    elif kernel.kind == DIAGONALIZED_SCALAR:
-        flat = vels.reshape(n, d * k)
-
-        def fill(queries, out):
-            gram = _gaussian_gram(kernel.bandwidth, queries, anchors)
-            np.matmul(gram, flat, out=out.reshape(-1, d * k))
     elif kernel.kind == EMPIRICAL_NTK:
         fill = _ntk_rows(kernel.ntk, anchors, vels)
     else:
-        raise ValueError(f"unsupported kernel kind: {kernel.kind!r}")
+        columns, finish = _gaussian_columns(kernel, anchors, vels)
+
+        def fill(queries, out):
+            gram = _gaussian_gram(kernel.bandwidth, queries, anchors)
+            if finish is None:
+                np.matmul(gram, columns, out=out.reshape(out.shape[0], -1))
+            else:
+                finish(gram @ columns, queries, out)
     return fill
 
 
-def _rbf_rows(bandwidth: float, anchors: np.ndarray, vels: np.ndarray) -> Callable:
-    """The ``rbf_scalar`` case of ``_query_rows``, given the Gram rows ``k(q, x_i)`` of the queries.
+def _rbf_columns(bandwidth: float, anchors: np.ndarray, vels: np.ndarray):
+    """The ``rbf_scalar`` anchor columns and the finish that turns their Gram product into fields.
 
     The block is ``k(q, x) (I / s^2 - (q - x)(q - x)^T / s^4)``, and
     ``(q - x)((q - x) . v) = q (q . v) - q (x . v) - x (q . v) + x (x . v)``.
     Every term is a product of the Gram with one of the anchor columns
     ``v``, ``x . v``, ``x v^T`` and ``x (x . v)``, written once into one
-    array, so one GEMM per block of query rows gives all of them for every
-    field, and the query factors are applied after it.  The kernel is
-    translation invariant; centring on the anchor mean, as the Gram does,
-    keeps the expanded products free of cancellation far from the origin.
+    array, so one GEMM ``k(q, x) @ columns`` gives all of them for every
+    field, and ``finish(product, q, out)`` applies the query factors after
+    it.  The kernel is translation invariant; centring on the anchor mean,
+    as the Gram does, keeps the expanded products free of cancellation far
+    from the origin.
     """
     n, d, k = vels.shape
     centre = anchors.mean(axis=0)
@@ -233,9 +319,8 @@ def _rbf_rows(bandwidth: float, anchors: np.ndarray, vels: np.ndarray) -> Callab
     np.multiply(anchors[:, :, None], x_dot_v[:, None, :], out=columns[:, -d * k :].reshape(n, d, k))
     s2 = bandwidth**2
 
-    def finish(gram: np.ndarray, queries: np.ndarray, out: np.ndarray) -> None:
+    def finish(prod: np.ndarray, queries: np.ndarray, out: np.ndarray) -> None:
         queries = queries - centre
-        prod = gram @ columns
         g_v = prod[:, : d * k].reshape(-1, d, k)
         g_x_dot_v = prod[:, d * k : d * k + k]
         g_x_v = prod[:, d * k + k : -d * k].reshape(-1, d, d, k)  # [q, e, f, k] = sum_i k x_e v_f
@@ -248,7 +333,7 @@ def _rbf_rows(bandwidth: float, anchors: np.ndarray, vels: np.ndarray) -> Callab
         np.divide(g_v, s2, out=out)
         out -= outer
 
-    return finish
+    return columns, finish
 
 
 def _ntk_rows(ntk, anchors: np.ndarray, vels: np.ndarray) -> Callable:

@@ -174,15 +174,19 @@ def kernel_gram(spec: KernelSpec, xs, ys) -> np.ndarray:
     return _gaussian_gram(_require_bandwidth(spec), xs, ys)
 
 
-def _gaussian_gram(bandwidth: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Gaussian Gram matrix from the expanded squared distances, finished in place."""
-    out = _sq_distances(xs, ys)
-    np.negative(out, out=out)
-    out /= 2.0 * bandwidth**2
+def _gaussian_gram(
+    bandwidth: float, xs: np.ndarray, ys: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Gaussian Gram matrix from the expanded squared distances, finished in place.
+
+    ``out``, when given, is the ``(len(xs), len(ys))`` array it is written to.
+    """
+    out = _sq_distances(xs, ys, out)
+    out /= -(2.0 * bandwidth**2)
     return np.exp(out, out=out)
 
 
-def _sq_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+def _sq_distances(xs: np.ndarray, ys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Squared distances ``|x_i - y_j|^2`` from their expansion, clipped at zero.
 
     Centring on the ``ys`` mean keeps the expansion accurate far from the
@@ -196,7 +200,7 @@ def _sq_distances(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     centre = ys.mean(axis=0)
     xs, ys = xs - centre, ys - centre
     x_sq, y_sq = np.sum(xs**2, axis=1), np.sum(ys**2, axis=1)
-    out = (2.0 * xs) @ ys.T
+    out = np.matmul(2.0 * xs, ys.T, out=out)
     rows = max(1, (_BLOCK_VALUES // 16) // max(out.shape[1], 1))
     for start in range(0, out.shape[0], rows):
         block = out[start:start + rows]

@@ -37,7 +37,7 @@ from kingflow import (
     wgf_velocity,
 )
 from kingflow import flows, kernels, manifold
-from kingflow.flows import FLOW_METHODS, _apply_kernel, _gram_quadratic, _rbf_rows
+from kingflow.flows import FLOW_METHODS, _apply_kernel, _gram_quadratic, _rbf_columns
 from kingflow.kernels import _gaussian_gram
 
 
@@ -453,6 +453,74 @@ def test_custom_kernel_is_applied_one_row_block_at_a_time(rng):
     assert_matches_reference(applied, expected)
 
 
+def count_kernel_gram_entries(monkeypatch):
+    """A list that gathers the entry count of every Gram block ``flows`` builds."""
+    entries = []
+    gaussian_gram = kernels._gaussian_gram
+
+    def counting_gram(bandwidth, xs, ys, out=None):
+        entries.append(xs.shape[0] * ys.shape[0])
+        return gaussian_gram(bandwidth, xs, ys, out)
+
+    monkeypatch.setattr(flows, "_gaussian_gram", counting_gram)
+    return entries
+
+
+@pytest.mark.parametrize("kind", ["rbf_scalar", "diagonalized_scalar"])
+@pytest.mark.parametrize("n", [700, 2000])
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_symmetric_strips_match_the_row_blocks(kind, n, offset, rng, monkeypatch):
+    # At d = 2 and five fields the products of all rows fit in one block, so
+    # the solve's Gram is taken in symmetric strips, more than two of them.
+    d, k = 2, 5
+    pts = offset + rng.standard_normal((n, d))
+    vels = rng.standard_normal((n, d, k))
+    kernel = KernelSpec(kind, bandwidth=1.3)
+    expected = _apply_kernel(kernel, pts, pts, vels)
+    strips = count_kernel_gram_entries(monkeypatch)
+    quad, fields = _gram_quadratic(kernel, pts, vels)
+    assert len(strips) >= 3
+    assert_matches_reference(fields, expected)
+    assert_matches_reference(quad, vels.reshape(n * d, k).T @ expected.reshape(n * d, k) / n)
+
+
+@pytest.mark.parametrize("kind", ["rbf_scalar", "diagonalized_scalar"])
+def test_gram_quadratic_keeps_the_row_block_arithmetic_at_wide_shapes(kind, rng):
+    # bimodal_n250's shape: rbf_scalar's products of all rows take more than
+    # a block, and diagonalized_scalar's rows fit in one strip.
+    n, d, k = 250, 5, 50
+    pts = rng.standard_normal((n, d))
+    vels = rng.standard_normal((n, d, k))
+    kernel = KernelSpec(kind, bandwidth=2.0)
+    quad, fields = _gram_quadratic(kernel, pts, vels)
+    expected = _apply_kernel(kernel, pts, pts, vels)
+    assert_array_equal(fields, expected)
+    assert_array_equal(quad, vels.reshape(n * d, k).T @ expected.reshape(n * d, k) / n)
+
+
+def test_symmetric_strips_build_each_gram_entry_once(rng, monkeypatch):
+    # ngd_track_n800's shape: seven strips build 0.57 n^2 entries, where the
+    # row blocks built n^2.
+    n = 800
+    particles, targets = drift_case(rng, n=n)
+    entries = count_kernel_gram_entries(monkeypatch)
+    solve_king_drift(
+        GaussianQuadraticMap(input_dim=2), KernelSpec("rbf_scalar", bandwidth=1.0),
+        particles, targets, ridge=1e-3,
+    )
+    assert sum(entries) <= 0.65 * n * n
+
+
+def test_row_blocks_build_each_gram_entry_once_per_solve(rng, monkeypatch):
+    # The king solve of bimodal_n250 keeps the row blocks.
+    n, dim = 250, 5
+    particles, targets = drift_case(rng, n=n, dim=dim)
+    fmap = RbfFeatureMap(centers=rng.standard_normal((50, dim)), bandwidth=2.0)
+    entries = count_kernel_gram_entries(monkeypatch)
+    solve_king_drift(fmap, KernelSpec("rbf_scalar", bandwidth=1.0), particles, targets, 1e-3)
+    assert sum(entries) == n * n
+
+
 def test_drift_iteration_memory_stays_bounded_at_large_n(rng, traced_peak):
     # Each kernel is applied a block of rows at a time and only the fields
     # are whole, so no (n, n) or (q, n) array is made.  The whole-Gram
@@ -485,7 +553,7 @@ BLOCK_FAULT_PROBE = """
 import resource
 import numpy as np
 from kingflow import KernelSpec
-from kingflow.flows import _apply_kernel
+from kingflow.flows import _apply_kernel, _gram_quadratic
 
 rng = np.random.default_rng(0)
 pts = rng.standard_normal((800, 2))
@@ -493,9 +561,11 @@ vels = rng.standard_normal((800, 2, 5))
 kernel = KernelSpec("rbf_scalar", bandwidth=1.5)
 for _ in range(3):
     _apply_kernel(kernel, pts, pts, vels)
+    _gram_quadratic(kernel, pts, vels)
 start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(20):
     _apply_kernel(kernel, pts, pts, vels)
+    _gram_quadratic(kernel, pts, vels)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 20)
 """
 
@@ -504,7 +574,11 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 20)
 def test_row_blocks_do_not_fault_under_the_default_heap_policy():
     # With glibc's default thresholds, a 1 MiB temporary beside each 1 MiB
     # Gram block had the freed heap top trimmed and faulted back in, about
-    # 2400 page faults per application at this shape.
+    # 2400 page faults per application at this shape.  The probe counts the
+    # row blocks of an application and the symmetric strips of a solve
+    # together.  A products array held apart from strips of a whole block
+    # made about 370 faults per solve, in about a third of fresh interpreters
+    # (the heap layout varies with the hash seed).
     src = str(Path(kernels.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -533,7 +607,12 @@ def test_rbf_apply_stays_within_its_memory_budget(rng, traced_peak):
     vels = rng.standard_normal((n, d, 1))
     gram = _gaussian_gram(1.0, pts, pts)
     out = np.empty((n, d, 1))
-    assert traced_peak(lambda: _rbf_rows(1.0, pts, vels)(gram, pts, out)) < 2**20
+
+    def apply():
+        columns, finish = _rbf_columns(1.0, pts, vels)
+        finish(gram @ columns, pts, out)
+
+    assert traced_peak(apply) < 2**20
 
 
 # -- baseline velocities -------------------------------------------------------------
@@ -810,9 +889,9 @@ def test_run_flow_evaluates_each_feature_quantity_once_per_iteration(
     grams = []
     gaussian_gram = kernels._gaussian_gram
 
-    def counting_gram(bandwidth, xs, ys):
+    def counting_gram(bandwidth, xs, ys, out=None):
         grams.append((xs.shape[0], ys.shape[0]))
-        return gaussian_gram(bandwidth, xs, ys)
+        return gaussian_gram(bandwidth, xs, ys, out)
 
     for module in (kernels, flows, manifold):
         monkeypatch.setattr(module, "_gaussian_gram", counting_gram)
