@@ -69,11 +69,10 @@ from .kernels import (
     KernelSpec,
     PooledMedian,
     _gaussian_gram,
-    _number,
     median_heuristic,
 )
 from .manifold import FeatureMap, feature_mean, feature_moments
-from .particles import ParticleSet, as_particles
+from .particles import ParticleSet, _number, as_particles
 from .stein import GaussianMixtureScore
 
 KING = "king"
@@ -382,12 +381,11 @@ def _solve_drift(
     check_drift_kernel(method, kernel)
     if ridge <= 0:
         raise ValueError("ridge must be positive")
-    if targets is not None and targets.dim != particles.dim:
-        raise ValueError(
-            f"dimension mismatch: targets {targets.dim}, particles {particles.dim}"
-        )
+    particles = as_particles(particles)
+    if targets is not None:
+        targets = as_particles(targets, dim=particles.dim)
     kernel = _resolve_bandwidth(kernel, particles, targets)
-    feats, jac = fmap.derivatives(particles.points, 1)
+    feats, jac = fmap.derivatives(particles, 1)
     model_mean, fisher = feature_moments(fmap, feats)
     if target_mean is None and targets is not None:
         target_mean = feature_mean(fmap, targets)
@@ -411,8 +409,8 @@ def _solve_drift(
 def solve_king_drift(
     fmap: FeatureMap,
     kernel,
-    particles: ParticleSet,
-    targets: ParticleSet | None,
+    particles: ParticleSet | np.ndarray,
+    targets: ParticleSet | np.ndarray | None,
     ridge: float,
     *,
     target_mean: np.ndarray | None = None,
@@ -429,8 +427,8 @@ def solve_king_drift(
 def solve_ntking_drift(
     fmap: FeatureMap,
     kernel,
-    particles: ParticleSet,
-    targets: ParticleSet | None,
+    particles: ParticleSet | np.ndarray,
+    targets: ParticleSet | np.ndarray | None,
     ridge: float,
     *,
     target_mean: np.ndarray | None = None,
@@ -448,11 +446,7 @@ def eval_drift(solution: DriftSolution, queries) -> np.ndarray:
     At the anchors themselves ``solution.anchor_velocity()`` gives the same
     field from the solve's products.
     """
-    pts = as_particles(queries).points
-    if pts.shape[1] != solution.anchors.dim:
-        raise ValueError(
-            f"queries have dimension {pts.shape[1]}, anchors {solution.anchors.dim}"
-        )
+    pts = as_particles(queries, dim=solution.anchors.dim).points
     # the anchors' J_i^T coeff as one velocity field, shape (n, d, 1)
     field = np.einsum("iad,a->id", solution.jacobian, solution.coeff, optimize=True)[:, :, None]
     return _apply_kernel(solution.kernel, pts, solution.anchors.points, field)[:, :, 0]
@@ -461,8 +455,8 @@ def eval_drift(solution: DriftSolution, queries) -> np.ndarray:
 # -- baseline velocity fields -------------------------------------------------
 
 def wgf_velocity(
-    targets: ParticleSet,
-    particles: ParticleSet,
+    targets: ParticleSet | np.ndarray,
+    particles: ParticleSet | np.ndarray,
     bandwidth_targets: float | None = None,
     bandwidth_particles: float | None = None,
 ) -> np.ndarray:
@@ -472,8 +466,8 @@ def wgf_velocity(
     KDE score, each the score of a Gaussian mixture centred on the samples;
     unset bandwidths fall back to per-set median heuristics.
     """
-    if targets.dim != particles.dim:
-        raise ValueError(f"dimension mismatch: targets {targets.dim}, particles {particles.dim}")
+    targets = as_particles(targets)
+    particles = as_particles(particles, dim=targets.dim)
     bw_t = bandwidth_targets if bandwidth_targets is not None else median_heuristic(targets)
     bw_p = bandwidth_particles if bandwidth_particles is not None else median_heuristic(particles)
     score_t = GaussianMixtureScore(targets.points, bw_t).score(particles.points)
@@ -481,15 +475,16 @@ def wgf_velocity(
     return score_t - score_p
 
 
-def mmd_flow_velocity(targets: ParticleSet, particles: ParticleSet) -> np.ndarray:
+def mmd_flow_velocity(
+    targets: ParticleSet | np.ndarray, particles: ParticleSet | np.ndarray
+) -> np.ndarray:
     """Energy-distance flow velocity (descent direction for the energy MMD).
 
     Mean unit displacement vectors away from fellow particles repel and
     toward the target set attract; coincident pairs contribute zero.
     """
-    if targets.dim != particles.dim:
-        raise ValueError(f"dimension mismatch: targets {targets.dim}, particles {particles.dim}")
-    pts, tgt = particles.points, targets.points
+    tgt = as_particles(targets).points
+    pts = as_particles(particles, dim=tgt.shape[1]).points
     centre = pts.mean(axis=0)
 
     def _unit_sums(others):
@@ -512,8 +507,8 @@ def run_flow(
     method: str,
     fmap: FeatureMap | None,
     kernel,
-    targets: ParticleSet | None,
-    init: ParticleSet,
+    targets: ParticleSet | np.ndarray | None,
+    init: ParticleSet | np.ndarray,
     config: FlowConfig,
     observer: Observer | None = None,
 ) -> ParticleSet:
@@ -541,8 +536,9 @@ def run_flow(
     else:
         if fmap is None:
             raise ValueError(f"{method} requires a feature map")
-    if targets is not None and targets.dim != init.dim:
-        raise ValueError(f"dimension mismatch: targets {targets.dim}, init {init.dim}")
+    init = as_particles(init)
+    if targets is not None:
+        targets = as_particles(targets, dim=init.dim)
 
     drift = method in DRIFT_KERNEL_KINDS
     pooled_median = None

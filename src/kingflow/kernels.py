@@ -16,14 +16,13 @@ the same value, bitwise, against a flow's fixed target set.
 """
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .particles import as_particles
+from .particles import _number, as_particles
 
 RBF_SCALAR = "rbf_scalar"
 DIAGONALIZED_SCALAR = "diagonalized_scalar"
@@ -32,29 +31,6 @@ KERNEL_KINDS = (RBF_SCALAR, DIAGONALIZED_SCALAR, EMPIRICAL_NTK)
 
 # Values per block of a row-blocked pass over pairwise quantities (1 MiB).
 _BLOCK_VALUES = 1 << 17
-
-
-def _number(value, name: str, integral: bool = False):
-    """``value`` as a finite float, or an int if ``integral``; bools, text and fractions raise."""
-    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
-        if not integral or isinstance(value, numbers.Integral) or float(value).is_integer():
-            number = int(value) if integral else float(value)
-            if integral or math.isfinite(number):
-                return number
-    kind = "an integer" if integral else "a finite number"
-    raise ValueError(f"{name} must be {kind}, got {value!r}")
-
-
-def _real_array(value, name: str) -> np.ndarray:
-    """A new read-only float64 array of ``value``, which must hold finite numbers only."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must hold numbers, got {value!r}")
-    arr = arr.astype(np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must hold finite numbers, got {value!r}")
-    arr.setflags(write=False)
-    return arr
 
 
 def _check_fields(cfg: dict, required, optional=()) -> None:
@@ -168,9 +144,8 @@ def kernel_gram(spec: KernelSpec, xs, ys) -> np.ndarray:
     """Scalar Gram matrix ``k(x_i, y_j)`` for the scalar kinds."""
     if spec.kind == EMPIRICAL_NTK:
         raise ValueError("empirical_ntk is matrix valued; use ntk_gram_blocks")
-    xs, ys = as_particles(xs).points, as_particles(ys).points
-    if xs.shape[1] != ys.shape[1]:
-        raise ValueError(f"dimension mismatch: {xs.shape} vs {ys.shape}")
+    xs = as_particles(xs).points
+    ys = as_particles(ys, dim=xs.shape[1]).points
     return _gaussian_gram(_require_bandwidth(spec), xs, ys)
 
 
@@ -192,10 +167,12 @@ def _sq_distances(xs: np.ndarray, ys: np.ndarray, out: np.ndarray | None = None)
     Centring on the ``ys`` mean keeps the expansion accurate far from the
     origin.  The expansion ``(|x|^2 + |y|^2) - (2 x) @ y^T`` is finished a few
     rows at a time in the product's own array, so the result is the only
-    array of its size.  Those pieces hold 1/16 of ``_BLOCK_VALUES`` (64 KiB),
-    which keeps the temporary sum under glibc's default mmap threshold: a
-    1 MiB temporary beside each 1 MiB Gram block of ``flows._apply_kernel``
-    makes glibc trim its heap top and fault it back in on every block.
+    array of its size.  Those pieces hold 1/16 of ``_BLOCK_VALUES`` (64 KiB):
+    a 1 MiB temporary beside each 1 MiB Gram block of ``flows._apply_kernel``
+    makes glibc trim its heap top and fault it back in on every block.  The
+    temporaries are still about three times a piece, as numpy's iterator
+    buffers the broadcast operands of the sum: with ``out`` given, a
+    163 x 800 call in d = 2 peaks at 212 KiB under ``tracemalloc``.
     """
     centre = ys.mean(axis=0)
     xs, ys = xs - centre, ys - centre
@@ -235,10 +212,8 @@ def ntk_gram_blocks(spec: NtkSpec, xs, ys) -> np.ndarray:
     two rank structures come from the output-layer and input-layer weight
     gradients respectively (biases supply the ``+1`` terms).
     """
-    xs, ys = as_particles(xs).points, as_particles(ys).points
     d = spec.input_dim
-    if xs.shape[1] != d or ys.shape[1] != d:
-        raise ValueError(f"points must have dimension {d}")
+    xs, ys = as_particles(xs, dim=d).points, as_particles(ys, dim=d).points
     ax, apx = spec.activations(xs)
     ay, apy = spec.activations(ys)
     out_layer = ax @ ay.T + 1.0
@@ -260,35 +235,31 @@ def median_heuristic(points_a, points_b=None) -> float:
     """
     pool = as_particles(points_a).points
     if points_b is not None:
-        other = as_particles(points_b).points
-        if other.shape[1] != pool.shape[1]:
-            raise ValueError(f"dimension mismatch: {pool.shape} vs {other.shape}")
-        pool = np.vstack([pool, other])
+        pool = np.vstack([pool, as_particles(points_b, dim=pool.shape[1]).points])
     if pool.shape[0] < 2:
         raise ValueError("median heuristic needs at least 2 pooled points")
     dists = pdist(pool)
     med = _median(dists)  # reorders dists, which the fallback below does not mind
-    if med > 0:
-        return med
-    nonzero = dists[dists > 0]
-    return float(nonzero.min()) if nonzero.size else 1.0
+    return med if med > 0 else _smallest_positive([dists])
 
 
 def _median(values: np.ndarray) -> float:
-    """``np.median`` of a flat array, bitwise, from one partition done in place."""
-    return _middle(values, values.size // 2, values.size % 2 == 0)
+    """``np.median`` of a flat array, bitwise, from one partition done in place.
 
-
-def _middle(values: np.ndarray, half: int, even: bool) -> float:
-    """The value of rank ``half`` in ``values``, averaged with rank ``half - 1`` if ``even``.
-
-    One partition in place; the lower middle value is then the largest entry
-    below ``half``, and the two are averaged as ``np.median`` does.
+    For an even count the lower middle value is then the largest entry
+    below the upper one, and the two are averaged as ``np.median`` does.
     """
+    half = values.size // 2
     values.partition(half)
-    if not even:
+    if values.size % 2:
         return float(values[half])
     return float((values[:half].max() + values[half]) / 2.0)
+
+
+def _smallest_positive(blocks) -> float:
+    """The smallest positive value in ``blocks``, or 1.0 if there is none."""
+    mins = [positive.min() for positive in (block[block > 0] for block in blocks) if positive.size]
+    return float(min(mins)) if mins else 1.0
 
 
 def _pair_distances(points: np.ndarray, tail: np.ndarray):
@@ -354,7 +325,8 @@ class PooledMedian:
     the target pairs, reaching ``_BAND_SHARE`` of the sample past each end;
     ``rebuilds`` counts the passes after the first.  A sample of every
     target distance is itself the band.  The value and its errors are
-    ``median_heuristic``'s, bitwise; a zero median is left to its fallbacks.
+    ``median_heuristic``'s, bitwise; so is the fallback for a zero median,
+    taken from row-blocked passes over the particle and the target pairs.
     """
 
     # Target distances in the sample; the narrowest and the first bracket
@@ -381,10 +353,8 @@ class PooledMedian:
         self._centre = self._spread = None
 
     def __call__(self, particles) -> float:
-        pts = as_particles(particles).points
         tgt = self._targets
-        if tgt.shape[1] != pts.shape[1]:
-            raise ValueError(f"dimension mismatch: {pts.shape} vs {tgt.shape}")
+        pts = as_particles(particles, dim=tgt.shape[1]).points
         pooled = pts.shape[0] + tgt.shape[0]
         if pooled < 2:
             raise ValueError("median heuristic needs at least 2 pooled points")
@@ -433,7 +403,9 @@ class PooledMedian:
         med = float(med)
         shift = abs(int(np.searchsorted(sample, med)) - rank)
         self._centre, self._spread = med, max(narrowest, 2 * shift)
-        return med if med > 0 else median_heuristic(pts, self._targets)
+        if med > 0:
+            return med
+        return _smallest_positive(chain(_pair_distances(pts, tgt), _pair_distances(tgt, tgt[:0])))
 
     def _at(self, rank: int) -> float:
         """The sample value of ``rank``; ``-inf`` and ``inf`` past either end."""

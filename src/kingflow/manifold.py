@@ -21,8 +21,8 @@ import numpy as np
 
 from ._linalg import FISHER_JITTER, chol_solve, chol_spd, mean_and_covariance
 from .errors import SingularFisherError
-from .kernels import _check_fields, _gaussian_gram, _number, _real_array, median_heuristic
-from .particles import ParticleSet
+from .kernels import _check_fields, _gaussian_gram, median_heuristic
+from .particles import ParticleSet, _number, _real_array, as_particles
 
 
 class Configurable:
@@ -85,20 +85,9 @@ class FeatureMap(Configurable):
         raise NotImplementedError
 
     def _prepare(self, x) -> tuple[np.ndarray, bool]:
-        if isinstance(x, ParticleSet):
-            if x.dim != self.input_dim:
-                raise ValueError(
-                    f"expected points of dimension {self.input_dim}, got {x.dim}"
-                )
-            return x.points, False
-        arr = np.asarray(x, dtype=np.float64)
-        single = arr.ndim == 1
-        pts = arr[None, :] if single else arr
-        if pts.ndim != 2 or pts.shape[1] != self.input_dim:
-            raise ValueError(
-                f"expected points of dimension {self.input_dim}, got shape {arr.shape}"
-            )
-        return pts, single
+        """The points of ``x`` as checked by ``as_particles``; a 1-D array is one point."""
+        single = not isinstance(x, ParticleSet) and np.ndim(x) == 1
+        return as_particles([x] if single else x, dim=self.input_dim).points, single
 
 
 def vech_pairs(dim: int) -> list[tuple[int, int]]:
@@ -322,9 +311,9 @@ class FisherMatrix:
         return chol_solve(self.chol_lower, b)
 
 
-def feature_mean(fmap: FeatureMap, particles: ParticleSet) -> np.ndarray:
+def feature_mean(fmap: FeatureMap, particles: ParticleSet | np.ndarray) -> np.ndarray:
     """Empirical mean of the features over a particle set."""
-    return fmap.features(particles.points).mean(axis=0)
+    return fmap.features(as_particles(particles)).mean(axis=0)
 
 
 def feature_moments(
@@ -339,7 +328,7 @@ def feature_moments(
     ``FisherMatrix.from_covariance`` describes.
     """
     if isinstance(particles, ParticleSet):
-        particles = fmap.features(particles.points)
+        particles = fmap.features(particles)
     if particles.shape[0] < 2:
         raise ValueError("the Fisher estimate needs at least 2 particles")
     mean, cov = mean_and_covariance(particles)
@@ -347,10 +336,10 @@ def feature_moments(
 
 
 def rbf_map_from_samples(
-    samples: ParticleSet,
+    samples: ParticleSet | np.ndarray,
     n_centers: int = 50,
     bandwidth: float | None = None,
-    bandwidth_samples: ParticleSet | None = None,
+    bandwidth_samples: ParticleSet | np.ndarray | None = None,
     bandwidth_scale: float = 1.0,
     seed=0,
 ) -> RbfFeatureMap:
@@ -360,6 +349,7 @@ def rbf_map_from_samples(
     heuristic over ``bandwidth_samples`` (default: ``samples``) times
     ``bandwidth_scale``; an explicit ``bandwidth`` is used as given.
     """
+    samples = as_particles(samples)
     rng = np.random.default_rng(seed)
     n = samples.n
     k = min(int(n_centers), n)
@@ -367,5 +357,5 @@ def rbf_map_from_samples(
     centers = samples.points[np.sort(idx)]
     if bandwidth is None:
         pool = samples if bandwidth_samples is None else bandwidth_samples
-        bandwidth = float(bandwidth_scale) * median_heuristic(pool)
+        bandwidth = float(bandwidth_scale) * median_heuristic(as_particles(pool, dim=samples.dim))
     return RbfFeatureMap(centers=centers, bandwidth=bandwidth)

@@ -7,7 +7,7 @@ import numpy as np
 
 from ._linalg import mean_and_covariance, spd_factor
 from .kernels import _gaussian_gram, median_heuristic
-from .particles import ParticleSet, as_particles
+from .particles import as_particles
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,9 @@ def mmd(sample_a, sample_b, bandwidth: float | None = None) -> MmdEstimate:
     pooled samples is used.  The squared estimate is clipped at zero before
     the square root.
     """
-    sample_a, sample_b = as_particles(sample_a), as_particles(sample_b)
+    sample_a = as_particles(sample_a)
+    sample_b = as_particles(sample_b, dim=sample_a.dim)
     a, b = sample_a.points, sample_b.points
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if bandwidth is None:
         bandwidth = median_heuristic(sample_a, sample_b)
     elif not 0 < bandwidth < np.inf:

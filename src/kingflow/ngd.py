@@ -17,7 +17,6 @@ import numpy as np
 
 from ._linalg import is_spd, spd_factor, spd_inverse
 from .errors import StepFailureError
-from .kernels import _number
 from .manifold import (
     FeatureMap,
     FisherMatrix,
@@ -26,7 +25,7 @@ from .manifold import (
     feature_moments,
     vech_pairs,
 )
-from .particles import ParticleSet, as_particles
+from .particles import ParticleSet, _number, as_particles
 
 
 @dataclass(frozen=True)
@@ -52,11 +51,7 @@ def natural_gradient_kl(
     """
     particles = as_particles(particles)
     if targets is not None:
-        targets = as_particles(targets)
-        if targets.dim != particles.dim:
-            raise ValueError(
-                f"dimension mismatch: targets {targets.dim}, particles {particles.dim}"
-            )
+        targets = as_particles(targets, dim=particles.dim)
     model_mean, fisher = feature_moments(fmap, particles)
     gap = -model_mean if targets is None else feature_mean(fmap, targets) - model_mean
     return NatGradResult(gap=gap, fisher=fisher, natural_direction=fisher.solve(gap))
@@ -144,7 +139,7 @@ def _unpack_theta(theta: np.ndarray, dim: int) -> GaussianNaturalParams:
 
 def exact_ngd_step(
     params: GaussianNaturalParams,
-    targets: ParticleSet,
+    targets: ParticleSet | np.ndarray,
     step: float,
     mc_samples: int = 4096,
     seed=0,

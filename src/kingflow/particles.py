@@ -1,14 +1,41 @@
-"""Particle containers.
+"""Particle containers and the checks every input of the package goes through.
 
 A particle set is an immutable batch of points together with the flow time at
 which it was taken.  Points are always stored as a read-only ``(n, dim)``
 float64 array; one-dimensional input is promoted to a single column.
+``as_particles`` is the one place a point input is coerced and checked;
+``_number`` and ``_real_array`` check the scalar and array fields of configs.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _number(value, name: str, integral: bool = False):
+    """``value`` as a finite float, or an int if ``integral``; bools, text and fractions raise."""
+    if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
+        if not integral or isinstance(value, numbers.Integral) or float(value).is_integer():
+            number = int(value) if integral else float(value)
+            if integral or math.isfinite(number):
+                return number
+    kind = "an integer" if integral else "a finite number"
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
+def _real_array(value, name: str) -> np.ndarray:
+    """A new read-only float64 array of ``value``, which must hold finite numbers only."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold numbers, got {value!r}")
+    arr = arr.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must hold finite numbers, got {value!r}")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -31,7 +58,7 @@ class ParticleSet:
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", _number(self.t, "t"))
 
     @property
     def n(self) -> int:
@@ -46,8 +73,12 @@ class ParticleSet:
         return ParticleSet(points, self.t if t is None else t)
 
 
-def as_particles(data, t: float = 0.0) -> ParticleSet:
-    """Coerce an array or ParticleSet to a ParticleSet."""
-    if isinstance(data, ParticleSet):
-        return data
-    return ParticleSet(np.asarray(data, dtype=np.float64), t)
+def as_particles(data, t: float = 0.0, dim: int | None = None) -> ParticleSet:
+    """``data`` itself if it is a ParticleSet, else a ParticleSet of it at time ``t``.
+
+    With ``dim`` given, points of another dimension raise ``ValueError``.
+    """
+    pset = data if isinstance(data, ParticleSet) else ParticleSet(data, t)
+    if dim is not None and pset.dim != dim:
+        raise ValueError(f"dimension mismatch: expected points of dimension {dim}, got {pset.dim}")
+    return pset

@@ -24,10 +24,9 @@ from typing import Callable
 import numpy as np
 
 from ._linalg import mean_and_covariance
-from .kernels import _number
 from .manifold import FeatureMap, FisherMatrix, feature_moments
 from .ngd import NatGradResult
-from .particles import ParticleSet, as_particles
+from .particles import ParticleSet, _number, as_particles
 
 ALIGNMENT_MODES = ("euclidean", "fisher")
 
@@ -80,7 +79,7 @@ def project_change_quadrature(
     """
     grid = default_grid(tk)
     moments = [
-        mean_and_covariance(fmap.features(as_particles(trajectory(t), t).points))
+        mean_and_covariance(fmap.features(as_particles(trajectory(t), t)))
         for t in grid.tolist()
     ]
     means = np.array([mean for mean, _ in moments])
@@ -97,7 +96,7 @@ def project_change_limit(
     velocities: np.ndarray,
 ) -> np.ndarray:
     """Vanishing-window projection: Fisher solve of mean gradient-velocity contraction."""
-    particles = as_particles(particles)
+    particles = as_particles(particles, dim=fmap.input_dim)
     velocities = np.asarray(velocities, dtype=np.float64)
     if velocities.ndim == 1:
         velocities = velocities[:, None]
@@ -105,7 +104,7 @@ def project_change_limit(
         raise ValueError(
             f"velocities shape {velocities.shape} does not match particles {particles.points.shape}"
         )
-    feats, jac = fmap.derivatives(particles.points, 1)
+    feats, jac = fmap.derivatives(particles, 1)
     fisher = feature_moments(fmap, feats)[1]
     contraction = np.einsum("nad,nd->a", jac, velocities) / particles.n
     return fisher.solve(contraction)

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _check_fields, _number, _real_array, _sq_distances
+from .kernels import _check_fields, _sq_distances
 from .manifold import (
     Configurable,
     FeatureMap,
     feature_map_from_config,
     register_feature_map,
 )
+from .particles import _number, _real_array
 
 STEIN_MODES = ("paired", "full")
 
@@ -157,7 +158,7 @@ class SteinFeatureMap(FeatureMap):
     def _derivatives(self, pts, order):
         if order == 2:
             raise NotImplementedError("second derivatives of Stein features are not provided")
-        base = self.base.derivatives(pts, order + 1)
+        base = self.base._derivatives(pts, order + 1)
         score = self.target.score(pts)
         rows, coords = self._pairing
         feats = score[:, coords] * base[0][:, rows] + base[1][:, rows, coords]

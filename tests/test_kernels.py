@@ -551,6 +551,25 @@ def test_pooled_median_call_stays_within_its_memory_budget(rng):
         assert peak < 6 * 2**20
 
 
+def test_pooled_median_zero_median_fallback_stays_within_the_memory_budget(rng):
+    # With 1500 targets on one point the median is zero; the pooled pdist
+    # array of 1800 points is 12.4 MiB, while the fallback holds a block of
+    # rows.  The first call builds the band of 1.1 M zero target distances.
+    targets = np.ones((1500, 2))
+    particles = rng.standard_normal((300, 2))
+    pooled = PooledMedian(targets)
+    pooled(particles)
+    for moved in (particles, 1.02 * particles + 0.01):
+        tracemalloc.start()
+        try:
+            value = pooled(moved)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == median_heuristic(moved, targets)
+        assert peak < 6 * 2**20
+
+
 def test_pooled_median_band_is_rebuilt_on_both_sides(rng, monkeypatch):
     # With no reach past the interval it is built for, the band is a sliver
     # of the 79 800 target distances: shrinking the particles pushes the

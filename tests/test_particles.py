@@ -27,6 +27,12 @@ def test_time_defaults_to_zero_and_coerces():
     assert ParticleSet(np.zeros((2, 2)), t=3).t == 3.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, "1.5", True])
+def test_time_must_be_a_finite_number(bad):
+    with pytest.raises(ValueError, match="t must be a finite number"):
+        ParticleSet(np.zeros((2, 2)), t=bad)
+
+
 def test_with_points_keeps_time_unless_overridden():
     pset = ParticleSet(np.zeros((2, 2)), t=1.5)
     moved = pset.with_points(np.ones((2, 2)))
@@ -56,3 +62,12 @@ def test_as_particles_passthrough_and_coercion():
     assert isinstance(coerced, ParticleSet)
     assert coerced.t == 2.0
     assert coerced.points.shape == (1, 2)
+
+
+def test_as_particles_checks_the_dimension_it_is_given():
+    pset = ParticleSet(np.zeros((2, 3)))
+    assert as_particles(pset, dim=3) is pset
+    assert as_particles(np.zeros((2, 3)), dim=3).dim == 3
+    for data in (pset, np.zeros((2, 3)), np.zeros(4)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            as_particles(data, dim=2)
