@@ -24,14 +24,18 @@ def chol_spd(mat: np.ndarray, jitter: float) -> tuple[np.ndarray, np.ndarray, fl
 
     Returns ``(loaded, lower, jitter_applied)`` where ``loaded`` is the matrix
     that was actually factorized and ``jitter_applied`` the absolute amount
-    added to each diagonal entry.  Raises ``np.linalg.LinAlgError`` if the
-    matrix stays non-positive-definite at the cap.  Its one caller is
-    ``manifold.FisherMatrix.from_covariance``, which starts from
-    ``FISHER_JITTER`` and records the load in ``FisherMatrix.jitter_applied``.
+    added to each diagonal entry.  A matrix with a non-finite entry raises
+    ``ValueError`` before any factorization, and one that stays
+    non-positive-definite at the cap raises ``np.linalg.LinAlgError``.  Its
+    one caller is ``manifold.FisherMatrix.from_covariance``, which starts
+    from ``FISHER_JITTER`` and records the load in
+    ``FisherMatrix.jitter_applied``.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix has non-finite entries")
     if jitter < 0:
         raise ValueError("jitter must be nonnegative")
     sym = 0.5 * (mat + mat.T)

@@ -53,6 +53,7 @@ pairwise distances, with no ``(n, n, d)`` difference array.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -68,6 +69,7 @@ from .kernels import (
     _BLOCK_VALUES,
     KernelSpec,
     PooledMedian,
+    _bandwidth,
     _gaussian_gram,
     median_heuristic,
 )
@@ -134,22 +136,14 @@ class FlowConfig:
     freeze_bandwidth: bool = False
 
     def __post_init__(self):
-        for name in ("step", "ridge"):
-            _number(getattr(self, name), name)
-        for name in ("iterations", "log_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer")
+        for name in ("step", "iterations", "ridge", "log_every"):
+            value, integral = getattr(self, name), name in ("iterations", "log_every")
+            # a count must have an integer type: unlike a map's dimension, 2.0 is rejected
+            if integral and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, _number(value, name, integral=integral, positive=True))
         if not isinstance(self.freeze_bandwidth, bool):
             raise ValueError("freeze_bandwidth must be a bool")
-        if self.step <= 0:
-            raise ValueError("step must be positive")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
-        if self.ridge <= 0:
-            raise ValueError("ridge must be positive")
-        if self.log_every < 1:
-            raise ValueError("log_every must be at least 1")
 
 
 # -- kernel application -------------------------------------------------------
@@ -339,7 +333,7 @@ def _ntk_rows(ntk, anchors: np.ndarray, vels: np.ndarray) -> Callable:
     """The ``empirical_ntk`` case of ``_query_rows``: both layers' terms of ``ntk_gram_blocks``."""
     n, d, k = vels.shape
     h = ntk.hidden_width
-    act_a, deriv_a = ntk.activations(anchors)
+    act_a, deriv_a = ntk._activations(anchors)
     # projected[i, k, :] = a'(x_i) * (W2^T v_ik)
     projected = (vels.transpose(0, 2, 1).reshape(n * k, d) @ ntk.w2).reshape(n, k, h)
     projected *= deriv_a[:, None, :]
@@ -347,7 +341,7 @@ def _ntk_rows(ntk, anchors: np.ndarray, vels: np.ndarray) -> Callable:
     flat = vels.reshape(n, d * k)
 
     def fill(queries: np.ndarray, out: np.ndarray) -> None:
-        act_q, deriv_q = ntk.activations(queries)
+        act_q, deriv_q = ntk._activations(queries)
         hidden = ((queries @ anchors.T + 1.0) @ projected).reshape(-1, k, h)
         hidden *= deriv_q[:, None, :]
         np.matmul(act_q @ act_a.T + 1.0, flat, out=out.reshape(-1, d * k))
@@ -379,8 +373,7 @@ def _solve_drift(
     target_mean: np.ndarray | None,
 ) -> DriftSolution:
     check_drift_kernel(method, kernel)
-    if ridge <= 0:
-        raise ValueError("ridge must be positive")
+    ridge = _number(ridge, "ridge", positive=True)
     particles = as_particles(particles)
     if targets is not None:
         targets = as_particles(targets, dim=particles.dim)
@@ -468,10 +461,10 @@ def wgf_velocity(
     """
     targets = as_particles(targets)
     particles = as_particles(particles, dim=targets.dim)
-    bw_t = bandwidth_targets if bandwidth_targets is not None else median_heuristic(targets)
-    bw_p = bandwidth_particles if bandwidth_particles is not None else median_heuristic(particles)
-    score_t = GaussianMixtureScore(targets.points, bw_t).score(particles.points)
-    score_p = GaussianMixtureScore(particles.points, bw_p).score(particles.points)
+    bw_t = _bandwidth(bandwidth_targets, "bandwidth_targets", targets)
+    bw_p = _bandwidth(bandwidth_particles, "bandwidth_particles", particles)
+    score_t = GaussianMixtureScore(targets.points, bw_t).score(particles)
+    score_p = GaussianMixtureScore(particles.points, bw_p).score(particles)
     return score_t - score_p
 
 

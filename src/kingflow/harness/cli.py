@@ -18,7 +18,7 @@ from ..metrics import mmd
 from ..particles import ParticleSet
 from .config import RunConfig
 from .datasets import GgmSpec, gen_gaussian_mixture, gen_ggm_samples, gen_scurve
-from .scenarios import execute_scenario
+from .scenarios import _config_errors, execute_scenario
 
 
 def _write_points_csv(path: Path, particles: ParticleSet) -> None:
@@ -141,9 +141,8 @@ def _cmd_gen(args) -> int:
 def _cmd_eval_mmd(args) -> int:
     sample_a = _read_points_csv(Path(args.sample_a))
     sample_b = _read_points_csv(Path(args.sample_b))
-    if args.bandwidth is not None and not 0 < args.bandwidth < np.inf:
-        raise ConfigError("bandwidth must be positive and finite")
-    estimate = mmd(sample_a, sample_b, bandwidth=args.bandwidth)
+    with _config_errors("eval-mmd"):
+        estimate = mmd(sample_a, sample_b, bandwidth=args.bandwidth)
     print(json.dumps({"mmd": estimate.value, "bandwidth": estimate.bandwidth}))
     return 0
 

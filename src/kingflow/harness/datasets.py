@@ -8,7 +8,7 @@ import numpy as np
 from .._linalg import is_spd, spd_factor, spd_inverse
 from ..metrics import fit_gaussian
 from ..ngd import sample_gaussian
-from ..particles import ParticleSet, as_particles
+from ..particles import ParticleSet, _number, as_particles
 
 
 def gen_gaussian_mixture(
@@ -24,10 +24,9 @@ def gen_gaussian_mixture(
     Scalar entries of ``means`` are broadcast to constant vectors.  Weights
     must be nonnegative and sum to 1 within 1e-8.
     """
-    if dim < 1 or n < 1:
-        raise ValueError("dim and n must be positive")
-    if component_sd <= 0:
-        raise ValueError("component_sd must be positive")
+    dim = _number(dim, "dim", integral=True, positive=True)
+    n = _number(n, "n", integral=True, positive=True)
+    component_sd = _number(component_sd, "component_sd", positive=True)
     centers = []
     for m in means:
         arr = np.asarray(m, dtype=np.float64)
@@ -50,10 +49,10 @@ def gen_scurve(n: int, noise_sd: float = 0.0, seed=0) -> ParticleSet:
 
     Clean coordinates satisfy x in [-1, 1], y in [-2, 2], z in [0, 2].
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _number(n, "n", integral=True, positive=True)
+    noise_sd = _number(noise_sd, "noise_sd")
     if noise_sd < 0:
-        raise ValueError("noise_sd must be nonnegative")
+        raise ValueError(f"noise_sd must be nonnegative, got {noise_sd!r}")
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.5 * np.pi, 1.5 * np.pi, size=n)
     v = rng.uniform(0.0, 2.0, size=n)
@@ -78,12 +77,13 @@ class GgmSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("dim", "edge_prob", "edge_value", "seed"):
+            integral = name in ("dim", "seed")
+            object.__setattr__(self, name, _number(getattr(self, name), name, integral=integral))
         if self.dim < 2:
-            raise ValueError("dim must be at least 2")
+            raise ValueError(f"dim must be at least 2, got {self.dim}")
         if not 0.0 <= self.edge_prob <= 1.0:
-            raise ValueError("edge_prob must lie in [0, 1]")
-        if not np.isfinite(self.edge_value):
-            raise ValueError("edge_value must be finite")
+            raise ValueError(f"edge_prob must lie in [0, 1], got {self.edge_prob}")
         rng = np.random.default_rng(self.seed)
         adj = np.zeros((self.dim, self.dim), dtype=bool)
         iu = np.triu_indices(self.dim, k=1)
@@ -132,7 +132,7 @@ def rotate_dataset(points, degrees: float) -> ParticleSet:
     pset = as_particles(points)
     if pset.dim < 2:
         raise ValueError("rotation needs at least 2 coordinates")
-    angle = np.deg2rad(degrees)
+    angle = np.deg2rad(_number(degrees, "degrees"))
     rot = np.array(
         [[np.cos(angle), np.sin(angle)], [-np.sin(angle), np.cos(angle)]]
     )
@@ -147,8 +147,7 @@ def precision_support(points, threshold: float = 0.1) -> np.ndarray:
     Entry ``(i, j)`` is True when the fitted precision exceeds ``threshold``
     in absolute value; the diagonal is always False.
     """
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    threshold = _number(threshold, "threshold", positive=True)
     _, cov = fit_gaussian(points)
     precision = spd_inverse(cov, ValueError("sample covariance is singular"))
     support = np.abs(precision) > threshold

@@ -56,7 +56,7 @@ from ..ngd import (
     gaussian_natural_to_moment,
     sample_gaussian,
 )
-from ..particles import ParticleSet
+from ..particles import ParticleSet, _number
 from ..stein import SteinFeatureMap, score_from_config
 from .config import RunConfig, take_fields
 from .datasets import (
@@ -276,8 +276,8 @@ def _ngd_tracking(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     # The exact reference descends on the Gaussian family only, which the
     # ``king`` flow on the quadratic map tracks.
     _methods(cfg, (KING,), (KING,), single=True)
-    if ds["checkpoints"] < 1:
-        raise ConfigError(f"checkpoints must be at least 1, got {ds['checkpoints']}")
+    with _config_errors("dataset"):
+        _number(ds["checkpoints"], "checkpoints", integral=True, positive=True)
     dim = ds["dim"]
     seeds = np.random.SeedSequence(cfg.seed).spawn(5)
     rng = np.random.default_rng(seeds[0])
@@ -332,8 +332,8 @@ def _ngd_tracking(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
 def _graphical_model(cfg: RunConfig, ds: dict) -> tuple[dict, list[RunLog]]:
     # Only the drift methods use the feature map that sets the variants apart.
     (method,) = _methods(cfg, tuple(DRIFT_KERNEL_KINDS), (NTKING,), single=True)
-    if ds["threshold"] <= 0:
-        raise ConfigError(f"threshold must be positive, got {ds['threshold']}")
+    with _config_errors("dataset"):
+        _number(ds["threshold"], "threshold", positive=True)
     dim = ds["dim"]
     seeds = np.random.SeedSequence(cfg.seed).spawn(4)
     base_graph_seed = int(seeds[0].generate_state(1)[0])

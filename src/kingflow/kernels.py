@@ -56,9 +56,8 @@ class NtkSpec:
 
     def __post_init__(self):
         for name in ("input_dim", "hidden_width", "seed"):
-            object.__setattr__(self, name, _number(getattr(self, name), name, integral=True))
-        if self.input_dim < 1 or self.hidden_width < 1:
-            raise ValueError("input_dim and hidden_width must be positive")
+            value = _number(getattr(self, name), name, integral=True, positive=name != "seed")
+            object.__setattr__(self, name, value)
         rng = np.random.default_rng(self.seed)
         d, h = self.input_dim, self.hidden_width
         w1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(h, d))
@@ -69,7 +68,7 @@ class NtkSpec:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def activations(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _activations(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hidden activations and their derivatives: ``tanh(pre)``, ``1 - tanh^2``."""
         act = np.tanh(pts @ self.w1.T + self.b1)
         return act, 1.0 - act**2
@@ -99,9 +98,8 @@ class KernelSpec:
             if self.ntk is not None:
                 raise ValueError(f"{self.kind} kernel takes no NtkSpec")
             if self.bandwidth is not None:
-                object.__setattr__(self, "bandwidth", _number(self.bandwidth, "bandwidth"))
-                if self.bandwidth <= 0:
-                    raise ValueError("bandwidth must be positive")
+                bandwidth = _number(self.bandwidth, "bandwidth", positive=True)
+                object.__setattr__(self, "bandwidth", bandwidth)
 
     def with_bandwidth(self, bandwidth: float) -> "KernelSpec":
         return KernelSpec(kind=self.kind, bandwidth=bandwidth, ntk=self.ntk)
@@ -214,8 +212,8 @@ def ntk_gram_blocks(spec: NtkSpec, xs, ys) -> np.ndarray:
     """
     d = spec.input_dim
     xs, ys = as_particles(xs, dim=d).points, as_particles(ys, dim=d).points
-    ax, apx = spec.activations(xs)
-    ay, apy = spec.activations(ys)
+    ax, apx = spec._activations(xs)
+    ay, apy = spec._activations(ys)
     out_layer = ax @ ay.T + 1.0
     in_layer = xs @ ys.T + 1.0
     n, m = xs.shape[0], ys.shape[0]
@@ -241,6 +239,11 @@ def median_heuristic(points_a, points_b=None) -> float:
     dists = pdist(pool)
     med = _median(dists)  # reorders dists, which the fallback below does not mind
     return med if med > 0 else _smallest_positive([dists])
+
+
+def _bandwidth(value, name: str, *points) -> float:
+    """``value`` as a positive number, or ``median_heuristic(*points)`` when it is None."""
+    return median_heuristic(*points) if value is None else _number(value, name, positive=True)
 
 
 def _median(values: np.ndarray) -> float:

@@ -62,7 +62,8 @@ class FeatureMap(Configurable):
     # -- public API ---------------------------------------------------------
     def derivatives(self, x, order: int) -> tuple[np.ndarray, ...]:
         """Features and their derivatives up to ``order`` from one pass."""
-        if order not in (0, 1, 2):
+        order = _number(order, "order", integral=True)
+        if not 0 <= order <= 2:
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
         pts, single = self._prepare(x)
         out = self._derivatives(pts, order)
@@ -128,9 +129,8 @@ class GaussianQuadraticMap(FeatureMap):
     kind = "gaussian_quadratic"
 
     def __post_init__(self):
-        object.__setattr__(self, "input_dim", _number(self.input_dim, "input_dim", integral=True))
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be positive")
+        input_dim = _number(self.input_dim, "input_dim", integral=True, positive=True)
+        object.__setattr__(self, "input_dim", input_dim)
 
     @property
     def feature_dim(self) -> int:
@@ -171,9 +171,7 @@ class RbfFeatureMap(FeatureMap):
         if centers.ndim != 2 or centers.shape[0] == 0:
             raise ValueError(f"centers must be a nonempty (m, d) array, got shape {centers.shape}")
         object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "bandwidth", _number(self.bandwidth, "bandwidth"))
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        object.__setattr__(self, "bandwidth", _number(self.bandwidth, "bandwidth", positive=True))
 
     @property
     def input_dim(self) -> int:
@@ -296,15 +294,18 @@ class FisherMatrix:
     def from_covariance(cls, cov: np.ndarray, what: str) -> "FisherMatrix":
         """Factor a feature covariance, diagonally loaded as ``chol_spd`` describes.
 
-        The relative load starts at ``FISHER_JITTER``.  Past the escalation cap
-        a ``SingularFisherError`` naming ``what`` is raised.
+        The relative load starts at ``FISHER_JITTER``.  Past the escalation cap,
+        or for a covariance with a non-finite entry, a ``SingularFisherError``
+        naming ``what`` is raised.
         """
         try:
             loaded, lower, applied = chol_spd(cov, FISHER_JITTER)
-        except np.linalg.LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
             raise SingularFisherError(
                 f"{what} is not positive definite after jitter escalation"
             ) from exc
+        except ValueError as exc:
+            raise SingularFisherError(f"{what} cannot be factored: {exc}") from exc
         return cls(matrix=loaded, chol_lower=lower, jitter_applied=applied)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -350,12 +351,12 @@ def rbf_map_from_samples(
     ``bandwidth_scale``; an explicit ``bandwidth`` is used as given.
     """
     samples = as_particles(samples)
+    k = min(_number(n_centers, "n_centers", integral=True, positive=True), samples.n)
+    bandwidth_scale = _number(bandwidth_scale, "bandwidth_scale", positive=True)
     rng = np.random.default_rng(seed)
-    n = samples.n
-    k = min(int(n_centers), n)
-    idx = rng.choice(n, size=k, replace=False)
+    idx = rng.choice(samples.n, size=k, replace=False)
     centers = samples.points[np.sort(idx)]
     if bandwidth is None:
         pool = samples if bandwidth_samples is None else bandwidth_samples
-        bandwidth = float(bandwidth_scale) * median_heuristic(as_particles(pool, dim=samples.dim))
+        bandwidth = bandwidth_scale * median_heuristic(as_particles(pool, dim=samples.dim))
     return RbfFeatureMap(centers=centers, bandwidth=bandwidth)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import mean_and_covariance, spd_factor
-from .kernels import _gaussian_gram, median_heuristic
+from .kernels import _bandwidth, _gaussian_gram
 from .particles import as_particles
 
 
@@ -28,10 +28,7 @@ def mmd(sample_a, sample_b, bandwidth: float | None = None) -> MmdEstimate:
     sample_a = as_particles(sample_a)
     sample_b = as_particles(sample_b, dim=sample_a.dim)
     a, b = sample_a.points, sample_b.points
-    if bandwidth is None:
-        bandwidth = median_heuristic(sample_a, sample_b)
-    elif not 0 < bandwidth < np.inf:
-        raise ValueError("bandwidth must be positive and finite")
+    bandwidth = _bandwidth(bandwidth, "bandwidth", sample_a, sample_b)
 
     def _gram_mean(xs, ys):
         return float(_gaussian_gram(bandwidth, xs, ys).mean())

@@ -113,7 +113,7 @@ def sample_gaussian(mean, cov, n: int, seed) -> np.ndarray:
     mean = np.asarray(mean, dtype=np.float64).ravel()
     lower = spd_factor(cov, ValueError("covariance must be positive definite"))
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((_number(n, "n", integral=True), mean.size))
+    z = rng.standard_normal((_number(n, "n", integral=True, positive=True), mean.size))
     return mean + z @ lower.T
 
 
@@ -150,8 +150,8 @@ def exact_ngd_step(
     the full step leaves the Gaussian domain the step is halved, up to 10
     times, before raising ``StepFailureError``.
     """
-    if _number(step, "step") <= 0:
-        raise ValueError("step must be positive")
+    step = _number(step, "step", positive=True)
+    mc_samples = _number(mc_samples, "mc_samples", integral=True, positive=True)
     mean, cov = gaussian_natural_to_moment(params)
     draws = sample_gaussian(mean, cov, mc_samples, seed)
     model_particles = ParticleSet(draws)

@@ -3,8 +3,9 @@
 A particle set is an immutable batch of points together with the flow time at
 which it was taken.  Points are always stored as a read-only ``(n, dim)``
 float64 array; one-dimensional input is promoted to a single column.
-``as_particles`` is the one place a point input is coerced and checked;
-``_number`` and ``_real_array`` check the scalar and array fields of configs.
+``as_particles`` is the one place a point input is coerced and checked,
+``_number`` the one place a scalar input is, and ``_real_array`` checks the
+array fields of configs.
 """
 from __future__ import annotations
 
@@ -15,14 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _number(value, name: str, integral: bool = False):
-    """``value`` as a finite float, or an int if ``integral``; bools, text and fractions raise."""
+def _number(value, name: str, integral: bool = False, positive: bool = False):
+    """``value`` as a finite float, or an int if ``integral``; bools, text and fractions raise.
+
+    With ``positive``, zero and negative values raise too.
+    """
     if isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)):
         if not integral or isinstance(value, numbers.Integral) or float(value).is_integer():
             number = int(value) if integral else float(value)
-            if integral or math.isfinite(number):
+            if (integral or math.isfinite(number)) and (number > 0 or not positive):
                 return number
     kind = "an integer" if integral else "a finite number"
+    if positive:
+        kind = "a positive integer" if integral else "a positive and finite number"
     raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
@@ -79,6 +85,6 @@ def as_particles(data, t: float = 0.0, dim: int | None = None) -> ParticleSet:
     With ``dim`` given, points of another dimension raise ``ValueError``.
     """
     pset = data if isinstance(data, ParticleSet) else ParticleSet(data, t)
-    if dim is not None and pset.dim != dim:
+    if dim is not None and pset.dim != _number(dim, "dim", integral=True, positive=True):
         raise ValueError(f"dimension mismatch: expected points of dimension {dim}, got {pset.dim}")
     return pset

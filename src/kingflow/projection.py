@@ -44,10 +44,8 @@ class TimeKernel:
     sigma: float
 
     def __post_init__(self):
-        for name in ("center", "sigma"):
-            object.__setattr__(self, name, _number(getattr(self, name), name))
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        object.__setattr__(self, "center", _number(self.center, "center"))
+        object.__setattr__(self, "sigma", _number(self.sigma, "sigma", positive=True))
 
     def value(self, t) -> np.ndarray | float:
         t = np.asarray(t, dtype=np.float64)

@@ -23,7 +23,7 @@ from .manifold import (
     feature_map_from_config,
     register_feature_map,
 )
-from .particles import _number, _real_array
+from .particles import _number, _real_array, as_particles
 
 STEIN_MODES = ("paired", "full")
 
@@ -50,14 +50,15 @@ class GaussianScore(Configurable):
     def dim(self) -> int:
         return self.mean.size
 
-    def score(self, pts: np.ndarray) -> np.ndarray:
-        return (self.mean - pts) / self.variances
+    def score(self, pts) -> np.ndarray:
+        return (self.mean - as_particles(pts, dim=self.dim).points) / self.variances
 
-    def score_jacobian(self, pts: np.ndarray) -> np.ndarray:
-        jac = -np.diag(1.0 / self.variances)
-        return np.broadcast_to(jac, (pts.shape[0], self.dim, self.dim)).copy()
+    def score_jacobian(self, pts) -> np.ndarray:
+        n = as_particles(pts, dim=self.dim).n
+        return np.broadcast_to(-np.diag(1.0 / self.variances), (n, self.dim, self.dim)).copy()
 
     def sample(self, n: int, seed) -> np.ndarray:
+        n = _number(n, "n", integral=True, positive=True)
         rng = np.random.default_rng(seed)
         return self.mean + rng.standard_normal((n, self.dim)) * np.sqrt(self.variances)
 
@@ -72,34 +73,33 @@ class GaussianMixtureScore(Configurable):
 
     def __post_init__(self):
         object.__setattr__(self, "means", np.atleast_2d(_real_array(self.means, "means")))
-        object.__setattr__(self, "sigma", _number(self.sigma, "sigma"))
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        object.__setattr__(self, "sigma", _number(self.sigma, "sigma", positive=True))
 
     @property
     def dim(self) -> int:
         return self.means.shape[1]
 
-    def _responsibilities(self, pts):
-        diffs = self.means[None, :, :] - pts[:, None, :]  # (n, k, d)
-        logits = -np.sum(diffs**2, axis=2) / (2.0 * self.sigma**2)
-        logits -= logits.max(axis=1, keepdims=True)
-        resp = np.exp(logits)
-        resp /= resp.sum(axis=1, keepdims=True)
-        return resp, diffs
-
-    def score(self, pts: np.ndarray) -> np.ndarray:
-        """``sum_k r_k (mu_k - x) / sigma^2``, as ``(r @ means - x) / sigma^2`` on centred points."""
+    def _weights(self, pts: np.ndarray) -> np.ndarray:
+        """The components' posterior weights ``r`` at each point, shape ``(n, k)``."""
         logits = -_sq_distances(pts, self.means) / (2.0 * self.sigma**2)
         logits -= logits.max(axis=1, keepdims=True)
         resp = np.exp(logits)
         resp /= resp.sum(axis=1, keepdims=True)
-        centre = self.means.mean(axis=0)
-        return (resp @ (self.means - centre) - (pts - centre)) / self.sigma**2
+        return resp
 
-    def score_jacobian(self, pts: np.ndarray) -> np.ndarray:
+    def _responsibilities(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_weights`` and the differences ``mu_k - x``, shape ``(n, k, d)``."""
+        return self._weights(pts), self.means[None, :, :] - pts[:, None, :]
+
+    def score(self, pts) -> np.ndarray:
+        """``sum_k r_k (mu_k - x) / sigma^2``, as ``(r @ means - x) / sigma^2`` on centred points."""
+        pts = as_particles(pts, dim=self.dim).points
+        centre = self.means.mean(axis=0)
+        return (self._weights(pts) @ (self.means - centre) - (pts - centre)) / self.sigma**2
+
+    def score_jacobian(self, pts) -> np.ndarray:
         """Hessian of the mixture log density at each point."""
-        resp, diffs = self._responsibilities(pts)
+        resp, diffs = self._responsibilities(as_particles(pts, dim=self.dim).points)
         comp = diffs / self.sigma**2  # per-component score (n, k, d)
         mean_comp = np.einsum("nk,nkd->nd", resp, comp, optimize=True)
         second = np.einsum("nk,nkd,nke->nde", resp, comp, comp, optimize=True)
@@ -108,6 +108,7 @@ class GaussianMixtureScore(Configurable):
         return second - outer - eye
 
     def sample(self, n: int, seed) -> np.ndarray:
+        n = _number(n, "n", integral=True, positive=True)
         rng = np.random.default_rng(seed)
         comps = rng.integers(0, self.means.shape[0], size=n)
         return self.means[comps] + rng.standard_normal((n, self.dim)) * self.sigma

@@ -400,6 +400,40 @@ def test_kernel_application_matches_the_reference_blocks(kind, data):
     assert_matches_reference(_gram_quadratic(kernel, anchors, vels)[0], expected_quad)
 
 
+@pytest.mark.parametrize("kind", ["rbf_scalar", "diagonalized_scalar"])
+@settings(max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_symmetric_strips_match_the_reference_blocks(kind, data):
+    # A block of exactly the products of all n rows leaves strips of
+    # max(1, width // 2) rows, so n past twice that takes at least 3 strips.
+    dim, n_fields = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+    bandwidth = data.draw(st.floats(0.2, 5.0))
+    kernel = KernelSpec(kind, bandwidth=bandwidth)
+    width = flows._gaussian_width(kernel, dim, n_fields)
+    rows = max(1, width // 2)
+    n = data.draw(st.integers(2 * rows + 1, 2 * rows + 12))
+    offset = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    anchors = offset + bandwidth * rng.standard_normal((n, dim))
+    vels = rng.standard_normal((n, dim, n_fields))
+    strips = []
+
+    def counted_gram(*args, **kwargs):
+        strips.append(args[1].shape[0])
+        return _gaussian_gram(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flows, "_BLOCK_VALUES", n * width)
+        patch.setattr(flows, "_gaussian_gram", counted_gram)
+        quad, fields = _gram_quadratic(kernel, anchors, vels)
+    assert len(strips) >= 3 and sum(strips) == n
+
+    blocks = reference_blocks(kernel, anchors, anchors)
+    assert_matches_reference(fields, np.einsum("qide,iek->qdk", blocks, vels) / n)
+    expected_quad = np.einsum("ida,ijde,jeb->ab", vels, blocks, vels) / n**2
+    assert_matches_reference(quad, expected_quad)
+
+
 @pytest.mark.parametrize("kind", KERNEL_CASE_KINDS)
 @pytest.mark.parametrize("offset", [0.0, 1e3])
 def test_anchor_velocity_matches_eval_drift_at_the_anchors(kind, offset, rng):

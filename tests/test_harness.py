@@ -645,6 +645,16 @@ def test_cli_eval_mmd_error_paths(tmp_path, capsys):
         assert json.loads(captured.err)["error"] == "ConfigError"
 
 
+def test_cli_eval_mmd_reports_samples_of_two_dimensions_as_a_config_error(tmp_path, capsys):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    main(["gen", "mixture", "--dim", "2", "--n", "10", "--out", str(a)])
+    main(["gen", "mixture", "--dim", "3", "--n", "10", "--out", str(b)])
+    capsys.readouterr()
+    assert main(["eval-mmd", str(a), str(b)]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ConfigError" and "dimension mismatch" in error["message"]
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -62,6 +62,16 @@ def test_non_square_and_negative_jitter_rejected():
         chol_spd(np.eye(2), -1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_matrix_is_rejected_before_any_factorization(bad, monkeypatch):
+    def no_factor(mat):
+        raise AssertionError("factorized a non-finite matrix")
+
+    monkeypatch.setattr(np.linalg, "cholesky", no_factor)
+    with pytest.raises(ValueError, match="non-finite"):
+        chol_spd(np.array([[1.0, 0.0], [0.0, bad]]), 1e-6)
+
+
 def test_chol_solve_matches_direct_solve(rng):
     shape = rng.standard_normal((4, 4))
     mat = shape @ shape.T + 4.0 * np.eye(4)

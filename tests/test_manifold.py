@@ -22,6 +22,7 @@ from kingflow import (
     rbf_map_from_samples,
 )
 from kingflow._linalg import FISHER_JITTER
+from kingflow.errors import SingularFisherError
 from kingflow.manifold import _REGISTRY, vech_pairs
 from kingflow.stein import _SCORE_KINDS, STEIN_MODES
 
@@ -347,6 +348,13 @@ def test_feature_moments_return_the_feature_mean_with_the_fisher(rng):
     pset = ParticleSet(rng.standard_normal((30, 2)))
     mean, fisher = feature_moments(fmap, pset)
     assert_array_equal(mean, feature_mean(fmap, pset))
+
+
+def test_a_non_finite_feature_covariance_raises_a_singular_fisher(rng):
+    features = rng.standard_normal((10, 5))
+    features[3, 2] = np.nan
+    with pytest.raises(SingularFisherError, match="feature covariance .* non-finite"):
+        feature_moments(GaussianQuadraticMap(input_dim=2), features)
 
 
 # -- serialization and construction helpers -----------------------------------

@@ -1,4 +1,4 @@
-"""Every public function that takes points checks them through ``as_particles``.
+"""Every public function or method that takes points checks them through ``as_particles``.
 
 For each such function an array gives bitwise the result of its
 ``ParticleSet``, and NaN or ±inf, an empty batch and points of the wrong
@@ -15,8 +15,10 @@ import pytest
 import kingflow
 from kingflow import (
     FlowConfig,
+    GaussianMixtureScore,
     GaussianNaturalParams,
     GaussianQuadraticMap,
+    GaussianScore,
     KernelSpec,
     NtkSpec,
     ParticleSet,
@@ -59,6 +61,8 @@ SOLUTION = solve_king_drift(QUAD, RBF, ParticleSet(P), ParticleSet(T), 1e-2)
 FLOW = FlowConfig(step=0.1, iterations=2)
 PARAMS = GaussianNaturalParams(linear=np.zeros(2), quadratic=-0.5 * np.eye(2))
 NTK = NtkSpec(input_dim=2, hidden_width=4)
+GAUSSIAN = GaussianScore(mean=[0.0, 1.0], variances=[1.0, 2.0])
+MIXTURE = GaussianMixtureScore(means=T[:4], sigma=0.8)
 
 CASES = {
     "solve_king_drift": Case(
@@ -100,6 +104,14 @@ CASES = {
         "rbf_map_from_samples",
         lambda s, b: rbf_map_from_samples(s, n_centers=5, bandwidth_samples=b),
         (P, T),
+    ),
+    "GaussianScore.score": Case("GaussianScore.score", GAUSSIAN.score, (P,)),
+    "GaussianScore.score_jacobian": Case(
+        "GaussianScore.score_jacobian", GAUSSIAN.score_jacobian, (P,)
+    ),
+    "GaussianMixtureScore.score": Case("GaussianMixtureScore.score", MIXTURE.score, (P,)),
+    "GaussianMixtureScore.score_jacobian": Case(
+        "GaussianMixtureScore.score_jacobian", MIXTURE.score_jacobian, (P,)
     ),
 }
 
@@ -163,7 +175,7 @@ def test_points_of_the_wrong_dimension_are_rejected(name):
 
 
 # A parameter of one of these names takes points.
-POINT_PARAMETER = re.compile(r"particles|targets|init|queries|points_\w+|sample\w*|xs|ys")
+POINT_PARAMETER = re.compile(r"particles|targets|init|queries|points_\w+|sample\w*|xs|ys|pts")
 # ``feature_moments`` takes a ParticleSet, checked when it was built, or the
 # features already evaluated at one, which are not points.
 NOT_POINT_INPUTS = {"feature_moments"}
@@ -181,3 +193,17 @@ def test_every_public_function_that_takes_points_has_a_case():
     assert "run_flow" in takes_points and "kernel_value" not in takes_points
     missing = takes_points - NOT_POINT_INPUTS - {case.covers for case in CASES.values()}
     assert missing == set()
+
+
+def test_every_public_method_that_takes_points_has_a_case():
+    # (ParticleSet.with_points is not one: its ``points`` are a new set's raw array.)
+    classes = [obj for name in kingflow.__all__ if inspect.isclass(obj := getattr(kingflow, name))]
+    takes_points = {
+        method.__qualname__
+        for cls in classes
+        for attr, method in inspect.getmembers(cls, inspect.isfunction)
+        if not attr.startswith("_")
+        and any(map(POINT_PARAMETER.fullmatch, inspect.signature(method).parameters))
+    }
+    assert {"GaussianScore.score", "GaussianMixtureScore.score_jacobian"} <= takes_points
+    assert takes_points - {case.covers for case in CASES.values()} == set()
