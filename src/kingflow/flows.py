@@ -294,9 +294,8 @@ def _rbf_columns(bandwidth: float, anchors: np.ndarray, vels: np.ndarray):
     ``v``, ``x . v``, ``x v^T`` and ``x (x . v)``, written once into one
     array, so one GEMM ``k(q, x) @ columns`` gives all of them for every
     field, and ``finish(product, q, out)`` applies the query factors after
-    it.  The kernel is translation invariant; centring on the anchor mean,
-    as the Gram does, keeps the expanded products free of cancellation far
-    from the origin.
+    it.  The kernel is translation invariant; centring on the anchor mean
+    keeps the expanded products free of cancellation far from the origin.
     """
     n, d, k = vels.shape
     centre = anchors.mean(axis=0)

@@ -84,6 +84,8 @@ class GgmSpec:
             raise ValueError(f"dim must be at least 2, got {self.dim}")
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ValueError(f"edge_prob must lie in [0, 1], got {self.edge_prob}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         rng = np.random.default_rng(self.seed)
         adj = np.zeros((self.dim, self.dim), dtype=bool)
         iu = np.triu_indices(self.dim, k=1)

@@ -13,9 +13,15 @@ Three kinds are supported:
 ``median_heuristic`` provides the default bandwidth rule: the median of all
 pairwise Euclidean distances of the pooled points.  ``PooledMedian`` gives
 the same value, bitwise, against a flow's fixed target set.
+
+scipy's direct ``"sqeuclidean"`` distance is the one pairwise primitive: the
+Gaussian Grams exponentiate it, and the bandwidth passes rank squared
+distances and root only the values they keep.  Those roots are scipy's
+Euclidean distances, bitwise.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from itertools import chain
 
@@ -58,6 +64,8 @@ class NtkSpec:
         for name in ("input_dim", "hidden_width", "seed"):
             value = _number(getattr(self, name), name, integral=True, positive=name != "seed")
             object.__setattr__(self, name, value)
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         rng = np.random.default_rng(self.seed)
         d, h = self.input_dim, self.hidden_width
         w1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(h, d))
@@ -150,37 +158,16 @@ def kernel_gram(spec: KernelSpec, xs, ys) -> np.ndarray:
 def _gaussian_gram(
     bandwidth: float, xs: np.ndarray, ys: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Gaussian Gram matrix from the expanded squared distances, finished in place.
+    """Gaussian Gram matrix from scipy's direct squared distances, finished in place.
 
-    ``out``, when given, is the ``(len(xs), len(ys))`` array it is written to.
+    ``out``, when given, is the C-contiguous ``(len(xs), len(ys))`` array it
+    is written to, and the only array of its size.  The differences are
+    taken before they are squared, so the values stay accurate far from the
+    origin.
     """
-    out = _sq_distances(xs, ys, out)
+    out = cdist(xs, ys, "sqeuclidean", out=out)
     out /= -(2.0 * bandwidth**2)
     return np.exp(out, out=out)
-
-
-def _sq_distances(xs: np.ndarray, ys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Squared distances ``|x_i - y_j|^2`` from their expansion, clipped at zero.
-
-    Centring on the ``ys`` mean keeps the expansion accurate far from the
-    origin.  The expansion ``(|x|^2 + |y|^2) - (2 x) @ y^T`` is finished a few
-    rows at a time in the product's own array, so the result is the only
-    array of its size.  Those pieces hold 1/16 of ``_BLOCK_VALUES`` (64 KiB):
-    a 1 MiB temporary beside each 1 MiB Gram block of ``flows._apply_kernel``
-    makes glibc trim its heap top and fault it back in on every block.  The
-    temporaries are still about three times a piece, as numpy's iterator
-    buffers the broadcast operands of the sum: with ``out`` given, a
-    163 x 800 call in d = 2 peaks at 212 KiB under ``tracemalloc``.
-    """
-    centre = ys.mean(axis=0)
-    xs, ys = xs - centre, ys - centre
-    x_sq, y_sq = np.sum(xs**2, axis=1), np.sum(ys**2, axis=1)
-    out = np.matmul(2.0 * xs, ys.T, out=out)
-    rows = max(1, (_BLOCK_VALUES // 16) // max(out.shape[1], 1))
-    for start in range(0, out.shape[0], rows):
-        block = out[start:start + rows]
-        np.subtract(x_sq[start:start + rows, None] + y_sq[None, :], block, out=block)
-    return np.maximum(out, 0.0, out=out)
 
 
 def kernel_cross_grad(spec: KernelSpec, x, y) -> np.ndarray:
@@ -229,16 +216,17 @@ def median_heuristic(points_a, points_b=None) -> float:
     """Median pairwise Euclidean distance over the pooled points.
 
     Falls back to the smallest nonzero distance when the median is zero, and
-    to 1.0 when every pairwise distance is zero.
+    to 1.0 when every pairwise distance is zero.  The distances are ranked
+    by their squares; only the values returned are square-rooted.
     """
     pool = as_particles(points_a).points
     if points_b is not None:
         pool = np.vstack([pool, as_particles(points_b, dim=pool.shape[1]).points])
     if pool.shape[0] < 2:
         raise ValueError("median heuristic needs at least 2 pooled points")
-    dists = pdist(pool)
-    med = _median(dists)  # reorders dists, which the fallback below does not mind
-    return med if med > 0 else _smallest_positive([dists])
+    squares = pdist(pool, "sqeuclidean")
+    med = _median(squares)  # reorders squares, which the fallback below does not mind
+    return med if med > 0 else _smallest_positive([squares])
 
 
 def _bandwidth(value, name: str, *points) -> float:
@@ -246,49 +234,84 @@ def _bandwidth(value, name: str, *points) -> float:
     return median_heuristic(*points) if value is None else _number(value, name, positive=True)
 
 
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a flat array, bitwise, from one partition done in place.
+def _median(squares: np.ndarray) -> float:
+    """``np.median(np.sqrt(squares))`` of a flat array, bitwise, from one partition done in place.
 
-    For an even count the lower middle value is then the largest entry
-    below the upper one, and the two are averaged as ``np.median`` does.
+    The square root of scipy's squared distance is its Euclidean distance,
+    bitwise, and keeps the order, so only the middle values are rooted.  For
+    an even count the lower middle value is then the largest entry below the
+    upper one, and the two are averaged as ``np.median`` does.
     """
-    half = values.size // 2
-    values.partition(half)
-    if values.size % 2:
-        return float(values[half])
-    return float((values[:half].max() + values[half]) / 2.0)
+    half = squares.size // 2
+    squares.partition(half)
+    upper = np.sqrt(squares[half])
+    if squares.size % 2:
+        return float(upper)
+    return float((np.sqrt(squares[:half].max()) + upper) / 2.0)
 
 
 def _smallest_positive(blocks) -> float:
-    """The smallest positive value in ``blocks``, or 1.0 if there is none."""
+    """The square root of the smallest positive value in ``blocks`` of squares, or 1.0 if none."""
     mins = [positive.min() for positive in (block[block > 0] for block in blocks) if positive.size]
-    return float(min(mins)) if mins else 1.0
+    return float(np.sqrt(min(mins))) if mins else 1.0
 
 
 def _pair_distances(points: np.ndarray, tail: np.ndarray):
-    """The distances of ``pdist(vstack([points, tail]))`` that involve ``points``, in row blocks.
+    """Squares of the ``pdist(vstack([points, tail]))`` entries involving ``points``, in row blocks.
 
     Rows ``i`` of a block pair with each later point and every ``tail``
-    point, in ``pdist``'s own arithmetic, so every value is bitwise the
-    pooled ``pdist`` entry.  A block holds about ``_BLOCK_VALUES`` values.
+    point, in scipy's ``"sqeuclidean"`` arithmetic, so the square root of
+    every value is bitwise the pooled ``pdist`` entry.  A block holds about
+    ``_BLOCK_VALUES`` values.
     """
     pool = np.vstack([points, tail])
     rows = max(1, _BLOCK_VALUES // pool.shape[0])
     for start in range(0, points.shape[0], rows):
         stop = min(start + rows, points.shape[0])
-        yield pdist(points[start:stop])
-        yield cdist(points[start:stop], pool[stop:]).ravel()
+        yield pdist(points[start:stop], "sqeuclidean")
+        yield cdist(points[start:stop], pool[stop:], "sqeuclidean").ravel()
+
+
+# Ulps a bracket end's square is widened by.  A distance equal to the end
+# can have a square up to about three ulps from the end's own, as both that
+# square and the distance's root are rounded.
+_ULPS = 4
+
+
+def _widened_square(end: float, toward: float) -> float:
+    """``end * end`` moved ``_ULPS`` ulps toward ``toward``; ``-inf`` for a negative ``end``.
+
+    A distance on ``toward``'s side of ``end``, or equal to it, has its
+    square on that side of the result.  An infinite ``end`` squares to
+    ``inf``; moved down, that is just below the largest float, so only
+    infinite distances, whose squares overflowed, lie above it.
+    """
+    square = float(end) * float(end) if end >= 0 else -np.inf
+    for _ in range(_ULPS):
+        square = math.nextafter(square, toward)
+    return square
 
 
 def _select(blocks, lo: float, hi: float) -> tuple[int, np.ndarray]:
-    """How many values of ``blocks`` lie below ``lo``, and a new array of those in ``[lo, hi]``."""
+    """How many roots of the ``blocks`` squares lie below ``lo``, and those in ``[lo, hi]``, sorted.
+
+    The squares are compared with the bracket's widened squared ends; only
+    those inside them are rooted and compared with ``lo`` and ``hi``.  They
+    are gathered into one array, rooted and sorted in place, and the
+    distances in ``[lo, hi]`` are returned as its slice.
+    """
+    lo2, hi2 = _widened_square(lo, -np.inf), _widened_square(hi, np.inf)
     below, parts = 0, []
     for block in blocks:
-        inside = block >= lo
+        inside = block >= lo2
         below += block.size - int(np.count_nonzero(inside))
-        inside &= block <= hi
+        inside &= block <= hi2
         parts.append(block[inside])
-    return below, np.concatenate(parts)
+    values = np.concatenate(parts)
+    np.sqrt(values, out=values)
+    values.sort()
+    start = int(np.searchsorted(values, lo, "left"))
+    return below + start, values[start : int(np.searchsorted(values, hi, "right"))]
 
 
 def _union_rank(first: np.ndarray, second: np.ndarray, rank: int) -> np.float64:
@@ -315,6 +338,8 @@ class PooledMedian:
     sorted, and the count of those below it.  A call selects the median
     from the band's values inside a bracket, which are not copied, and the
     particles' distances inside it, computed a few particle rows at a time.
+    Every pass compares squared distances with the bracket's widened
+    squared ends and roots only those inside them (see ``_select``).
 
     The bracket is the sample values within ``_spread`` ranks of the
     previous median, twice the ranks the median last moved, cut to the
@@ -344,7 +369,8 @@ class PooledMedian:
         self._targets = as_particles(targets).points
         count = self._targets.shape[0]
         stride = max(1, int(np.sqrt(count * (count - 1) / 2 / self._SAMPLE)))
-        self._sample = pdist(self._targets[::stride])
+        self._sample = pdist(self._targets[::stride], "sqeuclidean")
+        np.sqrt(self._sample, out=self._sample)
         self._sample.sort()
         # The band: the sorted target distances in [_lo, _hi] and the count
         # below _lo; none until the first call builds it, unless the sample
@@ -369,7 +395,7 @@ class PooledMedian:
         centre, spread = self._centre, self._spread
         if centre is None:
             stride = max(1, int(np.sqrt(total / self._SAMPLE)))
-            centre = _median(pdist(np.vstack([pts[::stride], tgt[::stride]])))
+            centre = _median(pdist(np.vstack([pts[::stride], tgt[::stride]]), "sqeuclidean"))
             spread = max(narrowest, int(sample.size * self._SEED_SHARE))
         rank = int(np.searchsorted(sample, centre))
         lo, hi = self._at(rank - spread), self._at(rank + spread)
@@ -399,7 +425,6 @@ class PooledMedian:
                 lo, hi = hi, self._at(last + step - 1)
             self._cover(lo, hi)
         band = self._band[start:stop]
-        others.sort()
         med = _union_rank(band, others, half - below)
         if even:
             med = (_union_rank(band, others, half - below - 1) + med) / 2.0
@@ -429,11 +454,10 @@ class PooledMedian:
         self.rebuilds += self._band is not None
         self._band = None  # freed before the pass
         self._below, band = _select(_pair_distances(self._targets, self._targets[:0]), lo, hi)
-        band.sort()
         self._lo, self._hi, self._band = lo, hi, band
 
     def _window(self, pts: np.ndarray, lo: float, hi: float) -> tuple[int, np.ndarray]:
-        """The count of pooled distances below ``lo``, and a new array of the particles' inside.
+        """The count of pooled distances below ``lo``, and the particles' inside, sorted.
 
         The particles' distances inside are those in ``[lo, hi]`` that involve
         a particle.  The band must hold ``[lo, hi]``; it gives the target

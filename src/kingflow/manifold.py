@@ -156,8 +156,8 @@ class RbfFeatureMap(FeatureMap):
     """Gaussian bumps centered at fixed anchor points.
 
     The features are the Gaussian Gram matrix between the points and the
-    centres, built from one GEMM on the expanded squared distances; the
-    derivatives scale the point-to-centre differences by those values.
+    centres, built from scipy's direct squared distances; the derivatives
+    scale the point-to-centre differences by those values.
     """
 
     centers: np.ndarray

@@ -82,9 +82,14 @@ class ParticleSet:
 def as_particles(data, t: float = 0.0, dim: int | None = None) -> ParticleSet:
     """``data`` itself if it is a ParticleSet, else a ParticleSet of it at time ``t``.
 
-    With ``dim`` given, points of another dimension raise ``ValueError``.
+    ``t`` is checked either way.  With ``dim`` given, points of another
+    dimension raise ``ValueError``.
     """
-    pset = data if isinstance(data, ParticleSet) else ParticleSet(data, t)
+    if isinstance(data, ParticleSet):
+        _number(t, "t")
+        pset = data
+    else:
+        pset = ParticleSet(data, t)
     if dim is not None and pset.dim != _number(dim, "dim", integral=True, positive=True):
         raise ValueError(f"dimension mismatch: expected points of dimension {dim}, got {pset.dim}")
     return pset

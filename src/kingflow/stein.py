@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from .kernels import _check_fields, _sq_distances
+from .kernels import _check_fields
 from .manifold import (
     Configurable,
     FeatureMap,
@@ -81,7 +82,7 @@ class GaussianMixtureScore(Configurable):
 
     def _weights(self, pts: np.ndarray) -> np.ndarray:
         """The components' posterior weights ``r`` at each point, shape ``(n, k)``."""
-        logits = -_sq_distances(pts, self.means) / (2.0 * self.sigma**2)
+        logits = -cdist(pts, self.means, "sqeuclidean") / (2.0 * self.sigma**2)
         logits -= logits.max(axis=1, keepdims=True)
         resp = np.exp(logits)
         resp /= resp.sum(axis=1, keepdims=True)

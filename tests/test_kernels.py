@@ -1,4 +1,5 @@
 """Scalar and matrix-valued kernels plus the bandwidth heuristic."""
+import inspect
 import json
 import tracemalloc
 
@@ -7,15 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from kingflow import (
     KernelSpec,
     NtkSpec,
     ParticleSet,
+    flows,
     kernel_cross_grad,
     kernel_gram,
     kernel_value,
+    kernels,
     median_heuristic,
     ntk_gram_blocks,
 )
@@ -25,7 +28,8 @@ from kingflow.kernels import (
     RBF_SCALAR,
     PooledMedian,
     _gaussian_gram,
-    _sq_distances,
+    _pair_distances,
+    _select,
 )
 
 
@@ -62,40 +66,39 @@ def test_kernel_gram_matches_entrywise_values(rng):
                 assert gram[i, j] == pytest.approx(expected, rel=1e-12, abs=0)
 
 
-def expanded_gram(bandwidth, xs, ys):
-    """The Gaussian Gram from the centred expansion, one new array per operation."""
-    centre = ys.mean(axis=0)
-    xs, ys = xs - centre, ys - centre
-    sq = np.sum(xs**2, axis=1)[:, None] + np.sum(ys**2, axis=1)[None, :] - 2.0 * xs @ ys.T
-    return np.exp(-np.maximum(sq, 0.0) / (2.0 * bandwidth**2))
-
-
-@pytest.mark.parametrize("n, dim", [(800, 2), (200, 10), (250, 5)])
-def test_gaussian_gram_in_place_is_bitwise_the_expanded_formula(n, dim, rng):
-    xs = 3.0 + rng.standard_normal((n, dim))
-    ys = 3.0 + rng.standard_normal((n // 2, dim))
-    for a, b in ((xs, xs), (xs, ys)):
-        assert np.array_equal(_gaussian_gram(1.3, a, b), expanded_gram(1.3, a, b))
-
-
-def two_array_sq_distances(xs, ys):
-    """The squared distances as built with a separate outer-sum array."""
-    centre = ys.mean(axis=0)
-    xs, ys = xs - centre, ys - centre
-    out = np.sum(xs**2, axis=1)[:, None] + np.sum(ys**2, axis=1)[None, :]
-    out -= (2.0 * xs) @ ys.T
-    return np.maximum(out, 0.0, out=out)
+def direct_gram(bandwidth, xs, ys):
+    """The Gaussian Gram from scipy's squared distances, one new array per operation."""
+    return np.exp(cdist(xs, ys, "sqeuclidean") / -(2.0 * bandwidth**2))
 
 
 @pytest.mark.parametrize(
     "n, m, dim",
-    [(800, 1000, 2), (1000, 800, 2), (200, 10, 10), (5, 1, 3), (1, 7, 1), (300, 437, 5)],
+    [
+        (800, 400, 2),
+        (200, 100, 10),
+        (250, 125, 5),
+        (800, 1000, 2),
+        (1000, 800, 2),
+        (200, 10, 10),
+        (5, 1, 3),
+        (1, 7, 1),
+        (300, 437, 5),
+    ],
 )
-def test_sq_distances_in_row_blocks_are_bitwise_the_two_array_expansion(n, m, dim, rng):
+def test_gaussian_gram_is_bitwise_the_direct_squared_distances(n, m, dim, rng):
+    # In place and into row strips x[s:e] x x[s:] of one buffer, as the
+    # symmetric strips of flows._self_apply are written.
     xs = 3.0 + rng.standard_normal((n, dim))
     ys = 3.0 + rng.standard_normal((m, dim))
     for a, b in ((xs, ys), (xs, xs), (ys, ys)):
-        assert np.array_equal(_sq_distances(a, b), two_array_sq_distances(a, b))
+        assert np.array_equal(_gaussian_gram(1.3, a, b), direct_gram(1.3, a, b))
+    full, rows = direct_gram(1.3, xs, xs), max(1, n // 3)
+    buffer = np.empty(rows * n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        strip = buffer[: (stop - start) * (n - start)].reshape(stop - start, n - start)
+        _gaussian_gram(1.3, xs[start:stop], xs[start:], out=strip)
+        assert np.array_equal(strip, full[start:stop, start:])
 
 
 def test_gaussian_gram_peaks_near_its_own_size(rng):
@@ -651,3 +654,90 @@ def test_pooled_median_cuts_a_wide_bracket_to_the_band(rng):
     moved = 1.001 * particles
     assert pooled(moved) == median_heuristic(moved, targets)
     assert pooled.rebuilds == rebuilds and pooled._band is band
+
+
+# -- squared distances as the one pairwise primitive -------------------------------
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+@pytest.mark.parametrize("dim", [1, 2, 5, 10])
+def test_root_of_scipy_squared_distance_is_its_euclidean_distance_bitwise(dim, offset, rng):
+    # The bandwidth passes rank squared distances and root only the ones
+    # they keep; that this gives pdist's values is scipy's arithmetic.
+    a = offset + rng.standard_normal((120, dim))
+    b = offset + rng.standard_normal((90, dim))
+    assert np.array_equal(np.sqrt(cdist(a, b, "sqeuclidean")), cdist(a, b))
+    assert np.array_equal(np.sqrt(pdist(a, "sqeuclidean")), pdist(a))
+    pooled = pdist(np.vstack([a, b]))
+    rows, cols = np.triu_indices(a.shape[0] + b.shape[0], k=1)
+    across = (rows < a.shape[0]) & (cols >= a.shape[0])
+    assert np.array_equal(pooled[across], cdist(a, b).ravel())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pooled_median_is_exact_on_distances_within_an_ulp_of_the_bracket_ends(dim, rng):
+    # Grid distances are roots of integers, and the squares of those roots
+    # round away from the integers; every sample value is a bracket end in
+    # turn.  Particles nudged one ulp off the grid have distances within
+    # about an ulp of those ends, on either side.
+    targets = rng.integers(0, 4, size=(300, dim)).astype(float)
+    base = rng.integers(0, 4, size=(40, dim)).astype(float)
+    nudged = np.nextafter(base, base + rng.choice([-1.0, 0.0, 1.0], size=base.shape))
+    pooled = PooledMedian(targets)
+    ends = np.unique(pooled._sample)
+    for centre in ends:
+        for particles in (base, nudged):
+            pooled._centre, pooled._spread = centre, 1
+            assert pooled(particles) == median_heuristic(particles, targets)
+    # One window pass on such ends counts and keeps exactly the distances
+    # the bracket holds, not just the ones the misses happen to correct.
+    rows = np.triu_indices(base.shape[0] + targets.shape[0], k=1)[0]
+    for particles in (base, nudged):
+        dists = pdist(np.vstack([particles, targets]))[rows < base.shape[0]]
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            below, inside = _select(_pair_distances(particles, targets), lo, hi)
+            assert below == np.count_nonzero(dists < lo)
+            assert np.array_equal(inside, np.sort(dists[(dists >= lo) & (dists <= hi)]))
+
+
+def test_pooled_median_is_exact_where_a_bracket_end_squares_to_inf():
+    # Past sqrt(max float), 1.34e154, the squares of distances overflow, and
+    # so do scipy's distances themselves: the sample holds inf as a bracket
+    # end, and the widened square of the end sqrt(max float) is inf too.
+    root = np.sqrt(np.finfo(float).max)
+    targets = root * np.array([0.0, 1 / 3, 2 / 3, 1.0, 1.2, 1.5, 2.0])[:, None]
+    particles = root * np.linspace(0.0, 1.5, 9)[:, None]
+    pooled = PooledMedian(targets)
+    assert root in pooled._sample and np.isinf(pooled._sample[-1])
+    for centre in np.unique(pooled._sample):
+        for moved in (particles, 0.9 * particles, particles + root / 3):
+            pooled._centre, pooled._spread = centre, 1
+            assert pooled(moved) == median_heuristic(moved, targets)
+
+
+def test_every_pairwise_distance_is_scipy_sqeuclidean(rng, monkeypatch):
+    # One PooledMedian (built and called), one median_heuristic and one
+    # rbf_scalar _gram_quadratic ask scipy for squared distances only.
+    metrics = []
+
+    def recording(function):
+        signature = inspect.signature(function)
+
+        def call(*args, **kwargs):
+            metrics.append(signature.bind(*args, **kwargs).arguments.get("metric", "euclidean"))
+            return function(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(kernels, "cdist", recording(kernels.cdist))
+    monkeypatch.setattr(kernels, "pdist", recording(kernels.pdist))
+    targets = 1.0 + rng.standard_normal((400, 2))
+    particles = rng.standard_normal((300, 2))
+    kernel = KernelSpec(RBF_SCALAR, bandwidth=0.8)
+    for call in (
+        lambda: PooledMedian(targets)(particles),
+        lambda: median_heuristic(particles, targets),
+        lambda: flows._gram_quadratic(kernel, particles, rng.standard_normal((300, 2, 5))),
+    ):
+        metrics.clear()
+        call()
+        assert metrics and set(metrics) == {"sqeuclidean"}

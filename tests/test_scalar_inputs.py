@@ -3,7 +3,8 @@
 For each ``int`` or ``float`` parameter of an exported function, dataclass or
 public method, a valid value is accepted, and NaN, ±inf, ``True`` and ``"1"``
 raise ``ValueError`` naming the parameter; so do 0 and -1 where the value
-must be positive, and 2.5 where it must be an integer.
+must be positive, -1 where it must not be negative, and 2.5 where it must be
+an integer.
 """
 import dataclasses
 import inspect
@@ -51,6 +52,7 @@ class Scalar(NamedTuple):
     good: object  # a value the call accepts
     integral: bool = False  # 2.5 is rejected
     positive: bool = False  # 0 and -1 are rejected
+    nonnegative: bool = False  # -1 is rejected
 
 
 _rng = np.random.default_rng(0)
@@ -130,7 +132,7 @@ SCALARS = {
         lambda v: NtkSpec(input_dim=2, hidden_width=v), 4, integral=True, positive=True
     ),
     "NtkSpec.seed": Scalar(
-        lambda v: NtkSpec(input_dim=2, hidden_width=4, seed=v), 3, integral=True
+        lambda v: NtkSpec(input_dim=2, hidden_width=4, seed=v), 3, integral=True, nonnegative=True
     ),
     "KernelSpec.bandwidth": Scalar(
         lambda v: KernelSpec("rbf_scalar", bandwidth=v), 0.7, positive=True
@@ -159,7 +161,9 @@ SCALARS = {
     "GgmSpec.dim": Scalar(lambda v: GgmSpec(dim=v), 3, integral=True, positive=True),
     "GgmSpec.edge_prob": Scalar(lambda v: GgmSpec(dim=3, edge_prob=v), 0.5),
     "GgmSpec.edge_value": Scalar(lambda v: GgmSpec(dim=3, edge_value=v), 0.3),
-    "GgmSpec.seed": Scalar(lambda v: GgmSpec(dim=3, seed=v), 1, integral=True),
+    "GgmSpec.seed": Scalar(
+        lambda v: GgmSpec(dim=3, seed=v), 1, integral=True, nonnegative=True
+    ),
     "RunConfig.seed": Scalar(
         lambda v: RunConfig(scenario="ngd_tracking", seed=v), 1, integral=True
     ),
@@ -178,28 +182,38 @@ SCALARS = {
 }
 
 
+# Second calls of a parameter whose check could depend on another argument;
+# the guard below reads only SCALARS.
+VARIANTS = {
+    "as_particles(ParticleSet).t": Scalar(lambda v: as_particles(ParticleSet(P), t=v), 0.5),
+}
+CASES = {**SCALARS, **VARIANTS}
+
+
 def _bad_values(scalar: Scalar) -> list:
     bad = [np.nan, np.inf, -np.inf, True, "1"]
     if scalar.positive:
         bad += [0, -1]
+    elif scalar.nonnegative:
+        bad.append(-1)
     if scalar.integral:
         bad.append(2.5)
     return bad
 
 
-@pytest.mark.parametrize("key", SCALARS)
+@pytest.mark.parametrize("key", CASES)
 def test_a_valid_value_is_accepted(key):
-    SCALARS[key].call(SCALARS[key].good)
+    CASES[key].call(CASES[key].good)
 
 
 @pytest.mark.parametrize(
-    "key, bad", [(key, bad) for key, scalar in SCALARS.items() for bad in _bad_values(scalar)]
+    "key, bad", [(key, bad) for key, scalar in CASES.items() for bad in _bad_values(scalar)]
 )
 def test_a_bad_value_raises_naming_the_parameter(key, bad):
     name = key.rsplit(".", 1)[1]
     # as a word: "dim" is not found in "dimension mismatch"
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
-        SCALARS[key].call(bad)
+        CASES[key].call(bad)
 
 
 # Result records: their fields are set from computed values, not taken as input.
