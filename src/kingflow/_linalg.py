@@ -61,14 +61,14 @@ def spd_factor(mat, error: Exception) -> np.ndarray:
     """Lower Cholesky factor of the symmetrized ``mat``, with no diagonal load.
 
     Raises ``error`` when the symmetrized matrix is not positive definite,
-    which includes any non-finite entry.
+    which includes any non-finite entry and any shape that is not square.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if not np.isfinite(mat).all():
         raise error
     try:
         return np.linalg.cholesky(0.5 * (mat + mat.T))
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: a shape its transpose cannot be added to
         raise error from exc
 
 

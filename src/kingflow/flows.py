@@ -74,7 +74,7 @@ from .kernels import (
     median_heuristic,
 )
 from .manifold import FeatureMap, feature_mean, feature_moments
-from .particles import ParticleSet, _number, as_particles
+from .particles import ParticleSet, _number, _real_array, as_particles
 from .stein import GaussianMixtureScore
 
 KING = "king"
@@ -379,7 +379,9 @@ def _solve_drift(
     kernel = _resolve_bandwidth(kernel, particles, targets)
     feats, jac = fmap.derivatives(particles, 1)
     model_mean, fisher = feature_moments(fmap, feats)
-    if target_mean is None and targets is not None:
+    if target_mean is not None:
+        target_mean = _real_array(target_mean, "target_mean", shape=(fmap.feature_dim,))
+    elif targets is not None:
         target_mean = feature_mean(fmap, targets)
     gap = -model_mean if target_mean is None else -model_mean + target_mean
     jac_t = np.ascontiguousarray(jac.transpose(0, 2, 1))

@@ -104,7 +104,7 @@ def take_fields(given: dict, defaults: dict, context: str) -> dict:
 class RunConfig:
     """Validated scenario run description; the constructor checks every field.
 
-    ``seed`` is an integer (not a bool) and ``out_dir`` a string or ``None``.
+    ``seed`` is a non-negative integer (not a bool) and ``out_dir`` a string or ``None``.
     ``methods``, ``manifold`` and ``kernels`` may be left unset to take the
     scenario defaults.  ``dataset`` carries scenario-specific knobs; each must
     be a field of the scenario's ``DATASET_DEFAULTS`` entry and have its
@@ -125,8 +125,8 @@ class RunConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario: {self.scenario!r} (expected one of {SCENARIOS})")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError(f"'seed' must be an integer, got {self.seed!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ConfigError(f"'seed' must be a non-negative integer, got {self.seed!r}")
         if self.dataset is None:
             object.__setattr__(self, "dataset", {})
         if self.out_dir is not None and not isinstance(self.out_dir, str):

@@ -8,13 +8,13 @@ import numpy as np
 from .._linalg import is_spd, spd_factor, spd_inverse
 from ..metrics import fit_gaussian
 from ..ngd import sample_gaussian
-from ..particles import ParticleSet, _number, as_particles
+from ..particles import ParticleSet, _number, _real_array, as_particles
 
 
 def gen_gaussian_mixture(
     dim: int,
-    means,
-    weights,
+    means: np.ndarray,
+    weights: np.ndarray,
     n: int,
     seed,
     component_sd: float = 1.0,
@@ -27,20 +27,14 @@ def gen_gaussian_mixture(
     dim = _number(dim, "dim", integral=True, positive=True)
     n = _number(n, "n", integral=True, positive=True)
     component_sd = _number(component_sd, "component_sd", positive=True)
-    centers = []
-    for m in means:
-        arr = np.asarray(m, dtype=np.float64)
-        centers.append(np.full(dim, float(arr)) if arr.ndim == 0 else arr.ravel())
-        if centers[-1].size != dim:
-            raise ValueError(f"mean {m!r} does not have dimension {dim}")
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.size != len(centers):
-        raise ValueError("weights and means must have the same length")
+    means = [np.full(dim, _number(m, "means")) if np.ndim(m) == 0 else m for m in means]
+    centers = _real_array(means, "means", shape=(None, dim))
+    weights = _real_array(weights, "weights", shape=(len(centers),))
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-8:
         raise ValueError("weights must be nonnegative and sum to 1")
     rng = np.random.default_rng(seed)
     comps = rng.choice(len(centers), size=n, p=weights)
-    pts = np.stack(centers)[comps] + component_sd * rng.standard_normal((n, dim))
+    pts = centers[comps] + component_sd * rng.standard_normal((n, dim))
     return ParticleSet(pts)
 
 

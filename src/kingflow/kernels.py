@@ -28,7 +28,7 @@ from itertools import chain
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .particles import _number, as_particles
+from .particles import _number, _real_array, as_particles
 
 RBF_SCALAR = "rbf_scalar"
 DIAGONALIZED_SCALAR = "diagonalized_scalar"
@@ -134,14 +134,12 @@ def _require_bandwidth(spec: KernelSpec) -> float:
     return spec.bandwidth
 
 
-def kernel_value(spec: KernelSpec, x, y) -> float:
+def kernel_value(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
     """Scalar kernel value ``k(x, y)`` for the scalar kinds."""
     if spec.kind == EMPIRICAL_NTK:
         raise ValueError("empirical_ntk is matrix valued; use ntk_gram_blocks")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    x = _real_array(x, "x", shape=(None,))
+    y = _real_array(y, "y", shape=x.shape)
     s2 = _require_bandwidth(spec) ** 2
     return float(np.exp(-np.sum((x - y) ** 2) / (2.0 * s2)))
 
@@ -170,7 +168,7 @@ def _gaussian_gram(
     return np.exp(out, out=out)
 
 
-def kernel_cross_grad(spec: KernelSpec, x, y) -> np.ndarray:
+def kernel_cross_grad(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Mixed second derivative ``d^2 k / dx dy`` of the Gaussian kernel.
 
     Only defined for ``rbf_scalar``: the diagonalized kind substitutes
@@ -179,10 +177,8 @@ def kernel_cross_grad(spec: KernelSpec, x, y) -> np.ndarray:
     """
     if spec.kind != RBF_SCALAR:
         raise ValueError(f"cross gradient is only defined for {RBF_SCALAR}, got {spec.kind}")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    x = _real_array(x, "x", shape=(None,))
+    y = _real_array(y, "y", shape=x.shape)
     s2 = _require_bandwidth(spec) ** 2
     diff = x - y
     k = np.exp(-np.sum(diff**2) / (2.0 * s2))

@@ -165,12 +165,10 @@ class RbfFeatureMap(FeatureMap):
     kind = "rbf_features"
 
     def __post_init__(self):
-        centers = _real_array(self.centers, "centers")
-        if centers.ndim == 1:
-            centers = centers[:, None]
-        if centers.ndim != 2 or centers.shape[0] == 0:
-            raise ValueError(f"centers must be a nonempty (m, d) array, got shape {centers.shape}")
-        object.__setattr__(self, "centers", centers)
+        centers = self.centers
+        if np.ndim(centers) == 1:  # one coordinate per centre
+            centers = np.reshape(centers, (-1, 1))
+        object.__setattr__(self, "centers", _real_array(centers, "centers", shape=(None, None)))
         object.__setattr__(self, "bandwidth", _number(self.bandwidth, "bandwidth", positive=True))
 
     @property
@@ -243,7 +241,8 @@ class CustomLinearMap(FeatureMap):
     kind = "custom_linear"
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", np.atleast_2d(_real_array(self.weight, "weight")))
+        weight = _real_array(np.atleast_2d(self.weight), "weight", shape=(None, None))
+        object.__setattr__(self, "weight", weight)
 
     @property
     def input_dim(self) -> int:
@@ -330,6 +329,12 @@ def feature_moments(
     """
     if isinstance(particles, ParticleSet):
         particles = fmap.features(particles)
+    elif particles.shape[1:] != (fmap.feature_dim,):
+        # checked here, not by ``_real_array``: a non-finite feature is a singular Fisher
+        raise ValueError(
+            f"particles given as features must have shape (any, {fmap.feature_dim}), "
+            f"got {particles.shape}"
+        )
     if particles.shape[0] < 2:
         raise ValueError("the Fisher estimate needs at least 2 particles")
     mean, cov = mean_and_covariance(particles)

@@ -7,7 +7,7 @@ import numpy as np
 
 from ._linalg import mean_and_covariance, spd_factor
 from .kernels import _bandwidth, _gaussian_gram
-from .particles import as_particles
+from .particles import _real_array, as_particles
 
 
 @dataclass(frozen=True)
@@ -53,20 +53,21 @@ def fit_gaussian(sample) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov + load * np.eye(d)
 
 
-def gaussian_w2(mean_a, cov_a, mean_b, cov_b) -> float:
+def gaussian_w2(
+    mean_a: np.ndarray, cov_a: np.ndarray, mean_b: np.ndarray, cov_b: np.ndarray
+) -> float:
     """Quadratic Wasserstein distance between two Gaussians.
 
     Uses the closed form with symmetric matrix square roots.  A covariance
     that is not positive definite raises ``ValueError``; no load is added.
     """
-    mean_a = np.asarray(mean_a, dtype=np.float64).ravel()
-    mean_b = np.asarray(mean_b, dtype=np.float64).ravel()
-    cov_a = np.asarray(cov_a, dtype=np.float64)
-    cov_b = np.asarray(cov_b, dtype=np.float64)
-    if mean_a.shape != mean_b.shape or cov_a.shape != cov_b.shape:
-        raise ValueError("mean/covariance shapes do not match")
-    for cov in (cov_a, cov_b):
-        spd_factor(cov, ValueError("covariances must be positive definite"))
+    mean_a = _real_array(mean_a, "mean_a", shape=(None,))
+    mean_b = _real_array(mean_b, "mean_b", shape=mean_a.shape)
+    for cov, name in ((cov_a, "cov_a"), (cov_b, "cov_b")):
+        # factored before the shape check, so a non-finite entry is not positive definite
+        spd_factor(cov, ValueError(f"{name} must be positive definite"))
+    cov_a = _real_array(cov_a, "cov_a", shape=(mean_a.size, mean_a.size))
+    cov_b = _real_array(cov_b, "cov_b", shape=(mean_a.size, mean_a.size))
 
     def _sqrtm_psd(mat):
         vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))

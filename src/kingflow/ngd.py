@@ -25,7 +25,7 @@ from .manifold import (
     feature_moments,
     vech_pairs,
 )
-from .particles import ParticleSet, _number, as_particles
+from .particles import ParticleSet, _number, _real_array, as_particles
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,9 @@ class GaussianNaturalParams:
     quadratic: np.ndarray
 
     def __post_init__(self):
-        lin = np.array(self.linear, dtype=np.float64).ravel()
-        quad = np.asarray(self.quadratic, dtype=np.float64)
-        if quad.shape != (lin.size, lin.size):
-            raise ValueError(f"quadratic shape {quad.shape} does not match linear size {lin.size}")
+        lin = _real_array(self.linear, "linear", shape=(None,))
+        quad = _real_array(self.quadratic, "quadratic", shape=(lin.size, lin.size))
         quad = 0.5 * (quad + quad.T)
-        lin.setflags(write=False)
         quad.setflags(write=False)
         object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "quadratic", quad)
@@ -84,13 +81,14 @@ class GaussianNaturalParams:
         return self.linear.size
 
 
-def gaussian_moment_to_natural(mean, cov) -> GaussianNaturalParams:
+def gaussian_moment_to_natural(mean: np.ndarray, cov: np.ndarray) -> GaussianNaturalParams:
     """Convert moment parameters (mean, covariance) to natural parameters.
 
     A covariance that is not positive definite raises ``ValueError``; no load is added.
     """
-    mean = np.asarray(mean, dtype=np.float64).ravel()
-    precision = spd_inverse(cov, ValueError("covariance must be positive definite"))
+    mean = _real_array(mean, "mean", shape=(None,))
+    precision = spd_inverse(cov, ValueError("cov must be positive definite"))
+    _real_array(cov, "cov", shape=(mean.size, mean.size))
     return GaussianNaturalParams(linear=precision @ mean, quadratic=-0.5 * precision)
 
 
@@ -105,13 +103,14 @@ def gaussian_natural_to_moment(params: GaussianNaturalParams) -> tuple[np.ndarra
     return cov @ params.linear, cov
 
 
-def sample_gaussian(mean, cov, n: int, seed) -> np.ndarray:
+def sample_gaussian(mean: np.ndarray, cov: np.ndarray, n: int, seed) -> np.ndarray:
     """Draw ``n`` points from N(mean, cov), deterministic in the seed.
 
     A covariance that is not positive definite raises ``ValueError``; no load is added.
     """
-    mean = np.asarray(mean, dtype=np.float64).ravel()
-    lower = spd_factor(cov, ValueError("covariance must be positive definite"))
+    mean = _real_array(mean, "mean", shape=(None,))
+    lower = spd_factor(cov, ValueError("cov must be positive definite"))
+    _real_array(cov, "cov", shape=(mean.size, mean.size))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((_number(n, "n", integral=True, positive=True), mean.size))
     return mean + z @ lower.T

@@ -4,8 +4,8 @@ A particle set is an immutable batch of points together with the flow time at
 which it was taken.  Points are always stored as a read-only ``(n, dim)``
 float64 array; one-dimensional input is promoted to a single column.
 ``as_particles`` is the one place a point input is coerced and checked,
-``_number`` the one place a scalar input is, and ``_real_array`` checks the
-array fields of configs.
+``_number`` the one place a scalar input is, and ``_real_array`` the one
+place a vector or matrix input is.
 """
 from __future__ import annotations
 
@@ -32,9 +32,20 @@ def _number(value, name: str, integral: bool = False, positive: bool = False):
     raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
-def _real_array(value, name: str) -> np.ndarray:
-    """A new read-only float64 array of ``value``, which must hold finite numbers only."""
-    arr = np.asarray(value)
+def _real_array(value, name: str, shape: tuple) -> np.ndarray:
+    """A new read-only float64 array of ``value``, which must be finite numbers of ``shape``.
+
+    ``shape`` has one entry per axis: a fixed size, or ``None`` for any size.
+    No axis may be empty.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # nested sequences of unequal lengths: an array of them
+        arr = np.asarray(value, dtype=object)
+    fits = all(got > 0 and size in (None, got) for size, got in zip(shape, arr.shape))
+    if arr.ndim != len(shape) or not fits:
+        expected = str(tuple("any" if size is None else size for size in shape)).replace("'", "")
+        raise ValueError(f"{name} must be a nonempty array of shape {expected}, got {arr.shape}")
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name} must hold numbers, got {value!r}")
     arr = arr.astype(np.float64)
@@ -57,8 +68,8 @@ class ParticleSet:
             pts = pts[:, None]
         if pts.ndim != 2:
             raise ValueError(f"points must be 1- or 2-dimensional, got shape {pts.shape}")
-        if pts.shape[0] == 0:
-            raise ValueError("particle set must contain at least one point")
+        if 0 in pts.shape:
+            raise ValueError(f"particle set needs at least one point and coordinate: {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("points contain non-finite values")
         pts = pts.copy()

@@ -26,7 +26,7 @@ import numpy as np
 from ._linalg import mean_and_covariance
 from .manifold import FeatureMap, FisherMatrix, feature_moments
 from .ngd import NatGradResult
-from .particles import ParticleSet, _number, as_particles
+from .particles import ParticleSet, _number, _real_array, as_particles
 
 ALIGNMENT_MODES = ("euclidean", "fisher")
 
@@ -47,14 +47,15 @@ class TimeKernel:
         object.__setattr__(self, "center", _number(self.center, "center"))
         object.__setattr__(self, "sigma", _number(self.sigma, "sigma", positive=True))
 
-    def value(self, t) -> np.ndarray | float:
-        t = np.asarray(t, dtype=np.float64)
+    def value(self, t: np.ndarray | float) -> np.ndarray | float:
+        """The window at a time, or at each of a 1-D array of times."""
+        t = _real_array(t, "t", shape=(None,) if np.ndim(t) else ())
         z = (t - self.center) / self.sigma
         return np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi * self.sigma**2)
 
-    def deriv(self, t) -> np.ndarray | float:
-        """Derivative of the window with respect to time."""
-        t = np.asarray(t, dtype=np.float64)
+    def deriv(self, t: np.ndarray | float) -> np.ndarray | float:
+        """Derivative of the window with respect to time, taken as ``value`` takes ``t``."""
+        t = _real_array(t, "t", shape=(None,) if np.ndim(t) else ())
         return -(t - self.center) / self.sigma**2 * self.value(t)
 
 
@@ -95,20 +96,16 @@ def project_change_limit(
 ) -> np.ndarray:
     """Vanishing-window projection: Fisher solve of mean gradient-velocity contraction."""
     particles = as_particles(particles, dim=fmap.input_dim)
-    velocities = np.asarray(velocities, dtype=np.float64)
-    if velocities.ndim == 1:
-        velocities = velocities[:, None]
-    if velocities.shape != particles.points.shape:
-        raise ValueError(
-            f"velocities shape {velocities.shape} does not match particles {particles.points.shape}"
-        )
+    if np.ndim(velocities) == 1:  # one velocity coordinate per particle
+        velocities = np.reshape(velocities, (-1, 1))
+    velocities = _real_array(velocities, "velocities", shape=particles.points.shape)
     feats, jac = fmap.derivatives(particles, 1)
     fisher = feature_moments(fmap, feats)[1]
     contraction = np.einsum("nad,nd->a", jac, velocities) / particles.n
     return fisher.solve(contraction)
 
 
-def alignment_residual(ngd_result: NatGradResult, delta, mode: str = "fisher") -> float:
+def alignment_residual(ngd_result: NatGradResult, delta: np.ndarray, mode: str = "fisher") -> float:
     """Squared mismatch between a natural-gradient direction and a projected change.
 
     ``euclidean`` compares the two coordinate vectors directly.  ``fisher``
@@ -119,9 +116,7 @@ def alignment_residual(ngd_result: NatGradResult, delta, mode: str = "fisher") -
     """
     if mode not in ALIGNMENT_MODES:
         raise ValueError(f"mode must be one of {ALIGNMENT_MODES}, got {mode!r}")
-    delta = np.asarray(delta, dtype=np.float64)
-    if delta.shape != ngd_result.gap.shape:
-        raise ValueError(f"delta shape {delta.shape} does not match gap {ngd_result.gap.shape}")
+    delta = _real_array(delta, "delta", shape=ngd_result.gap.shape)
     if mode == "euclidean":
         diff = ngd_result.natural_direction - delta
         return float(diff @ diff)

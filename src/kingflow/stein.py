@@ -38,10 +38,8 @@ class GaussianScore(Configurable):
     kind = "gaussian"
 
     def __post_init__(self):
-        mean = _real_array(self.mean, "mean").ravel()
-        variances = _real_array(self.variances, "variances").ravel()
-        if variances.shape != mean.shape:
-            raise ValueError("mean and variances must have the same length")
+        mean = _real_array(self.mean, "mean", shape=(None,))
+        variances = _real_array(self.variances, "variances", shape=mean.shape)
         if np.any(variances <= 0):
             raise ValueError("variances must be positive")
         object.__setattr__(self, "mean", mean)
@@ -73,7 +71,8 @@ class GaussianMixtureScore(Configurable):
     kind = "gaussian_mixture"
 
     def __post_init__(self):
-        object.__setattr__(self, "means", np.atleast_2d(_real_array(self.means, "means")))
+        means = _real_array(np.atleast_2d(self.means), "means", shape=(None, None))
+        object.__setattr__(self, "means", means)
         object.__setattr__(self, "sigma", _number(self.sigma, "sigma", positive=True))
 
     @property

@@ -175,6 +175,18 @@ def test_run_config_constructor_rejects_a_seed_that_is_not_an_integer(seed):
         RunConfig(scenario="bimodal_compare", seed=seed)
 
 
+def test_run_config_rejects_a_negative_seed(tmp_path, capsys, run_flow_calls):
+    # SeedSequence would reject it later, in a message that names no field.
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(scenario="ngd_tracking", seed=-1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "ngd_tracking"}))
+    assert main(["run", "--config", str(cfg), "--seed", "-1"]) == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "ConfigError" and "seed" in report["message"]
+    assert run_flow_calls == []
+
+
 @pytest.mark.parametrize("changes", [{"dataset": [1]}, {"out_dir": 5}, {"out_dir": b"runs"}])
 def test_run_config_constructor_checks_dataset_and_out_dir(changes):
     with pytest.raises(ConfigError):
@@ -775,6 +787,7 @@ def test_cli_run_reports_config_errors(tmp_path, capsys, run_flow_calls):
         ),
         {"scenario": "stein_sampling", "out_dir": 5},
         {"scenario": "stein_sampling", "seed": 2.5},
+        {"scenario": "ngd_tracking", "seed": -1},
         {"scenario": "bimodal_compare", "dataset": {"bogus": 1}},
         {"scenario": "bimodal_compare", "dataset": {"n_targets": 30.9}},
         {"scenario": "graphical_model", "dataset": {"include_long": "false"}},

@@ -57,7 +57,7 @@ def test_kernel_value_one_bandwidth_apart():
 def test_kernel_gram_matches_entrywise_values(rng):
     spec = KernelSpec(RBF_SCALAR, bandwidth=1.1)
     xs, ys = rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
-    # far from the origin too: the expanded squared distances must not cancel
+    # far from the origin too: scipy squares the differences, so nothing cancels
     for offset in (0.0, 1e4):
         gram = kernel_gram(spec, xs + offset, ys + offset)
         for i in range(4):
@@ -102,8 +102,8 @@ def test_gaussian_gram_is_bitwise_the_direct_squared_distances(n, m, dim, rng):
 
 
 def test_gaussian_gram_peaks_near_its_own_size(rng):
-    # The product (2x) @ y^T is the result's own array; the expansion is
-    # finished in it a block of rows at a time.
+    # scipy writes the squared distances into the result's own array, and the
+    # Gaussian is finished in it in place.
     pts = rng.standard_normal((800, 2))
     tracemalloc.start()
     try:

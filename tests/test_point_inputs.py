@@ -158,8 +158,9 @@ def test_non_finite_points_are_rejected(name, bad):
 def test_an_empty_batch_is_rejected(name):
     case = CASES[name]
     for position, points in enumerate(case.points):
-        with pytest.raises(ValueError, match="at least one point"):
-            case.call(*_replaced(case.points, position, points[:0]))
+        for empty in (points[:0], points[:, :0]):
+            with pytest.raises(ValueError, match="at least one point"):
+                case.call(*_replaced(case.points, position, empty))
 
 
 @pytest.mark.parametrize(

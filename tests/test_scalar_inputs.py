@@ -165,7 +165,7 @@ SCALARS = {
         lambda v: GgmSpec(dim=3, seed=v), 1, integral=True, nonnegative=True
     ),
     "RunConfig.seed": Scalar(
-        lambda v: RunConfig(scenario="ngd_tracking", seed=v), 1, integral=True
+        lambda v: RunConfig(scenario="ngd_tracking", seed=v), 1, integral=True, nonnegative=True
     ),
     # public methods
     "FeatureMap.derivatives.order": Scalar(lambda v: QUAD.derivatives(P, v), 1, integral=True),
