@@ -24,21 +24,28 @@ custom matrix kernel.  Every kind builds its anchor-side terms once and
 then takes the query rows a block at a time, 1 MiB of kernel values per
 block, so a solve or an evaluation holds the ``(n, d, m)`` fields, one
 block of kernel values and, for ``rbf_scalar``, its anchor columns of
-``(d+1)^2`` values per anchor and field, never an ``(n, n)`` or ``(q, n)``
-array.
+``(d+1)^2`` values per anchor and field, never a ``(q, n)`` array nor an
+``(n, n)`` one of more than a block.
 
 In the solve the queries are the anchors, and the Gram of the two
-Gaussian kinds is symmetric.  When the GEMM products of all ``n`` rows
-fit in one block, the solve takes the Gram in row strips ``x[s:e] x x[s:]``
-instead and applies each strip and its transpose, so each Gram entry is
-built once, a little over ``n^2 / 2`` entries in all.  The products of all
-rows and the strips then fill about one block.  Larger
-shapes, the tangent kernel and custom kernels keep the row blocks.
+Gaussian kinds is symmetric.  Three paths take it, chosen by shape alone,
+with ``width`` the anchor-column values per row, ``(d+1)^2 m`` for
+``rbf_scalar`` and ``d m`` for ``diagonalized_scalar``:
+
+- for ``rbf_scalar``, the whole Gram, when it is one block (``n^2``
+  values) and no wider than the anchor columns (``n <= width``): one
+  triangular product with its upper half gives the system term as
+  ``S + S^T``, and the Gram is kept for the anchor velocity;
+- symmetric row strips ``x[s:e] x x[s:]``, each strip applied with its
+  transpose, when the GEMM products of all ``n`` rows fit in one block,
+  so each Gram entry is built once, a little over ``n^2 / 2`` in all;
+- the row blocks for larger shapes, the tangent kernel and custom kernels.
 
 ``h`` is linear in ``coeff``, so the solve also yields the velocities at
 the particles it was built on: ``DriftSolution.anchor_velocity`` contracts
-the per-feature fields with ``coeff``.  ``eval_drift`` evaluates ``h`` at
-any other query points.
+the per-feature fields with ``coeff``, or applies the kept Gram to the
+single field ``J^T coeff``.  ``eval_drift`` evaluates ``h`` at any other
+query points.
 
 ``run_flow`` advances particles by forward Euler, re-solving the drift (and,
 unless frozen, the bandwidth) every iteration and moving each particle by
@@ -58,6 +65,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
 from scipy.spatial.distance import cdist
 
 from ._linalg import chol_solve, spd_factor
@@ -102,14 +110,16 @@ def check_drift_kernel(method: str, kernel) -> None:
 class DriftSolution:
     """Solved drift system.
 
-    ``anchor_velocity()`` gives the drift at the anchors from products the
+    ``anchor_velocity()`` gives the drift at the anchors from what the
     solve already built; ``eval_drift`` evaluates it at other query points.
     ``jacobian`` holds the feature Jacobians at the anchors, shape
     ``(n, feature_dim, dim)``, as a view of the transposed copy the kernel
-    was applied to.  ``products`` holds the per-feature fields
-    ``(1/n) sum_i K(x_q, x_i) J_i^T`` at the anchors, shape
-    ``(n, dim, feature_dim)``, from which the system's kernel term was
-    built.  Neither depends on ``coeff``.
+    was applied to.  ``velocity_of`` maps a coefficient vector to the
+    velocities ``(1/n) sum_i K(x_q, x_i) J_i^T coeff`` at the anchors,
+    shape ``(n, dim)``: the per-feature fields from which the system's
+    kernel term was built, contracted with it, or, where the solve kept
+    the whole ``rbf_scalar`` Gram, one product of that Gram.  Neither
+    depends on ``coeff``.
     """
 
     gamma_factor: np.ndarray
@@ -117,12 +127,11 @@ class DriftSolution:
     jacobian: np.ndarray
     kernel: KernelSpec | object
     anchors: ParticleSet
-    products: np.ndarray
+    velocity_of: Callable[[np.ndarray], np.ndarray]
 
     def anchor_velocity(self) -> np.ndarray:
         """The drift at the anchors, ``eval_drift(self, self.anchors)``, shape ``(n, d)``."""
-        n, d, m = self.products.shape
-        return (self.products.reshape(n * d, m) @ self.coeff).reshape(n, d)
+        return self.velocity_of(self.coeff)
 
 
 @dataclass(frozen=True)
@@ -148,25 +157,77 @@ class FlowConfig:
 
 # -- kernel application -------------------------------------------------------
 
-def _gram_quadratic(
-    kernel, pts: np.ndarray, jac_t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(1/n^2) sum_ij J_i K(x_i, x_j) J_j^T`` and the per-feature fields it was built from.
+def _gram_quadratic(kernel, pts: np.ndarray, jac_t: np.ndarray) -> tuple[np.ndarray, Callable]:
+    """``(1/n^2) sum_ij J_i K(x_i, x_j) J_j^T`` and the anchor velocity as a function of ``coeff``.
 
-    ``jac_t`` holds the Jacobians transposed, shape ``(n, d, m)``.  The
-    fields are ``_apply_kernel`` applied to the Jacobian rows, the
-    ``DriftSolution.products`` of the solve.  The two Gaussian kinds have
-    symmetric Grams; when the GEMM products of all ``n`` rows fit in one
-    ``_BLOCK_VALUES`` block (``n (d+1)^2 m`` values for ``rbf_scalar``,
-    ``n d m`` for ``diagonalized_scalar``), ``_self_apply`` builds each
-    Gram entry once.  Every other case takes ``_apply_kernel``'s row blocks.
+    ``jac_t`` holds the Jacobians transposed, shape ``(n, d, m)``, and
+    ``width`` is ``_gaussian_width``: ``(d+1)^2 m`` for ``rbf_scalar``,
+    ``d m`` for ``diagonalized_scalar``.  An ``rbf_scalar`` Gram of one
+    ``_BLOCK_VALUES`` block and ``n <= width`` is kept whole
+    (``_whole_gram_quadratic``).  Otherwise the term is contracted from the
+    per-feature fields, ``_apply_kernel`` applied to the Jacobian rows: by
+    ``_self_apply``'s symmetric strips when the GEMM products of all ``n``
+    rows fit in one block, ``n * width`` values, and by the row blocks in
+    every other case.  The velocity at the anchors is then the fields
+    contracted with ``coeff``.
     """
     n, d, m = jac_t.shape
-    if n * _gaussian_width(kernel, d, m) <= _BLOCK_VALUES:
+    width = _gaussian_width(kernel, d, m)
+    rbf = isinstance(kernel, KernelSpec) and kernel.kind == RBF_SCALAR
+    if rbf and n * n <= _BLOCK_VALUES and n <= width:
+        return _whole_gram_quadratic(kernel, pts, jac_t)
+    if n * width <= _BLOCK_VALUES:
         fields = _self_apply(kernel, pts, jac_t)
     else:
         fields = _apply_kernel(kernel, pts, pts, jac_t)
-    return jac_t.reshape(n * d, m).T @ fields.reshape(n * d, m) / n, fields
+    flat = fields.reshape(n * d, m)
+
+    def velocity_of(coeff: np.ndarray) -> np.ndarray:
+        return (flat @ coeff).reshape(n, d)
+
+    return jac_t.reshape(n * d, m).T @ flat / n, velocity_of
+
+
+def _whole_gram_quadratic(
+    kernel: KernelSpec, pts: np.ndarray, jac_t: np.ndarray
+) -> tuple[np.ndarray, Callable]:
+    """``_gram_quadratic`` from the whole ``rbf_scalar`` Gram, kept for the anchor velocity.
+
+    With ``U`` the Gram's upper triangle, its diagonal halved, the Gram is
+    ``U + U^T``, and the kernel's blocks satisfy
+    ``K(x_j, x_i) = K(x_i, x_j)^T``, so the system term is
+    ``(S + S^T) / n^2`` with ``S = sum_i J_i finish_i(U @ columns)``: one
+    triangular product ``dtrmm``, written over the anchor columns, in place
+    of the GEMM of the whole Gram into a products array of their size,
+    about half its multiply-adds, and a term that is exactly symmetric.
+    The velocity at the anchors, ``finish(G @ columns(J^T coeff)) / n``, is
+    a single-field product with the kept Gram ``G``, not a rebuild of it.
+    The whole Gram is taken only when it is no wider than the anchor
+    columns, ``n <= width``: building all ``n^2`` entries and the
+    single-field product, ``n^2 width / m`` multiply-adds, then cost little
+    beside the ``n^2 width / 2`` the triangle saves.  At narrower shapes
+    the strips, which build about half the Gram, stay faster.
+    """
+    n, d, m = jac_t.shape
+    columns, finish = _rbf_columns(kernel.bandwidth, pts, jac_t)
+    gram = _gaussian_gram(kernel.bandwidth, pts, pts)
+    diagonal = gram.reshape(-1)[:: n + 1]
+    diagonal *= 0.5
+    # columns <- U @ columns, as columns^T <- columns^T @ U^T on the Fortran-ordered
+    # transposes, in place; U^T is the lower triangle of gram.T.
+    half = dtrmm(1.0, gram.T, columns.T, side=1, lower=1, overwrite_b=1).T
+    diagonal *= 2.0
+    fields = np.empty((n, d, m))
+    finish(half, pts, fields)
+    total = jac_t.reshape(n * d, m).T @ fields.reshape(n * d, m)
+
+    def velocity_of(coeff: np.ndarray) -> np.ndarray:
+        out = np.empty((n, d, 1))
+        columns, finish = _rbf_columns(kernel.bandwidth, pts, (jac_t @ coeff)[:, :, None])
+        finish(gram @ columns, pts, out)
+        return out[:, :, 0] / n
+
+    return (total + total.T) / n**2, velocity_of
 
 
 def _apply_kernel(kernel, queries: np.ndarray, anchors: np.ndarray, vels: np.ndarray) -> np.ndarray:
@@ -386,7 +447,7 @@ def _solve_drift(
     gap = -model_mean if target_mean is None else -model_mean + target_mean
     jac_t = np.ascontiguousarray(jac.transpose(0, 2, 1))
     jac = jac_t.transpose(0, 2, 1)
-    quad, products = _gram_quadratic(kernel, particles.points, jac_t)
+    quad, velocity_of = _gram_quadratic(kernel, particles.points, jac_t)
     system = ridge * fisher.matrix + quad
     lower = spd_factor(system, SolverError("drift system is not positive definite"))
     coeff = chol_solve(lower, gap)
@@ -396,7 +457,7 @@ def _solve_drift(
         jacobian=jac,
         kernel=kernel,
         anchors=particles,
-        products=products,
+        velocity_of=velocity_of,
     )
 
 
@@ -438,7 +499,7 @@ def eval_drift(solution: DriftSolution, queries) -> np.ndarray:
     """Evaluate the solved velocity field at query points, shape ``(m, d)``.
 
     At the anchors themselves ``solution.anchor_velocity()`` gives the same
-    field from the solve's products.
+    field from what the solve built.
     """
     pts = as_particles(queries, dim=solution.anchors.dim).points
     # the anchors' J_i^T coeff as one velocity field, shape (n, d, 1)
@@ -553,8 +614,8 @@ def run_flow(
     solve = solve_king_drift if method == KING else solve_ntking_drift
     for iteration in range(1, config.iterations + 1):
         if drift:
-            # The solution, with its per-feature fields, is dropped here
-            # rather than kept alive through the next solve.
+            # The solution, with its per-feature fields or kept Gram, is
+            # dropped here rather than kept alive through the next solve.
             if pooled_median is not None:
                 kernel = kernel.with_bandwidth(pooled_median(particles))
             velocity = solve(

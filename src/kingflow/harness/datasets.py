@@ -8,7 +8,7 @@ import numpy as np
 from .._linalg import is_spd, spd_factor, spd_inverse
 from ..metrics import fit_gaussian
 from ..ngd import sample_gaussian
-from ..particles import ParticleSet, _number, _real_array, as_particles
+from ..particles import ParticleSet, _ndim, _number, _real_array, as_particles
 
 
 def gen_gaussian_mixture(
@@ -27,7 +27,7 @@ def gen_gaussian_mixture(
     dim = _number(dim, "dim", integral=True, positive=True)
     n = _number(n, "n", integral=True, positive=True)
     component_sd = _number(component_sd, "component_sd", positive=True)
-    means = [np.full(dim, _number(m, "means")) if np.ndim(m) == 0 else m for m in means]
+    means = [np.full(dim, _number(m, "means")) if _ndim(m) == 0 else m for m in means]
     centers = _real_array(means, "means", shape=(None, dim))
     weights = _real_array(weights, "weights", shape=(len(centers),))
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-8:

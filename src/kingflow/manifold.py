@@ -22,7 +22,7 @@ import numpy as np
 from ._linalg import FISHER_JITTER, chol_solve, chol_spd, mean_and_covariance
 from .errors import SingularFisherError
 from .kernels import _check_fields, _gaussian_gram, median_heuristic
-from .particles import ParticleSet, _number, _real_array, as_particles
+from .particles import ParticleSet, _ndim, _number, _real_array, as_particles
 
 
 class Configurable:
@@ -166,7 +166,7 @@ class RbfFeatureMap(FeatureMap):
 
     def __post_init__(self):
         centers = self.centers
-        if np.ndim(centers) == 1:  # one coordinate per centre
+        if _ndim(centers) == 1:  # one coordinate per centre
             centers = np.reshape(centers, (-1, 1))
         object.__setattr__(self, "centers", _real_array(centers, "centers", shape=(None, None)))
         object.__setattr__(self, "bandwidth", _number(self.bandwidth, "bandwidth", positive=True))
@@ -241,7 +241,8 @@ class CustomLinearMap(FeatureMap):
     kind = "custom_linear"
 
     def __post_init__(self):
-        weight = _real_array(np.atleast_2d(self.weight), "weight", shape=(None, None))
+        weight = self.weight if _ndim(self.weight) is None else np.atleast_2d(self.weight)
+        weight = _real_array(weight, "weight", shape=(None, None))
         object.__setattr__(self, "weight", weight)
 
     @property
@@ -329,12 +330,15 @@ def feature_moments(
     """
     if isinstance(particles, ParticleSet):
         particles = fmap.features(particles)
-    elif particles.shape[1:] != (fmap.feature_dim,):
-        # checked here, not by ``_real_array``: a non-finite feature is a singular Fisher
-        raise ValueError(
-            f"particles given as features must have shape (any, {fmap.feature_dim}), "
-            f"got {particles.shape}"
-        )
+    else:
+        # a non-finite feature is a singular Fisher, and bool features, as an
+        # array or nested lists, a sample of zeros and ones
+        if _ndim(particles) is not None:
+            particles = np.asarray(particles)
+            if particles.dtype == np.bool_:
+                particles = particles.astype(np.float64)
+        shape = (None, fmap.feature_dim)
+        particles = _real_array(particles, "particles", shape=shape, finite=False)
     if particles.shape[0] < 2:
         raise ValueError("the Fisher estimate needs at least 2 particles")
     mean, cov = mean_and_covariance(particles)

@@ -63,11 +63,13 @@ def gaussian_w2(
     """
     mean_a = _real_array(mean_a, "mean_a", shape=(None,))
     mean_b = _real_array(mean_b, "mean_b", shape=mean_a.shape)
+    # non-finite entries pass the array check, so that the factor reports them
+    # as not positive definite
+    shape = (mean_a.size, mean_a.size)
+    cov_a = _real_array(cov_a, "cov_a", shape=shape, finite=False)
+    cov_b = _real_array(cov_b, "cov_b", shape=shape, finite=False)
     for cov, name in ((cov_a, "cov_a"), (cov_b, "cov_b")):
-        # factored before the shape check, so a non-finite entry is not positive definite
         spd_factor(cov, ValueError(f"{name} must be positive definite"))
-    cov_a = _real_array(cov_a, "cov_a", shape=(mean_a.size, mean_a.size))
-    cov_b = _real_array(cov_b, "cov_b", shape=(mean_a.size, mean_a.size))
 
     def _sqrtm_psd(mat):
         vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))

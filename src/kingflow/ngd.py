@@ -87,8 +87,9 @@ def gaussian_moment_to_natural(mean: np.ndarray, cov: np.ndarray) -> GaussianNat
     A covariance that is not positive definite raises ``ValueError``; no load is added.
     """
     mean = _real_array(mean, "mean", shape=(None,))
+    # non-finite entries are reported by the factor, as not positive definite
+    cov = _real_array(cov, "cov", shape=(mean.size, mean.size), finite=False)
     precision = spd_inverse(cov, ValueError("cov must be positive definite"))
-    _real_array(cov, "cov", shape=(mean.size, mean.size))
     return GaussianNaturalParams(linear=precision @ mean, quadratic=-0.5 * precision)
 
 
@@ -109,8 +110,8 @@ def sample_gaussian(mean: np.ndarray, cov: np.ndarray, n: int, seed) -> np.ndarr
     A covariance that is not positive definite raises ``ValueError``; no load is added.
     """
     mean = _real_array(mean, "mean", shape=(None,))
+    cov = _real_array(cov, "cov", shape=(mean.size, mean.size), finite=False)
     lower = spd_factor(cov, ValueError("cov must be positive definite"))
-    _real_array(cov, "cov", shape=(mean.size, mean.size))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((_number(n, "n", integral=True, positive=True), mean.size))
     return mean + z @ lower.T

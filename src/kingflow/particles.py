@@ -32,11 +32,25 @@ def _number(value, name: str, integral: bool = False, positive: bool = False):
     raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
-def _real_array(value, name: str, shape: tuple) -> np.ndarray:
+def _ndim(value) -> int | None:
+    """``np.ndim(value)``, or ``None`` for nested sequences of unequal lengths.
+
+    A site that promotes low-dimensional input before ``_real_array`` asks
+    this, so that a ragged value reaches ``_real_array`` unpromoted and
+    raises its error naming the parameter.
+    """
+    try:
+        return np.ndim(value)
+    except ValueError:
+        return None
+
+
+def _real_array(value, name: str, shape: tuple, finite: bool = True) -> np.ndarray:
     """A new read-only float64 array of ``value``, which must be finite numbers of ``shape``.
 
     ``shape`` has one entry per axis: a fixed size, or ``None`` for any size.
-    No axis may be empty.
+    No axis may be empty.  With ``finite=False`` NaN and infinite entries
+    pass, for a caller whose own check reports them.
     """
     try:
         arr = np.asarray(value)
@@ -49,7 +63,7 @@ def _real_array(value, name: str, shape: tuple) -> np.ndarray:
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name} must hold numbers, got {value!r}")
     arr = arr.astype(np.float64)
-    if not np.isfinite(arr).all():
+    if finite and not np.isfinite(arr).all():
         raise ValueError(f"{name} must hold finite numbers, got {value!r}")
     arr.setflags(write=False)
     return arr

@@ -26,7 +26,7 @@ import numpy as np
 from ._linalg import mean_and_covariance
 from .manifold import FeatureMap, FisherMatrix, feature_moments
 from .ngd import NatGradResult
-from .particles import ParticleSet, _number, _real_array, as_particles
+from .particles import ParticleSet, _ndim, _number, _real_array, as_particles
 
 ALIGNMENT_MODES = ("euclidean", "fisher")
 
@@ -49,13 +49,13 @@ class TimeKernel:
 
     def value(self, t: np.ndarray | float) -> np.ndarray | float:
         """The window at a time, or at each of a 1-D array of times."""
-        t = _real_array(t, "t", shape=(None,) if np.ndim(t) else ())
+        t = _real_array(t, "t", shape=() if _ndim(t) == 0 else (None,))
         z = (t - self.center) / self.sigma
         return np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi * self.sigma**2)
 
     def deriv(self, t: np.ndarray | float) -> np.ndarray | float:
         """Derivative of the window with respect to time, taken as ``value`` takes ``t``."""
-        t = _real_array(t, "t", shape=(None,) if np.ndim(t) else ())
+        t = _real_array(t, "t", shape=() if _ndim(t) == 0 else (None,))
         return -(t - self.center) / self.sigma**2 * self.value(t)
 
 
@@ -96,7 +96,7 @@ def project_change_limit(
 ) -> np.ndarray:
     """Vanishing-window projection: Fisher solve of mean gradient-velocity contraction."""
     particles = as_particles(particles, dim=fmap.input_dim)
-    if np.ndim(velocities) == 1:  # one velocity coordinate per particle
+    if _ndim(velocities) == 1:  # one velocity coordinate per particle
         velocities = np.reshape(velocities, (-1, 1))
     velocities = _real_array(velocities, "velocities", shape=particles.points.shape)
     feats, jac = fmap.derivatives(particles, 1)

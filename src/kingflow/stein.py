@@ -24,7 +24,7 @@ from .manifold import (
     feature_map_from_config,
     register_feature_map,
 )
-from .particles import _number, _real_array, as_particles
+from .particles import _ndim, _number, _real_array, as_particles
 
 STEIN_MODES = ("paired", "full")
 
@@ -71,7 +71,8 @@ class GaussianMixtureScore(Configurable):
     kind = "gaussian_mixture"
 
     def __post_init__(self):
-        means = _real_array(np.atleast_2d(self.means), "means", shape=(None, None))
+        means = self.means if _ndim(self.means) is None else np.atleast_2d(self.means)
+        means = _real_array(means, "means", shape=(None, None))
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "sigma", _number(self.sigma, "sigma", positive=True))
 

@@ -1,8 +1,9 @@
 """Every public vector or matrix input is checked as ``particles._real_array`` checks it.
 
 For each array parameter of an exported function, dataclass or public method,
-a valid value is accepted, and a NaN or ±inf entry, a bool array, an empty
-axis and a value of the wrong shape raise ``ValueError`` naming the parameter.
+a valid value is accepted, and a NaN or ±inf entry, an entry of text, a bool
+array, an empty axis, a ragged nested list and a value of the wrong shape
+raise ``ValueError`` naming the parameter.
 The inputs in ``PINNED`` keep the error their own tests pin for a non-finite
 entry.
 """
@@ -128,8 +129,8 @@ ARRAYS = {
     "TimeKernel.deriv.t": Array(TK.deriv, TIMES, TIMES[None]),
 }
 
-# A covariance is factored before its shape is checked, so a non-finite entry
-# reads as not positive definite.  Features are checked only for their width:
+# A covariance is checked for numbers of its shape and then factored, so a
+# non-finite entry reads as not positive definite.  Features are checked only for their width:
 # a non-finite feature makes the Fisher estimate singular, and bool features
 # are a sample of zeros and ones.
 PINNED = {
@@ -153,6 +154,20 @@ def _with_entry(good, value) -> np.ndarray:
     return arr
 
 
+def _with_text(good) -> list:
+    """``good`` as nested lists, its first entry the text ``"a"``."""
+    arr = np.array(good, dtype=object)
+    arr.flat[0] = "a"
+    return arr.tolist()
+
+
+def _ragged(good) -> list:
+    """``good`` as nested lists, its first entry a nested list of unequal lengths."""
+    rows = np.asarray(good).tolist()
+    rows[0] = [[0.0], [0.0, 0.0]]
+    return rows
+
+
 def _empty_axes(good) -> list:
     arr = np.asarray(good)
     return [np.delete(arr, np.s_[:], axis=axis) for axis in range(arr.ndim)]
@@ -172,10 +187,33 @@ def test_a_non_finite_entry_raises_naming_the_parameter(key, bad):
         ARRAYS[key].call(_with_entry(ARRAYS[key].good, bad))
 
 
+@pytest.mark.parametrize("key", ARRAYS)
+def test_an_entry_of_text_raises_naming_the_parameter(key):
+    # a covariance is checked for numbers before it is factored
+    with pytest.raises(ValueError, match=rf"\b{_parameter(key)}\b"):
+        ARRAYS[key].call(_with_text(ARRAYS[key].good))
+
+
+@pytest.mark.parametrize("key", ARRAYS)
+def test_a_ragged_nested_list_raises_naming_the_parameter(key):
+    # the sites that promote 1-D input leave a ragged value to the array check
+    with pytest.raises(ValueError, match=rf"\b{_parameter(key)}\b"):
+        ARRAYS[key].call(_ragged(ARRAYS[key].good))
+
+
 @pytest.mark.parametrize("key", sorted(set(ARRAYS) - TAKES_BOOLS))
 def test_a_bool_array_raises_naming_the_parameter(key):
     with pytest.raises(ValueError, match=rf"\b{_parameter(key)}\b"):
         ARRAYS[key].call(np.asarray(ARRAYS[key].good) > 0)
+
+
+@pytest.mark.parametrize("key", sorted(TAKES_BOOLS))
+def test_bool_features_are_zeros_and_ones_as_an_array_or_nested_lists(key):
+    flags = np.asarray(ARRAYS[key].good) > 0
+    mean, fisher = ARRAYS[key].call(flags.astype(np.float64))
+    for value in (flags, flags.tolist()):
+        got_mean, got_fisher = ARRAYS[key].call(value)
+        assert np.array_equal(got_mean, mean) and np.array_equal(got_fisher.matrix, fisher.matrix)
 
 
 @pytest.mark.parametrize("key", ARRAYS)

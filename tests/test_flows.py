@@ -382,6 +382,11 @@ def assert_matches_reference(actual, expected):
     assert_allclose(actual, expected, rtol=1e-10, atol=1e-10 * np.abs(expected).max())
 
 
+def fields_of(velocity_of, n_fields):
+    """The per-feature fields ``(n, d, m)`` behind a solve's ``velocity_of``, one basis vector each."""
+    return np.stack([velocity_of(e) for e in np.eye(n_fields)], axis=2)
+
+
 KERNEL_CASE_KINDS = ("rbf_scalar", "diagonalized_scalar", "empirical_ntk", "custom")
 
 
@@ -405,13 +410,14 @@ def test_kernel_application_matches_the_reference_blocks(kind, data):
 @given(data=st.data())
 def test_symmetric_strips_match_the_reference_blocks(kind, data):
     # A block of exactly the products of all n rows leaves strips of
-    # max(1, width // 2) rows, so n past twice that takes at least 3 strips.
+    # max(1, width // 2) rows, so n past twice that takes at least 3 strips;
+    # n past width keeps the whole Gram out.
     dim, n_fields = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
     bandwidth = data.draw(st.floats(0.2, 5.0))
     kernel = KernelSpec(kind, bandwidth=bandwidth)
     width = flows._gaussian_width(kernel, dim, n_fields)
-    rows = max(1, width // 2)
-    n = data.draw(st.integers(2 * rows + 1, 2 * rows + 12))
+    low = max(2 * max(1, width // 2), width) + 1
+    n = data.draw(st.integers(low, low + 11))
     offset = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     anchors = offset + bandwidth * rng.standard_normal((n, dim))
@@ -425,10 +431,11 @@ def test_symmetric_strips_match_the_reference_blocks(kind, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(flows, "_BLOCK_VALUES", n * width)
         patch.setattr(flows, "_gaussian_gram", counted_gram)
-        quad, fields = _gram_quadratic(kernel, anchors, vels)
+        quad, velocity_of = _gram_quadratic(kernel, anchors, vels)
     assert len(strips) >= 3 and sum(strips) == n
 
     blocks = reference_blocks(kernel, anchors, anchors)
+    fields = fields_of(velocity_of, n_fields)
     assert_matches_reference(fields, np.einsum("qide,iek->qdk", blocks, vels) / n)
     expected_quad = np.einsum("ida,ijde,jeb->ab", vels, blocks, vels) / n**2
     assert_matches_reference(quad, expected_quad)
@@ -436,8 +443,12 @@ def test_symmetric_strips_match_the_reference_blocks(kind, data):
 
 @pytest.mark.parametrize("kind", KERNEL_CASE_KINDS)
 @pytest.mark.parametrize("offset", [0.0, 1e3])
-def test_anchor_velocity_matches_eval_drift_at_the_anchors(kind, offset, rng):
-    n, dim, m = 16, 2, 5
+@pytest.mark.parametrize("n", [8, 60])
+def test_anchor_velocity_matches_eval_drift_at_the_anchors(kind, offset, n, rng):
+    # At d = 2 and five features rbf_scalar keeps the whole Gram at n = 8
+    # (n <= width = 45) and takes the symmetric strips at n = 60, as
+    # diagonalized_scalar does at both.
+    dim, m = 2, 5
     particles, targets = drift_case(rng, n=n, dim=dim)
     particles = ParticleSet(particles.points + offset)
     targets = ParticleSet(targets.points + offset)
@@ -453,12 +464,13 @@ def test_anchor_velocity_matches_eval_drift_at_the_anchors(kind, offset, rng):
     solution = solve(fmap, kernel, particles, targets, ridge=1e-3)
     expected = eval_drift(solution, particles)
     velocity = solution.anchor_velocity()
-    assert solution.products.shape == (n, dim, m)
+    fields = fields_of(solution.velocity_of, m)
+    assert fields.shape == (n, dim, m)
     # The two paths sum the per-feature fields in different orders.  Far
     # from the origin the kernels that are not translation invariant
     # cancel fields much larger than the velocity, so the rounding scale
     # is the summed magnitude sum_a |coeff_a| |field_a|.
-    magnitude = np.einsum("qda,a->qd", np.abs(solution.products), np.abs(solution.coeff))
+    magnitude = np.einsum("qda,a->qd", np.abs(fields), np.abs(solution.coeff))
     assert_allclose(velocity, expected, rtol=1e-12, atol=1e-12 * magnitude.max())
     silenced = dataclasses.replace(solution, coeff=np.zeros_like(solution.coeff))
     assert_array_equal(silenced.anchor_velocity(), 0.0)
@@ -512,24 +524,53 @@ def test_symmetric_strips_match_the_row_blocks(kind, n, offset, rng, monkeypatch
     kernel = KernelSpec(kind, bandwidth=1.3)
     expected = _apply_kernel(kernel, pts, pts, vels)
     strips = count_kernel_gram_entries(monkeypatch)
-    quad, fields = _gram_quadratic(kernel, pts, vels)
+    quad, velocity_of = _gram_quadratic(kernel, pts, vels)
     assert len(strips) >= 3
-    assert_matches_reference(fields, expected)
+    assert_matches_reference(fields_of(velocity_of, k), expected)
     assert_matches_reference(quad, vels.reshape(n * d, k).T @ expected.reshape(n * d, k) / n)
 
 
-@pytest.mark.parametrize("kind", ["rbf_scalar", "diagonalized_scalar"])
-def test_gram_quadratic_keeps_the_row_block_arithmetic_at_wide_shapes(kind, rng):
-    # bimodal_n250's shape: rbf_scalar's products of all rows take more than
-    # a block, and diagonalized_scalar's rows fit in one strip.
+def test_gram_quadratic_keeps_the_row_block_arithmetic_at_wide_shapes(rng):
+    # bimodal_n250's shape: diagonalized_scalar's products of all rows fit
+    # in one strip, whose arithmetic is that of one row block.
     n, d, k = 250, 5, 50
     pts = rng.standard_normal((n, d))
     vels = rng.standard_normal((n, d, k))
-    kernel = KernelSpec(kind, bandwidth=2.0)
-    quad, fields = _gram_quadratic(kernel, pts, vels)
+    kernel = KernelSpec("diagonalized_scalar", bandwidth=2.0)
+    quad, velocity_of = _gram_quadratic(kernel, pts, vels)
     expected = _apply_kernel(kernel, pts, pts, vels)
-    assert_array_equal(fields, expected)
+    assert_array_equal(fields_of(velocity_of, k), expected)
     assert_array_equal(quad, vels.reshape(n * d, k).T @ expected.reshape(n * d, k) / n)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_whole_gram_system_term_is_exactly_symmetric(offset, rng, monkeypatch):
+    # bimodal_n250's king shape: the rbf_scalar Gram is one block and no
+    # wider than the anchor columns (1800 values a row), so it is built
+    # once, whole, and its upper triangle gives the term as (S + S^T) / n^2.
+    n, d, k = 250, 5, 50
+    pts = offset + rng.standard_normal((n, d))
+    vels = rng.standard_normal((n, d, k))
+    kernel = KernelSpec("rbf_scalar", bandwidth=2.0)
+    expected = _apply_kernel(kernel, pts, pts, vels)
+    entries = count_kernel_gram_entries(monkeypatch)
+    quad, velocity_of = _gram_quadratic(kernel, pts, vels)
+    assert_array_equal(quad, quad.T)
+    assert_matches_reference(quad, vels.reshape(n * d, k).T @ expected.reshape(n * d, k) / n)
+    assert_matches_reference(fields_of(velocity_of, k), expected)
+    # one Gram, kept for the velocities
+    assert entries == [n * n]
+
+
+def test_whole_gram_solve_stays_within_its_memory_budget(rng, traced_peak):
+    # bimodal_n250's king solve: the triangular product overwrites the
+    # (n, (d+1)^2 m) anchor columns (3.4 MiB) in place.  A GEMM of the Gram
+    # with them into a products array of the same size peaked at 9.5 MiB.
+    n, dim = 250, 5
+    particles, targets = drift_case(rng, n=n, dim=dim)
+    fmap = RbfFeatureMap(centers=rng.standard_normal((50, dim)), bandwidth=2.0)
+    kernel = KernelSpec("rbf_scalar", bandwidth=1.0)
+    assert traced_peak(lambda: solve_king_drift(fmap, kernel, particles, targets, 1e-3)) < 7 * 2**20
 
 
 def test_symmetric_strips_build_each_gram_entry_once(rng, monkeypatch):
@@ -545,14 +586,48 @@ def test_symmetric_strips_build_each_gram_entry_once(rng, monkeypatch):
     assert sum(entries) <= 0.65 * n * n
 
 
-def test_row_blocks_build_each_gram_entry_once_per_solve(rng, monkeypatch):
-    # The king solve of bimodal_n250 keeps the row blocks.
-    n, dim = 250, 5
+@pytest.mark.parametrize("n", [250, 400])
+def test_solve_and_anchor_velocity_build_each_gram_entry_once(n, rng, monkeypatch):
+    # At d = 5 and 50 features the king solve keeps the whole Gram at
+    # bimodal_n250's n = 250 and takes the row blocks at n = 400 (n^2 past
+    # one block).  Neither the whole Gram nor the fields are built again
+    # for the anchor velocity.
+    dim = 5
     particles, targets = drift_case(rng, n=n, dim=dim)
     fmap = RbfFeatureMap(centers=rng.standard_normal((50, dim)), bandwidth=2.0)
     entries = count_kernel_gram_entries(monkeypatch)
-    solve_king_drift(fmap, KernelSpec("rbf_scalar", bandwidth=1.0), particles, targets, 1e-3)
+    kernel = KernelSpec("rbf_scalar", bandwidth=1.0)
+    solve_king_drift(fmap, kernel, particles, targets, 1e-3).anchor_velocity()
     assert sum(entries) == n * n
+
+
+@pytest.mark.parametrize(
+    "kind, n, dim, m",
+    [
+        ("rbf_scalar", 8, 2, 5),
+        ("rbf_scalar", 100, 2, 5),
+        ("rbf_scalar", 400, 10, 50),
+        ("diagonalized_scalar", 8, 2, 5),
+        ("diagonalized_scalar", 100, 2, 5),
+        ("diagonalized_scalar", 400, 10, 50),
+    ],
+    ids=[
+        "rbf_whole_gram", "rbf_strips", "rbf_row_blocks",
+        "diagonalized_strips_small", "diagonalized_strips", "diagonalized_row_blocks",
+    ],
+)
+def test_solve_leaves_its_inputs_and_jacobian_intact(kind, n, dim, m, rng):
+    # The whole-Gram path multiplies its anchor columns in place;
+    # diagonalized_scalar's columns are a view of the transposed Jacobian,
+    # which must never be the array written over.
+    particles, targets = drift_case(rng, n=n, dim=dim)
+    points = particles.points.copy()
+    fmap = RbfFeatureMap(centers=rng.standard_normal((m, dim)), bandwidth=2.0)
+    solve = solve_king_drift if kind == "rbf_scalar" else solve_ntking_drift
+    solution = solve(fmap, KernelSpec(kind, bandwidth=1.0), particles, targets, 1e-3)
+    solution.anchor_velocity()
+    assert_array_equal(particles.points, points)
+    assert_array_equal(solution.jacobian, fmap.jacobian(particles))
 
 
 def test_drift_iteration_memory_stays_bounded_at_large_n(rng, traced_peak):

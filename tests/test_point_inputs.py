@@ -117,11 +117,17 @@ CASES = {
 
 
 def _leaves(value) -> list:
-    """The arrays and scalars a result is made of, dataclass fields and tuples unpacked."""
+    """The arrays and scalars a result is made of, dataclass fields and tuples unpacked.
+
+    A drift solution's ``velocity_of`` counts through the per-feature fields
+    ``(n, d, m)`` it gives, one basis coefficient vector each.
+    """
     if dataclasses.is_dataclass(value):
         return [leaf for f in dataclasses.fields(value) for leaf in _leaves(getattr(value, f.name))]
     if isinstance(value, tuple):
         return [leaf for item in value for leaf in _leaves(item)]
+    if callable(value):  # every drift case solves with QUAD's features
+        return [np.stack([value(e) for e in np.eye(QUAD.feature_dim)], axis=2)]
     return [value]
 
 
