@@ -22,15 +22,29 @@ tangent kernel, and ``diagonalized_scalar`` substitutes ``k(x, y) * I``.
 Any object exposing ``pair_blocks(xs, ys) -> (n, m, d, d)`` works as a
 custom matrix kernel.  Every kind builds its anchor-side terms once and
 then takes the query rows a block at a time, 1 MiB of kernel values per
-block, so a solve or an evaluation holds the ``(n, d, m)`` fields, one
-block of kernel values and, for ``rbf_scalar``, its anchor columns of
+block, so a solve or an evaluation holds at most the ``(n, d, m)`` fields,
+one block of kernel values and, for ``rbf_scalar``, its anchor columns of
 ``(d+1)^2`` values per anchor and field, never a ``(q, n)`` array nor an
 ``(n, n)`` one of more than a block.
 
 In the solve the queries are the anchors, and the Gram of the two
-Gaussian kinds is symmetric.  Three paths take it, chosen by shape alone,
-with ``width`` the anchor-column values per row, ``(d+1)^2 m`` for
-``rbf_scalar`` and ``d m`` for ``diagonalized_scalar``:
+Gaussian kinds is symmetric.  Four paths take it, chosen by shape alone
+(and, for the first, the map's exact type), with ``width`` the
+anchor-column values per row, ``(d+1)^2 m`` for ``rbf_scalar`` and
+``d m`` for ``diagonalized_scalar``:
+
+- for ``diagonalized_scalar`` on a plain ``RbfFeatureMap``, the term from
+  ``(n, m)`` products of the whole Gram, when it is one block, ``n >= 64``
+  and ``d m >= 2 m + d + 80`` (``_takes_rbf_map_term``).  The map's
+  Jacobian is ``diag(features) (centres - x)`` scaled, so the term needs
+  no per-feature fields, and the Gram is kept for the anchor velocity.
+  Per system term and anchor velocity, one BLAS thread, in ms, the
+  strips (row blocks at 360/10/50) / the RBF-map term:
+
+      n/m, d    1            2            3            5            10
+      200/50    0.24 / 0.47  0.34 / 0.41  0.47 / 0.44  1.13 / 0.54  1.93 / 0.58
+      360/50    0.76 / 1.52  0.92 / 1.19  1.31 / 1.26  1.88 / 1.38  3.45 / 1.71
+      200/20    0.16 / 0.30  0.21 / 0.26  0.25 / 0.26  0.34 / 0.30  0.85 / 0.38
 
 - for ``rbf_scalar``, the whole Gram, when it is one block (``n^2``
   values) and no wider than the anchor columns (``n <= width``): one
@@ -43,7 +57,7 @@ with ``width`` the anchor-column values per row, ``(d+1)^2 m`` for
 
 ``h`` is linear in ``coeff``, so the solve also yields the velocities at
 the particles it was built on: ``DriftSolution.anchor_velocity`` contracts
-the per-feature fields with ``coeff``, or applies the kept Gram to the
+the per-feature fields with ``coeff``, or applies a kept Gram to the
 single field ``J^T coeff``.  ``eval_drift`` evaluates ``h`` at any other
 query points.
 
@@ -81,7 +95,7 @@ from .kernels import (
     _gaussian_gram,
     median_heuristic,
 )
-from .manifold import FeatureMap, feature_mean, feature_moments
+from .manifold import FeatureMap, RbfFeatureMap, feature_mean, feature_moments
 from .particles import ParticleSet, _number, _real_array, as_particles
 from .stein import GaussianMixtureScore
 
@@ -113,13 +127,17 @@ class DriftSolution:
     ``anchor_velocity()`` gives the drift at the anchors from what the
     solve already built; ``eval_drift`` evaluates it at other query points.
     ``jacobian`` holds the feature Jacobians at the anchors, shape
-    ``(n, feature_dim, dim)``, as a view of the transposed copy the kernel
-    was applied to.  ``velocity_of`` maps a coefficient vector to the
-    velocities ``(1/n) sum_i K(x_q, x_i) J_i^T coeff`` at the anchors,
-    shape ``(n, dim)``: the per-feature fields from which the system's
-    kernel term was built, contracted with it, or, where the solve kept
-    the whole ``rbf_scalar`` Gram, one product of that Gram.  Neither
-    depends on ``coeff``.
+    ``(n, feature_dim, dim)``: the map's own array where the solve took
+    the RBF-map term (``diagonalized_scalar`` on a plain ``RbfFeatureMap``
+    with ``n >= 64``, ``n^2`` one block and ``d m >= 2 m + d + 80``; see
+    the module docstring for its timings), else a view of the transposed
+    copy the kernel was applied to.  ``velocity_of`` maps a coefficient
+    vector to the velocities ``(1/n) sum_i K(x_q, x_i) J_i^T coeff`` at the
+    anchors, shape ``(n, dim)``.  It keeps either the per-feature fields
+    from which the system's kernel term was built, and contracts them with
+    it, or, where the solve kept the whole Gram (``rbf_scalar``'s whole-Gram
+    path and the RBF-map term), that Gram, and makes one single-field
+    product with it.  Neither depends on ``coeff``.
     """
 
     gamma_factor: np.ndarray
@@ -156,6 +174,14 @@ class FlowConfig:
 
 
 # -- kernel application -------------------------------------------------------
+
+# The shape rule of ``_takes_rbf_map_term``, fitted to per-call timings: below
+# this many particles the extra calls of ``_rbf_map_quadratic`` outweigh its
+# savings, and building the Gram's second half costs about as much as this
+# many multiply-adds per entry.
+_RBF_MAP_MIN_ROWS = 64
+_RBF_MAP_GRAM_HALF_COST = 80
+
 
 def _gram_quadratic(kernel, pts: np.ndarray, jac_t: np.ndarray) -> tuple[np.ndarray, Callable]:
     """``(1/n^2) sum_ij J_i K(x_i, x_j) J_j^T`` and the anchor velocity as a function of ``coeff``.
@@ -220,14 +246,64 @@ def _whole_gram_quadratic(
     fields = np.empty((n, d, m))
     finish(half, pts, fields)
     total = jac_t.reshape(n * d, m).T @ fields.reshape(n * d, m)
+    return (total + total.T) / n**2, _kept_gram_velocity(kernel, gram, pts, jac_t)
+
+
+def _rbf_map_quadratic(
+    kernel: KernelSpec, fmap: RbfFeatureMap, pts: np.ndarray, feats: np.ndarray, jac: np.ndarray
+) -> tuple[np.ndarray, Callable]:
+    """``_gram_quadratic`` for ``diagonalized_scalar`` on a plain RBF map, from ``(n, m)`` products.
+
+    ``feats`` and ``jac`` are the map's features ``Phi`` and Jacobians at
+    ``pts``.  Each Jacobian is ``J_i = diag(Phi_i) (C - 1 x_i^T) / s_f^2``,
+    with ``C`` the centres and ``s_f`` the map's bandwidth, so with the
+    points ``X`` and the centres both centred on the particle mean the term
+    ``(1/n^2) sum_ij k_ij J_i J_j^T`` is
+
+        [A o C C^T - B - B^T + Phi^T (K o X X^T) Phi] / (n^2 s_f^4),
+        A = Phi^T (K Phi),  B = ((K Phi) o (X C^T))^T Phi,
+
+    two ``n^2 m`` GEMMs, one of ``n^2 d`` and three of ``n m^2``, where
+    the strips take ``n^2 d m`` and the contraction ``n d m^2``.
+    ``K o X X^T`` is formed a block of rows at a time, so the Gram, kept
+    whole for the anchor velocity, is the one ``(n, n)`` array.  The
+    expansion cancels where the points spread far beyond ``s_f``: its
+    rounding is relative to the same sum taken over absolute values, not
+    to the term.
+    """
+    n = pts.shape[0]
+    centre = pts.mean(axis=0)
+    x, centers = pts - centre, fmap.centers - centre
+    gram = _gaussian_gram(kernel.bandwidth, pts, pts)
+    k_feats = gram @ feats
+    cross = (k_feats * (x @ centers.T)).T @ feats
+    # (K o X X^T) Phi, one 128 KiB block of K o X X^T at a time
+    weighted = np.empty_like(feats)
+    rows = max(1, (_BLOCK_VALUES // 8) // n)
+    for start in range(0, n, rows):
+        block = x[start:start + rows] @ x.T
+        block *= gram[start:start + rows]
+        np.matmul(block, feats, out=weighted[start:start + rows])
+    term = (feats.T @ k_feats) * (centers @ centers.T)
+    term -= cross + cross.T
+    term += feats.T @ weighted
+    term /= (n * fmap.bandwidth**2) ** 2
+    return term, _kept_gram_velocity(kernel, gram, pts, jac.transpose(0, 2, 1))
+
+
+def _kept_gram_velocity(
+    kernel: KernelSpec, gram: np.ndarray, pts: np.ndarray, jac_t: np.ndarray
+) -> Callable:
+    """``velocity_of`` from a kept whole Gaussian Gram: one product with the field ``J^T coeff``."""
+    n, d, _ = jac_t.shape
 
     def velocity_of(coeff: np.ndarray) -> np.ndarray:
         out = np.empty((n, d, 1))
-        columns, finish = _rbf_columns(kernel.bandwidth, pts, (jac_t @ coeff)[:, :, None])
-        finish(gram @ columns, pts, out)
+        columns, finish = _gaussian_columns(kernel, pts, (jac_t @ coeff)[:, :, None])
+        _gram_product(gram, columns, finish, pts, out)
         return out[:, :, 0] / n
 
-    return (total + total.T) / n**2, velocity_of
+    return velocity_of
 
 
 def _apply_kernel(kernel, queries: np.ndarray, anchors: np.ndarray, vels: np.ndarray) -> np.ndarray:
@@ -339,11 +415,16 @@ def _query_rows(kernel, anchors: np.ndarray, vels: np.ndarray) -> Callable:
 
         def fill(queries, out):
             gram = _gaussian_gram(kernel.bandwidth, queries, anchors)
-            if finish is None:
-                np.matmul(gram, columns, out=out.reshape(out.shape[0], -1))
-            else:
-                finish(gram @ columns, queries, out)
+            _gram_product(gram, columns, finish, queries, out)
     return fill
+
+
+def _gram_product(gram, columns, finish, queries: np.ndarray, out: np.ndarray) -> None:
+    """Write a Gaussian kind's fields at ``queries`` into ``out`` from Gram rows and columns."""
+    if finish is None:
+        np.matmul(gram, columns, out=out.reshape(out.shape[0], -1))
+    else:
+        finish(gram @ columns, queries, out)
 
 
 def _rbf_columns(bandwidth: float, anchors: np.ndarray, vels: np.ndarray):
@@ -423,6 +504,29 @@ def _resolve_bandwidth(kernel, particles: ParticleSet, targets: ParticleSet | No
     return kernel.with_bandwidth(median_heuristic(particles, targets))
 
 
+def _takes_rbf_map_term(kernel, fmap: FeatureMap, n: int, d: int, m: int) -> bool:
+    """Whether the solve takes ``_rbf_map_quadratic``: ``diagonalized_scalar`` on a plain RBF map.
+
+    The map must be exactly an ``RbfFeatureMap``, whose Jacobian the term
+    assumes; its subclasses and every other map keep ``_gram_quadratic``.
+    The rule is by shape alone.  The Gram must be one block, as it is kept
+    whole, and ``n`` at least ``_RBF_MAP_MIN_ROWS``.  Per Gram entry the
+    strips' GEMM takes ``d m`` multiply-adds and the new term ``2 m + d``
+    plus the Gram's second half, so the term is taken where
+    ``d m >= 2 m + d + _RBF_MAP_GRAM_HALF_COST``: never at ``d <= 2``, from
+    ``m >= 83`` at ``d = 3``, ``m >= 29`` at ``d = 5`` and ``m >= 12`` at
+    ``d = 10``.
+    """
+    return (
+        isinstance(kernel, KernelSpec)
+        and kernel.kind == DIAGONALIZED_SCALAR
+        and type(fmap) is RbfFeatureMap
+        and _RBF_MAP_MIN_ROWS <= n
+        and n * n <= _BLOCK_VALUES
+        and d * m >= 2 * m + d + _RBF_MAP_GRAM_HALF_COST
+    )
+
+
 def _solve_drift(
     method: str,
     fmap: FeatureMap,
@@ -445,9 +549,13 @@ def _solve_drift(
     elif targets is not None:
         target_mean = feature_mean(fmap, targets)
     gap = -model_mean if target_mean is None else -model_mean + target_mean
-    jac_t = np.ascontiguousarray(jac.transpose(0, 2, 1))
-    jac = jac_t.transpose(0, 2, 1)
-    quad, velocity_of = _gram_quadratic(kernel, particles.points, jac_t)
+    n, d = particles.points.shape
+    if _takes_rbf_map_term(kernel, fmap, n, d, fmap.feature_dim):
+        quad, velocity_of = _rbf_map_quadratic(kernel, fmap, particles.points, feats, jac)
+    else:
+        jac_t = np.ascontiguousarray(jac.transpose(0, 2, 1))
+        jac = jac_t.transpose(0, 2, 1)
+        quad, velocity_of = _gram_quadratic(kernel, particles.points, jac_t)
     system = ridge * fisher.matrix + quad
     lower = spd_factor(system, SolverError("drift system is not positive definite"))
     coeff = chol_solve(lower, gap)

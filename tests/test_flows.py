@@ -18,6 +18,7 @@ from kingflow import (
     DivergenceError,
     FlowConfig,
     GaussianQuadraticMap,
+    InformedPairwiseMap,
     KernelSpec,
     NtkSpec,
     ParticleSet,
@@ -628,6 +629,192 @@ def test_solve_leaves_its_inputs_and_jacobian_intact(kind, n, dim, m, rng):
     solution.anchor_velocity()
     assert_array_equal(particles.points, points)
     assert_array_equal(solution.jacobian, fmap.jacobian(particles))
+
+
+# -- diagonalized_scalar on a plain RBF map --------------------------------------------
+
+def rbf_map_expansion_scale(fmap, gram, pts):
+    """The RBF-map term's expansion summed over absolute values: the scale of its rounding.
+
+    Far from the map's bandwidth the expansion cancels terms many orders
+    of magnitude larger than the term itself, so its rounding is relative
+    to this sum, not to the term.
+    """
+    n = pts.shape[0]
+    centre = pts.mean(axis=0)
+    x, centers = pts - centre, fmap.centers - centre
+    feats = fmap.features(pts)
+    k_feats = gram @ feats
+    cross = (k_feats * np.abs(x @ centers.T)).T @ feats
+    scale = (feats.T @ k_feats) * np.abs(centers @ centers.T) + cross + cross.T
+    scale += feats.T @ (gram * np.abs(x @ x.T)) @ feats
+    return scale / (n * fmap.bandwidth**2) ** 2
+
+
+@st.composite
+def rbf_map_cases(draw):
+    # Shapes on both sides of the RBF-map rule: n below and past its floor,
+    # d from 1 to 10 and m to 40 (the rule takes d = 10 from m = 12).
+    n = draw(st.one_of(st.integers(2, 12), st.integers(64, 70)))
+    dim, m = draw(st.integers(1, 10)), draw(st.integers(1, 40))
+    offset = draw(st.sampled_from([0.0, 1e3]))
+    spread = draw(st.floats(0.5, 2.0))
+    # the particles' spread over the map's bandwidth
+    ratio = draw(st.floats(0.2, 30.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = offset + spread * rng.standard_normal((n, dim))
+    fmap = RbfFeatureMap(
+        centers=offset + spread * rng.standard_normal((m, dim)), bandwidth=spread / ratio
+    )
+    kernel = KernelSpec("diagonalized_scalar", bandwidth=spread * draw(st.floats(0.2, 5.0)))
+    return kernel, fmap, pts
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(case=rbf_map_cases())
+def test_rbf_map_term_matches_the_reference_blocks(case):
+    kernel, fmap, pts = case
+    n, m = pts.shape[0], fmap.feature_dim
+    feats, jac = fmap.derivatives(pts, 1)
+    jac_t = jac.transpose(0, 2, 1)
+    quad, velocity_of = flows._rbf_map_quadratic(kernel, fmap, pts, feats, jac)
+    generic_quad, generic_velocity_of = _gram_quadratic(kernel, pts, np.ascontiguousarray(jac_t))
+
+    blocks = reference_blocks(kernel, pts, pts)
+    expected_fields = np.einsum("qide,iek->qdk", blocks, jac_t, optimize=True) / n
+    fields = fields_of(velocity_of, m)
+    assert_matches_reference(fields, expected_fields)
+    assert_matches_reference(fields, fields_of(generic_velocity_of, m))
+
+    # The expansion cancels, so its rounding is eps times its own scale, not
+    # times |term|: at 100/3/20 with spread 10 and map bandwidth 1 the scale
+    # is about 200 times the largest entry of the term.  Entries that
+    # underflow into subnormals round on the smallest normal number before
+    # the division by (n s_f^2)^2.
+    expected = np.einsum("ida,ijde,jeb->ab", jac_t, blocks, jac_t, optimize=True) / n**2
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    scale = rbf_map_expansion_scale(fmap, blocks[:, :, 0, 0], pts)
+    bound = 64 * eps * scale + tiny / (n * fmap.bandwidth**2) ** 2
+    assert np.all(np.abs(quad - expected) <= bound)
+    assert np.all(np.abs(quad - generic_quad) <= bound)
+
+
+class DoubledRbfMap(RbfFeatureMap):
+    """An RBF map subclass with its own ``_derivatives``: features and Jacobian doubled."""
+
+    def _derivatives(self, pts, order):
+        return tuple(2.0 * value for value in super()._derivatives(pts, order))
+
+
+@pytest.mark.parametrize(
+    "map_kind, n, dim, m, takes",
+    [
+        ("rbf", 200, 10, 50, True),  # ggm_ntking's shape
+        ("rbf", 64, 10, 12, True),  # the smallest n, and the smallest m at d = 10
+        ("rbf", 362, 3, 83, True),  # the largest n, and the smallest m at d = 3
+        ("rbf", 63, 10, 50, False),
+        ("rbf", 363, 10, 50, False),  # n^2 past one block: the row blocks
+        ("rbf", 200, 2, 200, False),  # d below the floor: the strips
+        ("rbf", 200, 3, 82, False),
+        ("rbf", 200, 10, 11, False),
+        ("informed", 200, 10, 50, False),
+        ("subclass", 200, 10, 50, False),
+    ],
+)
+def test_diagonalized_solve_takes_the_rbf_map_term_by_shape_and_map_type(
+    map_kind, n, dim, m, takes, rng, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("this path must not be taken")
+
+    particles, targets = drift_case(rng, n=n, dim=dim)
+    centers = rng.standard_normal((m, dim))
+    if map_kind == "informed":
+        fmap = InformedPairwiseMap(centers=centers, bandwidth=2.0, pairs=((0, 1),))
+    else:
+        fmap = (DoubledRbfMap if map_kind == "subclass" else RbfFeatureMap)(centers, 2.0)
+    kernel = KernelSpec("diagonalized_scalar", bandwidth=1.0)
+    if takes:
+        monkeypatch.setattr(flows, "_self_apply", refuse)
+        monkeypatch.setattr(flows, "_apply_kernel", refuse)
+    else:
+        monkeypatch.setattr(flows, "_rbf_map_quadratic", refuse)
+    entries = count_kernel_gram_entries(monkeypatch)
+    solution = solve_ntking_drift(fmap, kernel, particles, targets, 1e-3)
+    solution.anchor_velocity()
+    assert_array_equal(solution.jacobian, fmap.jacobian(particles))
+    if takes:
+        # one whole Gram, kept for the anchor velocity
+        assert entries == [n * n]
+
+
+def test_rbf_map_term_stays_within_its_memory_budget(rng, traced_peak):
+    # The largest n the RBF-map term takes, at ggm_ntking's d and m.  It
+    # holds the kept Gram (1.0 MiB) and a few (n, m) arrays (141 KiB each),
+    # 1.6 MiB at its peak; the row blocks, with their (n, d, m) fields of
+    # 1.4 MiB, peaked at 3.8 MiB here.
+    n, dim, m = 362, 10, 50
+    pts = rng.standard_normal((n, dim))
+    fmap = RbfFeatureMap(centers=rng.standard_normal((m, dim)), bandwidth=2.0)
+    kernel = KernelSpec("diagonalized_scalar", bandwidth=1.5)
+    feats, jac = fmap.derivatives(pts, 1)
+    coeff = rng.standard_normal(m)
+
+    def term_and_velocity():
+        _, velocity_of = flows._rbf_map_quadratic(kernel, fmap, pts, feats, jac)
+        velocity_of(coeff)
+
+    assert traced_peak(term_and_velocity) < 8 * (n * n + 6 * n * m)
+
+
+def literal_ntking_flow(fmap, targets, init, config):
+    """Every particle set of an ntking flow on ``diagonalized_scalar``, refreshed, pair by pair."""
+    target_mean = feature_mean(fmap, targets)
+    particles, logged = init, [init.points]
+    n = init.points.shape[0]
+    for _ in range(config.iterations):
+        kernel = KernelSpec("diagonalized_scalar", bandwidth=median_heuristic(particles, targets))
+        jac = fmap.jacobian(particles)
+        model_mean, fisher = feature_moments(fmap, particles)
+        blocks = reference_blocks(kernel, particles.points, particles.points)
+        term = np.einsum("iad,ijde,jbe->ab", jac, blocks, jac, optimize=True) / n**2
+        coeff = np.linalg.solve(config.ridge * fisher.matrix + term, target_mean - model_mean)
+        velocity = np.einsum("ijde,jae,a->id", blocks, jac, coeff, optimize=True) / n
+        particles = ParticleSet(particles.points + config.step * velocity)
+        logged.append(particles.points)
+    return logged
+
+
+@settings(max_examples=6, deadline=None, database=None)
+@given(data=st.data())
+def test_rbf_map_flow_matches_a_literal_pairwise_loop(data):
+    # Each shape takes the RBF-map term: n = 64 and m at least the rule's
+    # smallest at each d.  Not d = 3: its 83 or more overlapping features
+    # put the drift system's condition number past 1e8, and the rounding
+    # of either path grows past the tolerance within a few iterations.
+    # Every logged set is compared by its displacement from the initial
+    # points, which far from the origin is much smaller than the points.
+    n = 64
+    dim = data.draw(st.sampled_from([5, 10]))
+    m = {5: 29, 10: 12}[dim] + data.draw(st.integers(0, 4))
+    offset = data.draw(st.sampled_from([0.0, 1e3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    init = ParticleSet(offset + rng.standard_normal((n, dim)))
+    targets = ParticleSet(offset + 1.0 + rng.standard_normal((80, dim)))
+    fmap = RbfFeatureMap(centers=offset + 1.5 * rng.standard_normal((m, dim)), bandwidth=2.0)
+    assert flows._takes_rbf_map_term(KernelSpec("diagonalized_scalar"), fmap, n, dim, m)
+    config = FlowConfig(
+        step=0.5, iterations=data.draw(st.integers(3, 5)), ridge=1e-2, log_every=1
+    )
+    logged = []
+    run_flow(
+        "ntking", fmap, KernelSpec("diagonalized_scalar"), targets, init, config,
+        observer=lambda iteration, t, particles, diagnostics: logged.append(particles.points),
+    )
+    expected = literal_ntking_flow(fmap, targets, init, config)
+    assert len(logged) == len(expected) == config.iterations + 1
+    for flowed, literal in zip(logged, expected):
+        assert_matches_reference(flowed - init.points, literal - init.points)
 
 
 def test_drift_iteration_memory_stays_bounded_at_large_n(rng, traced_peak):
