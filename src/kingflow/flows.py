@@ -36,8 +36,9 @@ anchor-column values per row, ``(d+1)^2 m`` for ``rbf_scalar`` and
 - for ``diagonalized_scalar`` on a plain ``RbfFeatureMap``, the term from
   ``(n, m)`` products of the whole Gram, when it is one block, ``n >= 64``
   and ``d m >= 2 m + d + 80`` (``_takes_rbf_map_term``).  The map's
-  Jacobian is ``diag(features) (centres - x)`` scaled, so the term needs
-  no per-feature fields, and the Gram is kept for the anchor velocity.
+  Jacobian is ``diag(features) (centres - x)`` scaled, so the term and the
+  anchor velocity read the features only: no ``(n, m, d)`` Jacobian, no
+  per-feature fields, and the Gram is kept for the anchor velocity.
   Per system term and anchor velocity, one BLAS thread, in ms, the
   strips (row blocks at 360/10/50) / the RBF-map term:
 
@@ -76,6 +77,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -126,26 +128,30 @@ class DriftSolution:
 
     ``anchor_velocity()`` gives the drift at the anchors from what the
     solve already built; ``eval_drift`` evaluates it at other query points.
-    ``jacobian`` holds the feature Jacobians at the anchors, shape
-    ``(n, feature_dim, dim)``: the map's own array where the solve took
-    the RBF-map term (``diagonalized_scalar`` on a plain ``RbfFeatureMap``
-    with ``n >= 64``, ``n^2`` one block and ``d m >= 2 m + d + 80``; see
-    the module docstring for its timings), else a view of the transposed
-    copy the kernel was applied to.  ``velocity_of`` maps a coefficient
-    vector to the velocities ``(1/n) sum_i K(x_q, x_i) J_i^T coeff`` at the
-    anchors, shape ``(n, dim)``.  It keeps either the per-feature fields
-    from which the system's kernel term was built, and contracts them with
-    it, or, where the solve kept the whole Gram (``rbf_scalar``'s whole-Gram
-    path and the RBF-map term), that Gram, and makes one single-field
-    product with it.  Neither depends on ``coeff``.
+    ``fmap`` is the feature map the solve used, and ``jacobian``, the
+    feature Jacobians at the anchors of shape ``(n, feature_dim, dim)``, is
+    ``fmap.jacobian(anchors)``, evaluated on first access: the RBF-map term
+    (``diagonalized_scalar`` on a plain ``RbfFeatureMap``; see
+    ``_takes_rbf_map_term``) never builds it, and the other paths release
+    theirs with the solve.  ``velocity_of`` maps a coefficient vector to
+    the velocities ``(1/n) sum_i K(x_q, x_i) J_i^T coeff`` at the anchors,
+    shape ``(n, dim)``.  It keeps either the per-feature fields from which
+    the system's kernel term was built, and contracts them with it, or,
+    where the solve kept the whole Gram (``rbf_scalar``'s whole-Gram path
+    and the RBF-map term), that Gram, and makes one single-field product
+    with it.  Neither depends on ``coeff``.
     """
 
     gamma_factor: np.ndarray
     coeff: np.ndarray
-    jacobian: np.ndarray
+    fmap: FeatureMap
     kernel: KernelSpec | object
     anchors: ParticleSet
     velocity_of: Callable[[np.ndarray], np.ndarray]
+
+    @cached_property
+    def jacobian(self) -> np.ndarray:
+        return self.fmap.jacobian(self.anchors)
 
     def anchor_velocity(self) -> np.ndarray:
         """The drift at the anchors, ``eval_drift(self, self.anchors)``, shape ``(n, d)``."""
@@ -246,18 +252,25 @@ def _whole_gram_quadratic(
     fields = np.empty((n, d, m))
     finish(half, pts, fields)
     total = jac_t.reshape(n * d, m).T @ fields.reshape(n * d, m)
-    return (total + total.T) / n**2, _kept_gram_velocity(kernel, gram, pts, jac_t)
+
+    def velocity_of(coeff: np.ndarray) -> np.ndarray:
+        out = np.empty((n, d, 1))
+        columns, finish = _rbf_columns(kernel.bandwidth, pts, (jac_t @ coeff)[:, :, None])
+        finish(gram @ columns, pts, out)
+        return out[:, :, 0] / n
+
+    return (total + total.T) / n**2, velocity_of
 
 
 def _rbf_map_quadratic(
-    kernel: KernelSpec, fmap: RbfFeatureMap, pts: np.ndarray, feats: np.ndarray, jac: np.ndarray
+    kernel: KernelSpec, fmap: RbfFeatureMap, pts: np.ndarray, feats: np.ndarray
 ) -> tuple[np.ndarray, Callable]:
-    """``_gram_quadratic`` for ``diagonalized_scalar`` on a plain RBF map, from ``(n, m)`` products.
+    """``_gram_quadratic`` for ``diagonalized_scalar`` on a plain RBF map, from its features alone.
 
-    ``feats`` and ``jac`` are the map's features ``Phi`` and Jacobians at
-    ``pts``.  Each Jacobian is ``J_i = diag(Phi_i) (C - 1 x_i^T) / s_f^2``,
-    with ``C`` the centres and ``s_f`` the map's bandwidth, so with the
-    points ``X`` and the centres both centred on the particle mean the term
+    ``feats`` are the map's features ``Phi`` at ``pts``.  Each Jacobian is
+    ``J_i = diag(Phi_i) (C - 1 x_i^T) / s_f^2``, with ``C`` the centres and
+    ``s_f`` the map's bandwidth, so with the points ``X`` and the centres
+    both centred on the particle mean the term
     ``(1/n^2) sum_ij k_ij J_i J_j^T`` is
 
         [A o C C^T - B - B^T + Phi^T (K o X X^T) Phi] / (n^2 s_f^4),
@@ -267,11 +280,14 @@ def _rbf_map_quadratic(
     the strips take ``n^2 d m`` and the contraction ``n d m^2``.
     ``K o X X^T`` is formed a block of rows at a time, so the Gram, kept
     whole for the anchor velocity, is the one ``(n, n)`` array.  The
+    velocity's one field is ``J_i^T c = ((Phi_i o c) C - x_i (Phi_i . c)) / s_f^2``
+    on the same centred points, so no ``(n, m, d)`` Jacobian is made.  The
     expansion cancels where the points spread far beyond ``s_f``: its
     rounding is relative to the same sum taken over absolute values, not
     to the term.
     """
     n = pts.shape[0]
+    s2 = fmap.bandwidth**2
     centre = pts.mean(axis=0)
     x, centers = pts - centre, fmap.centers - centre
     gram = _gaussian_gram(kernel.bandwidth, pts, pts)
@@ -287,23 +303,15 @@ def _rbf_map_quadratic(
     term = (feats.T @ k_feats) * (centers @ centers.T)
     term -= cross + cross.T
     term += feats.T @ weighted
-    term /= (n * fmap.bandwidth**2) ** 2
-    return term, _kept_gram_velocity(kernel, gram, pts, jac.transpose(0, 2, 1))
-
-
-def _kept_gram_velocity(
-    kernel: KernelSpec, gram: np.ndarray, pts: np.ndarray, jac_t: np.ndarray
-) -> Callable:
-    """``velocity_of`` from a kept whole Gaussian Gram: one product with the field ``J^T coeff``."""
-    n, d, _ = jac_t.shape
+    term /= (n * s2) ** 2
 
     def velocity_of(coeff: np.ndarray) -> np.ndarray:
-        out = np.empty((n, d, 1))
-        columns, finish = _gaussian_columns(kernel, pts, (jac_t @ coeff)[:, :, None])
-        _gram_product(gram, columns, finish, pts, out)
-        return out[:, :, 0] / n
+        field = (feats * coeff) @ centers
+        field -= x * (feats @ coeff)[:, None]
+        field /= s2
+        return gram @ field / n
 
-    return velocity_of
+    return term, velocity_of
 
 
 def _apply_kernel(kernel, queries: np.ndarray, anchors: np.ndarray, vels: np.ndarray) -> np.ndarray:
@@ -415,16 +423,11 @@ def _query_rows(kernel, anchors: np.ndarray, vels: np.ndarray) -> Callable:
 
         def fill(queries, out):
             gram = _gaussian_gram(kernel.bandwidth, queries, anchors)
-            _gram_product(gram, columns, finish, queries, out)
+            if finish is None:
+                np.matmul(gram, columns, out=out.reshape(out.shape[0], -1))
+            else:
+                finish(gram @ columns, queries, out)
     return fill
-
-
-def _gram_product(gram, columns, finish, queries: np.ndarray, out: np.ndarray) -> None:
-    """Write a Gaussian kind's fields at ``queries`` into ``out`` from Gram rows and columns."""
-    if finish is None:
-        np.matmul(gram, columns, out=out.reshape(out.shape[0], -1))
-    else:
-        finish(gram @ columns, queries, out)
 
 
 def _rbf_columns(bandwidth: float, anchors: np.ndarray, vels: np.ndarray):
@@ -542,19 +545,24 @@ def _solve_drift(
     if targets is not None:
         targets = as_particles(targets, dim=particles.dim)
     kernel = _resolve_bandwidth(kernel, particles, targets)
-    feats, jac = fmap.derivatives(particles, 1)
+    n, d = particles.points.shape
+    rbf_map = _takes_rbf_map_term(kernel, fmap, n, d, fmap.feature_dim)
+    # the RBF-map term reads the features alone; every other path the Jacobian too
+    if rbf_map:
+        (feats,) = fmap.derivatives(particles, 0)
+    else:
+        feats, jac = fmap.derivatives(particles, 1)
     model_mean, fisher = feature_moments(fmap, feats)
     if target_mean is not None:
         target_mean = _real_array(target_mean, "target_mean", shape=(fmap.feature_dim,))
     elif targets is not None:
         target_mean = feature_mean(fmap, targets)
     gap = -model_mean if target_mean is None else -model_mean + target_mean
-    n, d = particles.points.shape
-    if _takes_rbf_map_term(kernel, fmap, n, d, fmap.feature_dim):
-        quad, velocity_of = _rbf_map_quadratic(kernel, fmap, particles.points, feats, jac)
+    if rbf_map:
+        quad, velocity_of = _rbf_map_quadratic(kernel, fmap, particles.points, feats)
     else:
         jac_t = np.ascontiguousarray(jac.transpose(0, 2, 1))
-        jac = jac_t.transpose(0, 2, 1)
+        del jac  # the map's own (n, m, d) array goes before the term is built
         quad, velocity_of = _gram_quadratic(kernel, particles.points, jac_t)
     system = ridge * fisher.matrix + quad
     lower = spd_factor(system, SolverError("drift system is not positive definite"))
@@ -562,7 +570,7 @@ def _solve_drift(
     return DriftSolution(
         gamma_factor=lower,
         coeff=coeff,
-        jacobian=jac,
+        fmap=fmap,
         kernel=kernel,
         anchors=particles,
         velocity_of=velocity_of,

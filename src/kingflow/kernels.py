@@ -339,8 +339,10 @@ class PooledMedian:
 
     The bracket is the sample values within ``_spread`` ranks of the
     previous median, twice the ranks the median last moved, cut to the
-    band; the first is ``_SEED_SHARE`` of the sample on either side of the
-    median among every ``stride``-th particle and target.  A bracket that
+    band.  Until the median has moved once, on the first two calls, it is
+    ``_SEED_SHARE`` of the sample on either side of a seed: the median
+    among every ``stride``-th particle and target, on the second call less
+    the first call's error of that seed.  A bracket that
     misses the middle ranks is followed by one next to it on the median's
     side, twice the sample ranks the missed ranks take at the missed
     bracket's density and at least twice the last step.  Half-widths and
@@ -376,6 +378,7 @@ class PooledMedian:
             self._lo, self._hi, self._band = -np.inf, np.inf, self._sample
         self.rebuilds = 0
         self._centre = self._spread = None
+        self._seed_error = 0.0
 
     def __call__(self, particles) -> float:
         tgt = self._targets
@@ -389,9 +392,11 @@ class PooledMedian:
         sample = self._sample
         narrowest = 1 + int(sample.size * self._MIN_SHARE)
         centre, spread = self._centre, self._spread
-        if centre is None:
+        if spread is None:  # no shift between two medians yet: a seeded bracket
             stride = max(1, int(np.sqrt(total / self._SAMPLE)))
-            centre = _median(pdist(np.vstack([pts[::stride], tgt[::stride]]), "sqeuclidean"))
+            seed = _median(pdist(np.vstack([pts[::stride], tgt[::stride]]), "sqeuclidean"))
+            # every call seeds from the same strided points, so the first seed's error recurs
+            centre = seed - self._seed_error
             spread = max(narrowest, int(sample.size * self._SEED_SHARE))
         rank = int(np.searchsorted(sample, centre))
         lo, hi = self._at(rank - spread), self._at(rank + spread)
@@ -425,8 +430,12 @@ class PooledMedian:
         if even:
             med = (_union_rank(band, others, half - below - 1) + med) / 2.0
         med = float(med)
-        shift = abs(int(np.searchsorted(sample, med)) - rank)
-        self._centre, self._spread = med, max(narrowest, 2 * shift)
+        if self._centre is None:
+            self._seed_error = centre - med
+        else:
+            shift = abs(int(np.searchsorted(sample, med)) - int(np.searchsorted(sample, self._centre)))
+            self._spread = max(narrowest, 2 * shift)
+        self._centre = med
         if med > 0:
             return med
         return _smallest_positive(chain(_pair_distances(pts, tgt), _pair_distances(tgt, tgt[:0])))

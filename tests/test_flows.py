@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.spatial.distance import pdist
 
 from kingflow import (
     CustomLinearMap,
@@ -626,9 +627,11 @@ def test_solve_leaves_its_inputs_and_jacobian_intact(kind, n, dim, m, rng):
     fmap = RbfFeatureMap(centers=rng.standard_normal((m, dim)), bandwidth=2.0)
     solve = solve_king_drift if kind == "rbf_scalar" else solve_ntking_drift
     solution = solve(fmap, KernelSpec(kind, bandwidth=1.0), particles, targets, 1e-3)
-    solution.anchor_velocity()
+    velocity = solution.anchor_velocity()
     assert_array_equal(particles.points, points)
+    # evaluated on first access, from the map and the anchors
     assert_array_equal(solution.jacobian, fmap.jacobian(particles))
+    assert_matches_reference(eval_drift(solution, particles), velocity)
 
 
 # -- diagonalized_scalar on a plain RBF map --------------------------------------------
@@ -677,7 +680,7 @@ def test_rbf_map_term_matches_the_reference_blocks(case):
     n, m = pts.shape[0], fmap.feature_dim
     feats, jac = fmap.derivatives(pts, 1)
     jac_t = jac.transpose(0, 2, 1)
-    quad, velocity_of = flows._rbf_map_quadratic(kernel, fmap, pts, feats, jac)
+    quad, velocity_of = flows._rbf_map_quadratic(kernel, fmap, pts, feats)
     generic_quad, generic_velocity_of = _gram_quadratic(kernel, pts, np.ascontiguousarray(jac_t))
 
     blocks = reference_blocks(kernel, pts, pts)
@@ -761,19 +764,76 @@ def test_rbf_map_term_stays_within_its_memory_budget(rng, traced_peak):
     coeff = rng.standard_normal(m)
 
     def term_and_velocity():
-        _, velocity_of = flows._rbf_map_quadratic(kernel, fmap, pts, feats, jac)
+        _, velocity_of = flows._rbf_map_quadratic(kernel, fmap, pts, feats)
         velocity_of(coeff)
 
     assert traced_peak(term_and_velocity) < 8 * (n * n + 6 * n * m)
 
 
-def literal_ntking_flow(fmap, targets, init, config):
-    """Every particle set of an ntking flow on ``diagonalized_scalar``, refreshed, pair by pair."""
+def test_rbf_map_solve_stays_within_its_memory_budget(rng, traced_peak):
+    # The whole solve and its anchor velocity at the same shape hold the
+    # kept Gram (1.0 MiB) and a few (n, m) arrays, 1.8 MiB at the peak.
+    # Evaluating the (n, m, d) Jacobian, 1.4 MiB, took it to 3.3 MiB.
+    n, dim, m = 362, 10, 50
+    particles, targets = drift_case(rng, n=n, dim=dim)
+    fmap = RbfFeatureMap(centers=rng.standard_normal((m, dim)), bandwidth=2.0)
+    kernel = KernelSpec("diagonalized_scalar", bandwidth=1.5)
+
+    def solve_and_velocity():
+        solve_ntking_drift(fmap, kernel, particles, targets, 1e-3).anchor_velocity()
+
+    assert traced_peak(solve_and_velocity) < 8 * (n * n + 8 * n * m)
+
+
+@pytest.mark.parametrize(
+    "map_kind, n, order", [("rbf", 64, 0), ("rbf", 12, 1), ("informed", 64, 1)],
+    ids=["rbf_map_term", "strips", "informed"],
+)
+def test_ntking_flow_evaluates_a_jacobian_only_off_the_rbf_map_term(
+    map_kind, n, order, rng, monkeypatch
+):
+    # The RBF-map term reads the features alone; n = 12 takes the strips
+    # and the informed map the strips too, both from the Jacobian.  A
+    # patched RbfFeatureMap._derivatives sees every call, the informed
+    # map's included, where a subclass would leave the rule's path.
+    dim, m, n_targets, iterations = 10, 12, 30, 3
+    init = ParticleSet(rng.standard_normal((n, dim)))
+    targets = ParticleSet(rng.standard_normal((n_targets, dim)) + 0.5)
+    centers = rng.standard_normal((m, dim))
+    if map_kind == "informed":
+        fmap = InformedPairwiseMap(centers=centers, bandwidth=2.0, pairs=((0, 1),))
+    else:
+        fmap = RbfFeatureMap(centers=centers, bandwidth=2.0)
+    calls = []
+    derivatives = RbfFeatureMap._derivatives
+
+    def recording(self, pts, order):
+        calls.append((pts.shape[0], order))
+        return derivatives(self, pts, order)
+
+    monkeypatch.setattr(RbfFeatureMap, "_derivatives", recording)
+    run_flow(
+        "ntking", fmap, KernelSpec("diagonalized_scalar"), targets, init,
+        FlowConfig(step=0.1, iterations=iterations, ridge=1e-2),
+    )
+    # the target mean, then one call per iteration
+    assert calls == [(n_targets, 0)] + [(n, order)] * iterations
+
+
+def literal_drift_flow(kind, fmap, targets, init, config):
+    """Every particle set of a drift flow on ``kind``'s Gaussian kernel, pair by pair.
+
+    The bandwidth is ``median_heuristic(particles, targets)``, refreshed
+    every iteration unless ``config.freeze_bandwidth`` keeps the initial one.
+    """
     target_mean = feature_mean(fmap, targets)
     particles, logged = init, [init.points]
     n = init.points.shape[0]
+    bandwidth = median_heuristic(init, targets)
     for _ in range(config.iterations):
-        kernel = KernelSpec("diagonalized_scalar", bandwidth=median_heuristic(particles, targets))
+        if not config.freeze_bandwidth:
+            bandwidth = median_heuristic(particles, targets)
+        kernel = KernelSpec(kind, bandwidth=bandwidth)
         jac = fmap.jacobian(particles)
         model_mean, fisher = feature_moments(fmap, particles)
         blocks = reference_blocks(kernel, particles.points, particles.points)
@@ -811,7 +871,98 @@ def test_rbf_map_flow_matches_a_literal_pairwise_loop(data):
         "ntking", fmap, KernelSpec("diagonalized_scalar"), targets, init, config,
         observer=lambda iteration, t, particles, diagnostics: logged.append(particles.points),
     )
-    expected = literal_ntking_flow(fmap, targets, init, config)
+    expected = literal_drift_flow("diagonalized_scalar", fmap, targets, init, config)
+    assert len(logged) == len(expected) == config.iterations + 1
+    for flowed, literal in zip(logged, expected):
+        assert_matches_reference(flowed - init.points, literal - init.points)
+
+
+@st.composite
+def gram_path_cases(draw, kind, path):
+    # n up to 40 and a block of n * n values with n no wider than the anchor
+    # columns (rbf_scalar's whole Gram; for diagonalized_scalar, with n
+    # below width, one row block of all n rows), of exactly the products of
+    # all n rows (strips of max(1, width // 2) rows, so n past twice that
+    # takes at least 3; n past width keeps the whole Gram out), or one value
+    # short of both (the row blocks).  At least 8 particles where the path
+    # allows, centres among the targets at least 1 apart and a map bandwidth
+    # growing as sqrt(d) keep every drift system well conditioned and every
+    # flow bounded: closer centres or a narrower map put the condition
+    # number past 1e6 or sent a flow off to 1e100, and either path's
+    # rounding past the tolerance.
+    if kind == "diagonalized_scalar" and path == "one_block":
+        dim, m = 3, draw(st.integers(3, 4))
+    else:
+        dim, m = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    width = flows._gaussian_width(KernelSpec(kind), dim, m)
+    if path == "one_block":
+        high = min(width - (kind == "diagonalized_scalar"), 40)
+        n = draw(st.integers(min(8, high), high))
+        block = n * n
+    elif path == "strips":
+        n = draw(st.integers(max(2 * max(1, width // 2), width if kind == "rbf_scalar" else 0, 7) + 1, 40))
+        block = n * width
+    else:
+        n = draw(st.integers(8, 40))
+        block = min(n * n, n * width) - 1
+    offset = draw(st.sampled_from([0.0, 1e3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centers = 1.0 + rng.standard_normal((m, dim))
+    assume(m == 1 or pdist(centers).min() >= 1.0)
+    init = ParticleSet(offset + rng.standard_normal((n, dim)))
+    targets = ParticleSet(offset + 1.0 + rng.standard_normal((30, dim)))
+    fmap = RbfFeatureMap(centers=offset + centers, bandwidth=1.5 * np.sqrt(dim))
+    config = FlowConfig(
+        step=0.5, iterations=draw(st.integers(3, 5)), ridge=1e-2, log_every=1,
+        freeze_bandwidth=draw(st.booleans()),
+    )
+    return fmap, targets, init, config, block
+
+
+@pytest.mark.parametrize(
+    "method, kind, path",
+    [
+        ("king", "rbf_scalar", "one_block"),
+        ("king", "rbf_scalar", "strips"),
+        ("king", "rbf_scalar", "row_blocks"),
+        ("ntking", "diagonalized_scalar", "one_block"),
+        ("ntking", "diagonalized_scalar", "strips"),
+        ("ntking", "diagonalized_scalar", "row_blocks"),
+    ],
+)
+@settings(max_examples=8, deadline=None, database=None)
+@given(data=st.data())
+def test_flow_on_every_gram_path_matches_a_literal_pairwise_loop(method, kind, path, data):
+    # flows._BLOCK_VALUES, patched small, puts n <= 40 on each path; every
+    # iteration's Gram blocks show which one was taken.  Every logged set is
+    # compared by its displacement from the initial points.
+    fmap, targets, init, config, block = data.draw(gram_path_cases(kind, path))
+    n = init.points.shape[0]
+    grams, logged = [], []
+    gaussian_gram = kernels._gaussian_gram
+
+    def recording_gram(bandwidth, xs, ys, out=None):
+        grams.append((xs.shape[0], ys.shape[0]))
+        return gaussian_gram(bandwidth, xs, ys, out)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(flows, "_BLOCK_VALUES", block)
+        patch.setattr(flows, "_gaussian_gram", recording_gram)
+        run_flow(
+            method, fmap, KernelSpec(kind), targets, init, config,
+            observer=lambda iteration, t, particles, diagnostics: logged.append(particles.points),
+        )
+    per_iteration = grams[: len(grams) // config.iterations]
+    assert grams == per_iteration * config.iterations
+    rows, cols = zip(*per_iteration)
+    assert sum(rows) == n
+    if path == "one_block":
+        assert per_iteration == [(n, n)]
+    elif path == "strips":
+        assert len(rows) >= 3 and list(cols) == [n - sum(rows[:i]) for i in range(len(rows))]
+    else:
+        assert len(rows) >= 2 and set(cols) == {n}
+    expected = literal_drift_flow(kind, fmap, targets, init, config)
     assert len(logged) == len(expected) == config.iterations + 1
     for flowed, literal in zip(logged, expected):
         assert_matches_reference(flowed - init.points, literal - init.points)
